@@ -15,9 +15,8 @@ import os
 import numpy as np
 
 from attnpool.images import export_pgm, montage
-from attnpool.pooling import AttentionParams, extract_maps
 from attnpool.synth import PlantedTaskConfig, gen_planted
-from attnpool.train import TrainConfig, train
+from attnpool.train import TrainConfig, eval_forward, train
 
 task = PlantedTaskConfig(n1=5, n2=5, f=24, K=6, train_samples=600,
                          val_samples=200, seed=7)
@@ -45,14 +44,14 @@ print(f"\nfinal: avg_pool val {avg.final_val_metric:.3f} | attention val "
       f"{att.final_localization:.3f}")
 
 # heatmap montage for the first validation example (true class)
-params = AttentionParams.rank1(att.params["A0"], att.params["b0"].ravel())
-grids = extract_maps(val_ds.X[0], params, task.n1, task.n2)
+_, maps = eval_forward(att.params, att.config, val_ds.X[:1])
 k = int(val_ds.labels[0])
+grids = {key: maps[key][0, :, k].reshape(task.n1, task.n2) for key in ("c", "t", "h")}
 out_dir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out_dir, exist_ok=True)
 path = os.path.join(out_dir, "val0_montage.pgm")
-export_pgm(montage([grids.c[:, :, k], grids.t[:, :, k], grids.h]), path)
+export_pgm(montage([grids["c"], grids["t"], grids["h"]]), path)
 pr, pc = divmod(int(val_ds.planted[0]), task.n2)
-mr, mc = divmod(int(np.argmax(grids.c[:, :, k])), task.n2)
+mr, mc = divmod(int(np.argmax(grids["c"])), task.n2)
 print(f"example 0: planted cell ({pr},{pc}), combined-map peak ({mr},{mc})")
 print(f"wrote {path} (combined | top-down | bottom-up)")

@@ -4,31 +4,25 @@ Scoring heads (average pooling, rank-1/rank-P/per-class attention,
 pose-regularized attention, compact bilinear pooling), a tape autodiff
 engine to train them, a planted-attention synthetic benchmark, and
 FLOP/wall-clock cost accounting.
+
+Training lives in the `attnpool.train` module
+(`from attnpool.train import TrainConfig, train`).
 """
 
 from .autograd import Tape, finite_diff_check
-from .pooling import (AttentionMaps, AttentionParams, PerClassParams,
-                      attention_maps, combined_map_score, extract_maps,
-                      init_attention_params, score_avg_pool, score_multiclass,
-                      score_per_class, score_rank1, score_rank_p,
-                      score_second_order, score_top_down_only)
-from .pose import PoseHeadParams, PoseTarget, pose_head_forward, pose_loss, score_pose_regularized
+from .pooling import score_second_order
+from .pose import PoseTarget
 from .sketch import SketchParams, cbp_pool, count_sketch, tensor_sketch
 from .synth import (Dataset, LabeledExample, PlantedTaskConfig, gen_planted,
                     gen_pose_targets, metric_accuracy, metric_map)
-from .train import TrainConfig, TrainReport, evaluate, sgd_step, train
+from .train import TrainConfig, TrainReport, evaluate, sgd_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMaps", "AttentionParams", "Dataset", "LabeledExample",
-    "PerClassParams", "PlantedTaskConfig", "PoseHeadParams", "PoseTarget",
-    "SketchParams", "Tape", "TrainConfig", "TrainReport",
-    "attention_maps", "cbp_pool", "combined_map_score", "count_sketch",
-    "evaluate", "extract_maps", "finite_diff_check", "gen_planted",
-    "gen_pose_targets", "init_attention_params", "metric_accuracy",
-    "metric_map", "pose_head_forward", "pose_loss", "score_avg_pool",
-    "score_multiclass", "score_per_class", "score_pose_regularized",
-    "score_rank1", "score_rank_p", "score_second_order",
-    "score_top_down_only", "sgd_step", "tensor_sketch", "train",
+    "Dataset", "LabeledExample", "PlantedTaskConfig", "PoseTarget",
+    "SketchParams", "Tape", "TrainConfig", "TrainReport", "cbp_pool",
+    "count_sketch", "evaluate", "finite_diff_check", "gen_planted",
+    "gen_pose_targets", "metric_accuracy", "metric_map",
+    "score_second_order", "sgd_step", "tensor_sketch",
 ]

@@ -74,9 +74,6 @@ def _forward(op, vals, aux):
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
         return a @ b
-    if op == "transpose":
-        (a,) = vals
-        return a.T.copy()
     if op == "add":
         a, b = vals
         if a.shape != b.shape:
@@ -122,8 +119,6 @@ def _backward(op, g, vals, out, aux):
     if op == "matmul":
         a, b = vals
         return [g @ b.T, a.T @ g]
-    if op == "transpose":
-        return [g.T.copy()]
     if op == "add":
         return [g, g]
     if op == "subtract":
@@ -184,9 +179,6 @@ class Tape:
     # convenience wrappers
     def matmul(self, a, b):
         return self.record("matmul", (a.id, b.id))
-
-    def transpose(self, a):
-        return self.record("transpose", (a.id,))
 
     def add(self, a, b):
         return self.record("add", (a.id, b.id))

@@ -1,9 +1,7 @@
 """Command-line surface: gen | train | eval | heatmap | bench | selftest.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 selftest failure.
-The ATTNPOOL_SEED environment variable overrides config seeds; --threads
-caps worker parallelism (this implementation is single-threaded, the
-flag is accepted and validated for interface stability).
+The ATTNPOOL_SEED environment variable overrides config seeds.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from .selftest import run_all
 from .synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                     read_labels, write_labels)
 from .tensors import ShapeError
-from .train import (TrainConfig, combined_maps, eval_scores, evaluate,
-                    train, write_report, write_summary)
+from .train import (TrainConfig, eval_forward, evaluate, train, write_report,
+                    write_summary)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -162,17 +160,16 @@ def cmd_heatmap(args) -> int:
         raise ShapeError("the cbp head has no spatial attention maps to export")
     ds = load_split(args.data)
     n1, n2 = ds.config.n1, ds.config.n2
-    cmaps = combined_maps(params, tconf, ds.X)
-    scores = eval_scores(params, tconf, ds.X)
-    os.makedirs(args.out, exist_ok=True)
     count = min(args.count, len(ds))
+    scores, maps = eval_forward(params, tconf, ds.X[:count])
+    os.makedirs(args.out, exist_ok=True)
     for i in range(count):
         if ds.labels.ndim == 1:
             k = int(ds.labels[i])
         else:
             k = int(np.argmax(scores[i]))
-        combined = cmaps[i, :, k].reshape(n1, n2)
-        top_down, bottom_up = _panel_maps(params, tconf, ds.X[i], k, n1, n2)
+        combined, top_down, bottom_up = (maps[key][i, :, k].reshape(n1, n2)
+                                         for key in ("c", "t", "h"))
         export_pgm(normalize_map(combined), os.path.join(args.out, f"ex{i:04d}_combined.pgm"))
         export_pgm(normalize_map(top_down), os.path.join(args.out, f"ex{i:04d}_top_down.pgm"))
         export_pgm(normalize_map(bottom_up), os.path.join(args.out, f"ex{i:04d}_bottom_up.pgm"))
@@ -180,26 +177,6 @@ def cmd_heatmap(args) -> int:
                    os.path.join(args.out, f"ex{i:04d}_montage.pgm"))
     print(f"wrote heatmaps for {count} examples to {args.out}")
     return 0
-
-
-def _panel_maps(params, tconf, X, k, n1, n2):
-    """(top-down, bottom-up) grids for one example and class k."""
-    if tconf.head == "avg_pool":
-        t = X @ params["W"][:, k]
-        h = np.ones(X.shape[0])
-    elif tconf.head in ("attention", "rank_p"):
-        t = X @ params["A0"][:, k]       # first rank component
-        h = (X @ params["b0"]).ravel()
-    elif tconf.head == "per_class":
-        t = X @ params["A"][:, k]
-        h = X @ params["B_pc"][:, k]
-    elif tconf.head == "pose_reg":
-        t = X @ params["A"][:, k]
-        hidden = np.maximum(X @ params["W1"] + params["bias1"], 0.0)
-        h = (hidden @ params["W2"] + params["bias2"])[:, 16]
-    else:
-        raise ShapeError(f"no maps for head {tconf.head!r}")
-    return t.reshape(n1, n2), h.reshape(n1, n2)
 
 
 def cmd_bench(args) -> int:
@@ -224,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attnpool",
         description="Attentional pooling as low-rank second-order pooling")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker parallelism cap (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted-attention dataset")
@@ -269,9 +244,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:

@@ -1,26 +1,17 @@
-"""Attentional pooling scores as low-rank second-order pooling.
+"""The explicit second-order score: the oracle every head is checked against.
 
-Given a spatial feature map X (n locations x f channels), the explicit
+Given a spatial feature map X (n locations x f channels), the
 second-order score Tr(X^T X W^T) collapses, for W = a b^T, to the cheap
 evaluation a^T (X^T (X b)) that never materializes the f x f statistic.
-This module implements every scoring variant (average pooling, explicit
-second order, rank-1, shared-bottom-up multiclass, rank-P, per-class,
-top-down-only) plus raw attention-map extraction.  The explicit
-second-order scorer is kept deliberately naive: it is the oracle the
-cheap paths are verified against.
-
-Maps are raw linear responses: no softmax or normalization is applied,
-and entries may be negative.  Display scaling happens only at image
-export time.
+The heads compute that cheap form in `train._batch_graph`; this module
+keeps only the naive form, which materializes X^T X on purpose so the
+selftest and the tests can verify the heads against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .rng import SplitMix64
 from .tensors import ShapeError
 
 
@@ -29,97 +20,6 @@ def _as2d(x, name):
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
     return a
-
-
-def _as1d(x, name):
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
-
-
-@dataclass(frozen=True)
-class AttentionParams:
-    """Rank-P attention parameters: P pairs of (top-down A, bottom-up b).
-
-    A_p[p] is (f, K) with column k the class-k top-down vector; b_p[p] is
-    the class-agnostic bottom-up vector (f,).  Rank 1 is A_p=(A,), b_p=(b,).
-    """
-
-    A_p: tuple
-    b_p: tuple
-
-    def __post_init__(self):
-        A_p = tuple(_as2d(A, "A") for A in self.A_p)
-        b_p = tuple(_as1d(b, "b") for b in self.b_p)
-        if len(A_p) != len(b_p) or not A_p:
-            raise ShapeError(
-                f"rank lists must be equal and nonempty: {len(A_p)} vs {len(b_p)}"
-            )
-        f, K = A_p[0].shape
-        for A, b in zip(A_p, b_p):
-            if A.shape != (f, K) or b.shape != (f,):
-                raise ShapeError("inconsistent shapes across rank components")
-        object.__setattr__(self, "A_p", A_p)
-        object.__setattr__(self, "b_p", b_p)
-
-    @classmethod
-    def rank1(cls, A, b) -> "AttentionParams":
-        return cls((np.asarray(A, dtype=np.float64),), (np.asarray(b, dtype=np.float64),))
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.A_p[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.b_p[0]
-
-    @property
-    def rank(self) -> int:
-        return len(self.A_p)
-
-    @property
-    def num_features(self) -> int:
-        return self.A_p[0].shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.A_p[0].shape[1]
-
-
-@dataclass(frozen=True)
-class PerClassParams:
-    """Fully class-specific attention: one bottom-up vector per class."""
-
-    A: np.ndarray    # (f, K)
-    B_pc: np.ndarray  # (f, K)
-
-    def __post_init__(self):
-        A = _as2d(self.A, "A")
-        B = _as2d(self.B_pc, "B_pc")
-        if A.shape != B.shape:
-            raise ShapeError(f"A and B_pc must match: {A.shape} vs {B.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B_pc", B)
-
-
-@dataclass(frozen=True)
-class AttentionMaps:
-    """Raw attention maps: bottom-up h (n,), top-down t (n, K), combined c (n, K)."""
-
-    h: np.ndarray
-    t: np.ndarray
-    c: np.ndarray
-
-
-def score_avg_pool(X, w) -> float:
-    """Average-pooling score 1^T X w for a single (binary-style) classifier."""
-    X = _as2d(X, "X")
-    w = _as1d(w, "w")
-    if w.shape[0] != X.shape[1]:
-        raise ShapeError(f"w length {w.shape[0]} vs X shape {X.shape}")
-    return float((X @ w).sum())
 
 
 def score_second_order(X, W) -> float:
@@ -134,129 +34,3 @@ def score_second_order(X, W) -> float:
         raise ShapeError(f"W must be {f}x{f}, got {W.shape}")
     G = X.T @ X  # f x f, explicitly materialized
     return float(np.trace(G @ W.T))
-
-
-def score_rank1(X, a, b) -> float:
-    """Rank-1 attention score a^T (X^T (X b)), evaluated in exactly that order."""
-    _, _, s = rank1_parts(X, a, b)
-    return s
-
-
-def rank1_parts(X, a, b):
-    """Return (h, pooled, score): bottom-up map h = X b, pooled feature X^T h."""
-    X = _as2d(X, "X")
-    a = _as1d(a, "a")
-    b = _as1d(b, "b")
-    f = X.shape[1]
-    if a.shape[0] != f or b.shape[0] != f:
-        raise ShapeError(f"a/b length must be {f}, got {a.shape[0]}/{b.shape[0]}")
-    h = X @ b
-    pooled = X.T @ h
-    return h, pooled, float(a @ pooled)
-
-
-def score_multiclass(X, params: AttentionParams) -> np.ndarray:
-    """Shared-bottom-up scores s[k] = (X a_k)^T (X b); requires rank 1."""
-    if params.rank != 1:
-        raise ShapeError(f"score_multiclass requires rank 1, got {params.rank}")
-    X = _as2d(X, "X")
-    if params.num_features != X.shape[1]:
-        raise ShapeError(f"params expect f={params.num_features}, X is {X.shape}")
-    h = X @ params.b
-    t = X @ params.A
-    return t.T @ h
-
-
-def attention_maps(X, params: AttentionParams) -> AttentionMaps:
-    """Bottom-up, top-down, and combined maps for a rank-1 parameter set."""
-    if params.rank != 1:
-        raise ShapeError(f"attention_maps requires rank 1, got {params.rank}")
-    X = _as2d(X, "X")
-    if params.num_features != X.shape[1]:
-        raise ShapeError(f"params expect f={params.num_features}, X is {X.shape}")
-    h = X @ params.b
-    t = X @ params.A
-    c = t * h[:, None]
-    return AttentionMaps(h=h, t=t, c=c)
-
-
-def combined_map_score(X, params: AttentionParams):
-    """Scores via the combined map: s[k] = 1^T (t_k o h).  Returns (maps, s)."""
-    maps = attention_maps(X, params)
-    return maps, maps.c.sum(axis=0)
-
-
-def score_rank_p(X, params: AttentionParams) -> np.ndarray:
-    """Rank-P scores s[k] = sum_p (X a_k^p)^T (X b^p)."""
-    X = _as2d(X, "X")
-    if params.num_features != X.shape[1]:
-        raise ShapeError(f"params expect f={params.num_features}, X is {X.shape}")
-    s = np.zeros(params.num_classes)
-    for A, b in zip(params.A_p, params.b_p):
-        s += (X @ A).T @ (X @ b)
-    return s
-
-
-def score_per_class(X, params: PerClassParams) -> np.ndarray:
-    """Per-class bottom-up scores s[k] = (X A[:,k])^T (X B_pc[:,k])."""
-    X = _as2d(X, "X")
-    if params.A.shape[0] != X.shape[1]:
-        raise ShapeError(f"params expect f={params.A.shape[0]}, X is {X.shape}")
-    t = X @ params.A
-    h = X @ params.B_pc
-    return (t * h).sum(axis=0)
-
-
-def score_top_down_only(X, W_cls) -> np.ndarray:
-    """Average-pooling baseline head: s[k] = 1^T X w_k."""
-    X = _as2d(X, "X")
-    W = _as2d(W_cls, "W_cls")
-    if W.shape[0] != X.shape[1]:
-        raise ShapeError(f"W_cls rows {W.shape[0]} vs X shape {X.shape}")
-    return (X @ W).sum(axis=0)
-
-
-@dataclass(frozen=True)
-class GridMaps:
-    """Attention maps reshaped to n1 x n2 grids (row-major, loc = row*n2 + col)."""
-
-    h: np.ndarray  # (n1, n2)
-    t: np.ndarray  # (n1, n2, K)
-    c: np.ndarray  # (n1, n2, K)
-
-
-def extract_maps(X, params: AttentionParams, n1: int, n2: int) -> GridMaps:
-    X = _as2d(X, "X")
-    if n1 * n2 != X.shape[0]:
-        raise ShapeError(f"spatial {n1}x{n2} does not match n={X.shape[0]}")
-    maps = attention_maps(X, params)
-    K = maps.t.shape[1]
-    return GridMaps(
-        h=maps.h.reshape(n1, n2),
-        t=maps.t.reshape(n1, n2, K),
-        c=maps.c.reshape(n1, n2, K),
-    )
-
-
-def init_attention_params(f: int, K: int, rank: int, seed: int) -> AttentionParams:
-    """Seeded init: entries i.i.d. uniform in [-1/sqrt(f), +1/sqrt(f)].
-
-    Draw order: for each rank component, A (row-major) then b.
-    """
-    rng = SplitMix64(seed)
-    scale = 1.0 / np.sqrt(f)
-    A_p, b_p = [], []
-    for _ in range(rank):
-        A = np.array([(2.0 * rng.next_float() - 1.0) * scale for _ in range(f * K)])
-        b = np.array([(2.0 * rng.next_float() - 1.0) * scale for _ in range(f)])
-        A_p.append(A.reshape(f, K))
-        b_p.append(b)
-    return AttentionParams(tuple(A_p), tuple(b_p))
-
-
-def uniform_init(shape, seed_or_rng, scale: float) -> np.ndarray:
-    """Row-major uniform [-scale, +scale] fill from a SplitMix64 stream."""
-    rng = seed_or_rng if isinstance(seed_or_rng, SplitMix64) else SplitMix64(seed_or_rng)
-    n = int(np.prod(shape))
-    vals = np.array([(2.0 * rng.next_float() - 1.0) * scale for _ in range(n)])
-    return vals.reshape(shape)

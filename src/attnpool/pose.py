@@ -1,73 +1,23 @@
-"""Pose-regularized attention head.
+"""Keypoint targets and channel layout of the pose-regularized head.
 
-A two-layer MLP over the spatial features predicts 17 channels per
-location: channels 0..15 are keypoint heatmaps supervised with a masked
-L2 loss, channel 16 is an unconstrained nonlinear bottom-up attention
-map that replaces the linear h = X b.  Classification scores are then
-the usual inner products t_k^T h with top-down maps t_k = X a_k.
-
-Width (hdim) and the relu nonlinearity are our choices; no nonlinearity
-is applied at the 17-channel output.
+The pose_reg head (defined with the other heads in `train._batch_graph`)
+is a two-layer MLP over the spatial features that predicts 17 channels
+per location: channels 0..15 are keypoint heatmaps supervised with a
+masked L2 loss, channel 16 is an unconstrained nonlinear bottom-up
+attention map that replaces the linear h = X b.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SplitMix64
 from .tensors import ShapeError
 
 NUM_POSE_CHANNELS = 16
 NUM_HEAD_CHANNELS = 17  # 16 keypoints + 1 attention channel
 ATTENTION_CHANNEL = 16
-
-
-@dataclass(frozen=True)
-class PoseHeadParams:
-    W1: np.ndarray      # (f, hdim)
-    bias1: np.ndarray   # (hdim,)
-    W2: np.ndarray      # (hdim, 17)
-    bias2: np.ndarray   # (17,)
-    lambda_pose: float = 0.1
-
-    def __post_init__(self):
-        W1 = np.asarray(self.W1, dtype=np.float64)
-        W2 = np.asarray(self.W2, dtype=np.float64)
-        b1 = np.asarray(self.bias1, dtype=np.float64)
-        b2 = np.asarray(self.bias2, dtype=np.float64)
-        if W1.ndim != 2 or W1.shape[1] < 1:
-            raise ShapeError(f"W1 must be (f, hdim) with hdim >= 1, got {W1.shape}")
-        hdim = W1.shape[1]
-        if b1.shape != (hdim,) or W2.shape != (hdim, NUM_HEAD_CHANNELS) or b2.shape != (NUM_HEAD_CHANNELS,):
-            raise ShapeError(
-                f"inconsistent pose head shapes: W1 {W1.shape}, bias1 {b1.shape}, "
-                f"W2 {W2.shape}, bias2 {b2.shape}"
-            )
-        if self.lambda_pose < 0:
-            raise ValueError(f"lambda_pose must be nonnegative, got {self.lambda_pose}")
-        object.__setattr__(self, "W1", W1)
-        object.__setattr__(self, "bias1", b1)
-        object.__setattr__(self, "W2", W2)
-        object.__setattr__(self, "bias2", b2)
-
-    @property
-    def hdim(self) -> int:
-        return self.W1.shape[1]
-
-    @classmethod
-    def init(cls, f: int, hdim: int, seed: int, lambda_pose: float = 0.1) -> "PoseHeadParams":
-        """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
-        rng = SplitMix64(seed)
-        s1 = 1.0 / np.sqrt(f)
-        s2 = 1.0 / np.sqrt(hdim)
-        W1 = np.array([(2 * rng.next_float() - 1) * s1 for _ in range(f * hdim)]).reshape(f, hdim)
-        W2 = np.array([(2 * rng.next_float() - 1) * s2 for _ in range(hdim * NUM_HEAD_CHANNELS)]).reshape(
-            hdim, NUM_HEAD_CHANNELS)
-        return cls(W1=W1, bias1=np.zeros(hdim), W2=W2, bias2=np.zeros(NUM_HEAD_CHANNELS),
-                   lambda_pose=lambda_pose)
 
 
 @dataclass(frozen=True)
@@ -88,52 +38,3 @@ class PoseTarget:
             raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "heatmaps", hm)
         object.__setattr__(self, "mask", mask)
-
-
-def pose_head_forward(X, params: PoseHeadParams) -> np.ndarray:
-    """relu(X W1 + bias1) W2 + bias2, per location; column 16 is h."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.W1.shape[0]:
-        raise ShapeError(f"X shape {X.shape} vs W1 {params.W1.shape}")
-    hidden = np.maximum(X @ params.W1 + params.bias1, 0.0)
-    return hidden @ params.W2 + params.bias2
-
-
-def pose_loss(pred, target: PoseTarget) -> float:
-    """Masked mean squared error over visible keypoint channels.
-
-    Sum over visible channels and locations of squared error, divided by
-    (n * #visible).  Channel 16 never enters.  All channels masked out
-    returns 0 with a warning.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    n = target.heatmaps.shape[0]
-    if pred.shape != (n, NUM_HEAD_CHANNELS):
-        raise ShapeError(f"pred must be ({n}, 17), got {pred.shape}")
-    visible = int(target.mask.sum())
-    if visible == 0:
-        warnings.warn("pose_loss: all keypoint channels masked, loss is 0")
-        return 0.0
-    diff = (pred[:, :NUM_POSE_CHANNELS] - target.heatmaps) * target.mask
-    return float((diff * diff).sum() / (n * visible))
-
-
-def score_pose_regularized(X, params: PoseHeadParams, A) -> tuple:
-    """Scores with the MLP bottom-up channel; returns (scores, h, head_out).
-
-    s[k] = (X a_k)^T h where h is channel 16 of the pose head output.
-    The training loss composes as classification + lambda_pose * pose_loss.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != X.shape[1]:
-        raise ShapeError(f"A shape {A.shape} vs X shape {X.shape}")
-    out = pose_head_forward(X, params)
-    h = out[:, ATTENTION_CHANNEL]
-    scores = (X @ A).T @ h
-    return scores, h, out
-
-
-def total_loss(class_loss: float, p_loss: float, lambda_pose: float) -> float:
-    """Training objective: classification loss + lambda_pose * pose loss."""
-    return float(class_loss) + float(lambda_pose) * float(p_loss)

@@ -1,6 +1,10 @@
 """Built-in verification suite: oracle equivalences, gradient checks,
 sketch statistics, FLOP accounting, and determinism round-trips.
 
+The oracle equivalences score through `train._batch_graph`, the graph
+that training differentiates and evaluation reads, against the explicit
+second-order form in `pooling`.
+
 This is the repository's health signal: `attnpool selftest` runs every
 check here and exits nonzero on any failure.  The same functions back
 the pytest acceptance suite.
@@ -20,11 +24,11 @@ from .atnp import read_atnp, write_atnp
 from .autograd import Tape, finite_diff_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, normalize_map, read_pgm
-from .pooling import (AttentionParams, combined_map_score, score_multiclass,
-                      score_rank1, score_rank_p, score_second_order)
+from .pooling import score_second_order
 from .sketch import SketchParams, tensor_sketch
 from .synth import PlantedTaskConfig, gen_planted, gen_pose_targets, read_labels, write_labels
-from .train import TrainConfig, _batch_loss, init_head_params, train, write_report
+from .train import (TrainConfig, _batch_graph, _batch_loss, init_head_params, train,
+                    write_report)
 
 
 def random_instances(count: int, seed: int = 123, max_dim: int = 16):
@@ -40,28 +44,37 @@ def random_instances(count: int, seed: int = 123, max_dim: int = 16):
     return out
 
 
+def graph_scores(head: str, params: dict, X, **config):
+    """Sum-form scores (K,) and maps of one feature map X (n, f), read from
+    the training graph; `_batch_graph`'s logits are these scores / n."""
+    tape = Tape()
+    nodes = {name: tape.leaf(p) for name, p in params.items()}
+    logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
+                                nodes, X[None], {})
+    return logits.value[0] * X.shape[0], maps
+
+
 def check_rank1_equivalence(count: int = 1000) -> tuple:
     worst = 0.0
     for X, a, b in random_instances(count):
-        cheap = score_rank1(X, a, b)
+        cheap = graph_scores("attention", {"A0": a[:, None], "b0": b[:, None]}, X)[0][0]
         oracle = score_second_order(X, np.outer(a, b))
         err = abs(cheap - oracle) / (1.0 + abs(cheap))
         worst = max(worst, err)
-    return worst <= 1e-9, f"rank-1 vs explicit second order, worst rel err {worst:.3e}"
+    return worst <= 1e-9, f"rank-1 graph vs explicit second order, worst rel err {worst:.3e}"
 
 
 def check_symmetry_and_combined(count: int = 1000) -> tuple:
     worst_sym, worst_comb = 0.0, 0.0
     for X, a, b in random_instances(count):
-        s_ab = score_rank1(X, a, b)
-        s_ba = score_rank1(X, b, a)
+        s_ab, maps = graph_scores("attention", {"A0": a[:, None], "b0": b[:, None]}, X)
+        s_ba, _ = graph_scores("attention", {"A0": b[:, None], "b0": a[:, None]}, X)
         both = float((X @ a) @ (X @ b))
         scale = 1.0 + abs(both)
-        worst_sym = max(worst_sym, abs(s_ab - s_ba) / scale, abs(s_ab - both) / scale)
-        params = AttentionParams.rank1(a.reshape(-1, 1), b)
-        s10 = score_multiclass(X, params)
-        _, s11 = combined_map_score(X, params)
-        worst_comb = max(worst_comb, float(np.max(np.abs(s10 - s11) / (1.0 + np.abs(s10)))))
+        worst_sym = max(worst_sym, abs(s_ab[0] - s_ba[0]) / scale,
+                        abs(s_ab[0] - both) / scale)
+        via_map = maps["c"].value.sum(axis=0)
+        worst_comb = max(worst_comb, float(np.max(np.abs(s_ab - via_map) / (1.0 + np.abs(s_ab)))))
     ok = worst_sym <= 1e-12 and worst_comb <= 1e-12
     return ok, f"symmetry worst {worst_sym:.3e}, combined-map worst {worst_comb:.3e}"
 
@@ -77,12 +90,15 @@ def check_rank_p_oracle(ranks=(1, 2, 5), count: int = 50) -> tuple:
             X = rng.standard_normal((n, f))
             A_p = tuple(rng.standard_normal((f, K)) for _ in range(P))
             b_p = tuple(rng.standard_normal(f) for _ in range(P))
-            s = score_rank_p(X, AttentionParams(A_p, b_p))
+            params = {}
+            for p in range(P):
+                params[f"A{p}"], params[f"b{p}"] = A_p[p], b_p[p][:, None]
+            s, _ = graph_scores("rank_p", params, X, rank=P)
             for k in range(K):
                 W = sum(np.outer(A[:, k], b) for A, b in zip(A_p, b_p))
                 oracle = score_second_order(X, W)
                 worst = max(worst, abs(s[k] - oracle) / (1.0 + abs(oracle)))
-    return worst <= 1e-9, f"rank-P oracle worst rel err {worst:.3e}"
+    return worst <= 1e-9, f"rank-P graph vs explicit second order, worst rel err {worst:.3e}"
 
 
 def head_gradient_error(head: str, seed: int) -> float:
@@ -94,7 +110,7 @@ def head_gradient_error(head: str, seed: int) -> float:
     rng = np.random.default_rng(seed)
     Xb = rng.standard_normal((B, n, f))
     yb = rng.integers(0, K, size=B)
-    extra = {"K": K}
+    extra = {}
     if head == "cbp":
         extra["features"] = rng.standard_normal((B, cfg.sketch_dim))
     if head == "pose_reg":

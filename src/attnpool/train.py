@@ -7,6 +7,9 @@ supervision), cbp (linear classifier on TensorSketch features).
 Every batch is one tape: the per-example score computations are stacked
 into block matrices so the whole batch stays inside the autograd op set
 (selector matrices replace slicing, ones-matmuls replace broadcasting).
+`_batch_graph` is the one definition of every head's scores and maps:
+validation, `evaluate`, localization, the heatmap command and the
+selftest oracle checks all read its forward pass (`eval_forward`).
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -24,7 +27,7 @@ import numpy as np
 
 from .autograd import Tape
 from .pose import NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS, ATTENTION_CHANNEL
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64, float_stream, mix64
 from .sketch import SketchParams, cbp_pool
 from .synth import Dataset, metric_accuracy, metric_map
 from .tensors import ShapeError
@@ -63,6 +66,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0 or self.rank < 1:
             raise ValueError("batch_size/epochs/rank out of range")
+        if self.lambda_pose < 0:
+            raise ValueError("lambda_pose must be nonnegative")
 
 
 @dataclass
@@ -105,38 +110,41 @@ def sgd_step(params: dict, grads: dict, state: dict, lr: float,
         params[name] = params[name] - lr * state[name]
 
 
-def _uniform(rng: SplitMix64, shape, scale: float) -> np.ndarray:
-    n = int(np.prod(shape))
-    vals = np.array([(2.0 * rng.next_float() - 1.0) * scale for _ in range(n)])
-    return vals.reshape(shape)
-
-
 def init_head_params(config: TrainConfig, f: int, K: int) -> dict:
-    """Seeded parameter dict for a head; fixed draw order per head kind."""
-    rng = SplitMix64(config.seed)
-    sf = 1.0 / np.sqrt(f)
-    params: dict[str, np.ndarray] = {}
+    """Seeded parameter dict for a head; fixed draw order per head kind.
+
+    Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in
+    their row count, filled row-major, tensor after tensor in dict order,
+    from one SplitMix64 stream seeded with config.seed.  Biases start at
+    zero and take no draws.
+    """
     if config.head == "avg_pool":
-        params["W"] = _uniform(rng, (f, K), sf)
+        shapes = {"W": (f, K)}
     elif config.head in ("attention", "rank_p"):
-        rank = 1 if config.head == "attention" else config.rank
-        for p in range(rank):
-            params[f"A{p}"] = _uniform(rng, (f, K), sf)
-            params[f"b{p}"] = _uniform(rng, (f, 1), sf)
+        shapes = {}
+        for p in range(_rank_of(config)):
+            shapes.update({f"A{p}": (f, K), f"b{p}": (f, 1)})
     elif config.head == "per_class":
-        params["A"] = _uniform(rng, (f, K), sf)
-        params["B_pc"] = _uniform(rng, (f, K), sf)
+        shapes = {"A": (f, K), "B_pc": (f, K)}
     elif config.head == "pose_reg":
-        sh = 1.0 / np.sqrt(config.hdim)
-        params["W1"] = _uniform(rng, (f, config.hdim), sf)
-        params["W2"] = _uniform(rng, (config.hdim, NUM_HEAD_CHANNELS), sh)
-        params["bias1"] = np.zeros((1, config.hdim))
-        params["bias2"] = np.zeros((1, NUM_HEAD_CHANNELS))
-        params["A"] = _uniform(rng, (f, K), sf)
-    elif config.head == "cbp":
-        params["W"] = _uniform(rng, (config.sketch_dim, K), 1.0 / np.sqrt(config.sketch_dim))
+        shapes = {"W1": (f, config.hdim), "W2": (config.hdim, NUM_HEAD_CHANNELS),
+                  "bias1": (1, config.hdim), "bias2": (1, NUM_HEAD_CHANNELS), "A": (f, K)}
+    else:
+        shapes = {"W": (config.sketch_dim, K)}
     if config.use_bias and config.head != "pose_reg":
-        params["bias"] = np.zeros((1, K))
+        shapes["bias"] = (1, K)
+    weights = {name: shape for name, shape in shapes.items() if not name.startswith("bias")}
+    draws = float_stream(config.seed, sum(int(np.prod(shape)) for shape in weights.values()))
+    params: dict[str, np.ndarray] = {}
+    used = 0
+    for name, shape in shapes.items():
+        if name not in weights:
+            params[name] = np.zeros(shape)
+            continue
+        size = int(np.prod(shape))
+        scale = 1.0 / np.sqrt(shape[0])
+        params[name] = ((2.0 * draws[used:used + size] - 1.0) * scale).reshape(shape)
+        used += size
     return params
 
 
@@ -151,35 +159,52 @@ def _rank_of(config: TrainConfig) -> int:
 
 def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
                  extra: dict):
-    """Record one batch's score computation; returns the (B, K) logits node.
+    """Record one batch's forward pass; returns (logits, maps).
+
+    This is the only definition of each head's scores and maps: training
+    differentiates it, and evaluation, localization and heatmaps read its
+    values (see eval_forward).  Every head scores class k as 1^T (t_k o h):
+    logits is the (B, K) node, and maps holds the (B*n, K) nodes "t"
+    (top-down), "h" (bottom-up, broadcast over classes; the first rank
+    component for rank_p, ones for avg_pool) and "c" (combined, summed
+    over rank components; avg_pool's is its top-down map).  pose_reg adds
+    "out", the MLP's 17 channels.  maps is None for cbp.
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
     the sum-form scores and keeps SGD well conditioned across grid sizes.
     """
     B, n, f = Xb.shape
-    K = extra["K"]
+    maps = None
     if config.head == "cbp":
         F = tape.leaf(extra["features"] / n)  # mean-pooled sketches
         scores = tape.matmul(F, nodes["W"])
     else:
         Xs = tape.leaf(Xb.reshape(B * n, f))
         S = tape.leaf(np.kron(np.eye(B), np.ones((1, n))))  # block row sums
-        ones_k = tape.leaf(np.ones((1, K)))
         if config.head == "avg_pool":
-            scores = tape.matmul(S, tape.matmul(Xs, nodes["W"]))
+            t = tape.matmul(Xs, nodes["W"])
+            maps = {"h": tape.leaf(np.ones(t.value.shape)), "t": t, "c": t}
+            scores = tape.matmul(S, t)
         elif config.head in ("attention", "rank_p"):
-            scores = None
+            ones_k = tape.leaf(np.ones((1, nodes["A0"].value.shape[1])))
             for p in range(_rank_of(config)):
                 h = tape.matmul(Xs, nodes[f"b{p}"])              # (Bn, 1)
                 t = tape.matmul(Xs, nodes[f"A{p}"])              # (Bn, K)
-                c = tape.elementwise_mul(t, tape.matmul(h, ones_k))
+                hk = tape.matmul(h, ones_k)
+                c = tape.elementwise_mul(t, hk)
                 sp = tape.matmul(S, c)
-                scores = sp if scores is None else tape.add(scores, sp)
+                if maps is None:
+                    maps, scores = {"h": hk, "t": t, "c": c}, sp
+                else:
+                    maps["c"] = tape.add(maps["c"], c)
+                    scores = tape.add(scores, sp)
         elif config.head == "per_class":
             t = tape.matmul(Xs, nodes["A"])
             hm = tape.matmul(Xs, nodes["B_pc"])
-            scores = tape.matmul(S, tape.elementwise_mul(t, hm))
+            c = tape.elementwise_mul(t, hm)
+            maps = {"h": hm, "t": t, "c": c}
+            scores = tape.matmul(S, c)
         elif config.head == "pose_reg":
             ones_col = tape.leaf(np.ones((B * n, 1)))
             hidden = tape.relu(tape.add(tape.matmul(Xs, nodes["W1"]),
@@ -190,30 +215,30 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
             e_att[ATTENTION_CHANNEL, 0] = 1.0
             h = tape.matmul(out, tape.leaf(e_att))
             t = tape.matmul(Xs, nodes["A"])
-            c = tape.elementwise_mul(t, tape.matmul(h, ones_k))
+            hk = tape.matmul(h, tape.leaf(np.ones((1, t.value.shape[1]))))
+            c = tape.elementwise_mul(t, hk)
+            maps = {"h": hk, "t": t, "c": c, "out": out}
             scores = tape.matmul(S, c)
-            extra["head_out_node"] = out
         else:
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)
     if "bias" in nodes:
         ones_b = tape.leaf(np.ones((B, 1)))
         scores = tape.add(scores, tape.matmul(ones_b, nodes["bias"]))
-    return scores
+    return scores, maps
 
 
 def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, extra):
-    scores = _batch_graph(tape, config, nodes, Xb, extra)
+    scores, maps = _batch_graph(tape, config, nodes, Xb, extra)
     if config.loss == "softmax":
         loss = tape.softmax_xent(scores, yb)
     else:
         loss = tape.sigmoid_xent(scores, yb)
     if config.head == "pose_reg" and config.lambda_pose > 0:
         B, n, _ = Xb.shape
-        out = extra["head_out_node"]
         sel = np.zeros((NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS))
         sel[:NUM_POSE_CHANNELS, :NUM_POSE_CHANNELS] = np.eye(NUM_POSE_CHANNELS)
-        p16 = tape.matmul(out, tape.leaf(sel))
+        p16 = tape.matmul(maps["out"], tape.leaf(sel))
         diff = tape.subtract(p16, tape.leaf(extra["pose_targets"]))
         # per-example mask folded into sqrt weights so one sum_squares
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
@@ -235,78 +260,47 @@ def _pose_batch_extra(dataset: Dataset, idx, n):
     return hm.reshape(B * n, NUM_POSE_CHANNELS), weights
 
 
+def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
+                 cbp_features: np.ndarray | None = None):
+    """Scores (m, K) and maps of a stack of feature maps (m, n, f).
+
+    Forward passes of `_batch_graph` over chunks of config.batch_size
+    examples, with no backward pass, so the block-sum leaf stays at its
+    training size.  maps is None for cbp, else {"h", "t", "c"} as (m, n, K)
+    arrays (see _batch_graph).  cbp needs its sketch features (m, d).
+    """
+    m, n, _ = X.shape
+    scores, chunk_maps = [], []
+    for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
+        stop = start + config.batch_size
+        extra = {} if cbp_features is None else {"features": cbp_features[start:stop]}
+        tape = Tape()
+        nodes = {name: tape.leaf(p) for name, p in params.items()}
+        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra)
+        scores.append(logits.value)
+        chunk_maps.append(maps)
+    scores = np.concatenate(scores)
+    if chunk_maps[0] is None:
+        return scores, None
+    K = scores.shape[1]
+    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps]).reshape(m, n, K)
+                    for key in ("h", "t", "c")}
+
+
 def eval_scores(params: dict, config: TrainConfig, X: np.ndarray,
                 cbp_features: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized scores (m, K) for a stack of feature maps (m, n, f)."""
-    m, n, f = X.shape
-    flat = X.reshape(m * n, f)
-    if config.head == "cbp":
-        return (cbp_features / n) @ params["W"] + (params["bias"] if "bias" in params else 0.0)
-    if config.head == "avg_pool":
-        scores = X.sum(axis=1) @ params["W"]
-    elif config.head in ("attention", "rank_p"):
-        K = params["A0"].shape[1]
-        scores = np.zeros((m, K))
-        for p in range(_rank_of(config)):
-            h = (flat @ params[f"b{p}"]).reshape(m, n)
-            t = (flat @ params[f"A{p}"]).reshape(m, n, K)
-            scores += np.einsum("mn,mnk->mk", h, t)
-    elif config.head == "per_class":
-        K = params["A"].shape[1]
-        t = (flat @ params["A"]).reshape(m, n, K)
-        hm = (flat @ params["B_pc"]).reshape(m, n, K)
-        scores = (t * hm).sum(axis=1)
-    elif config.head == "pose_reg":
-        hidden = np.maximum(flat @ params["W1"] + params["bias1"], 0.0)
-        out = hidden @ params["W2"] + params["bias2"]
-        h = out[:, ATTENTION_CHANNEL].reshape(m, n)
-        K = params["A"].shape[1]
-        t = (flat @ params["A"]).reshape(m, n, K)
-        scores = np.einsum("mn,mnk->mk", h, t)
-    else:
-        raise ValueError(f"unknown head kind {config.head!r}")
-    scores = scores / n  # spatial mean, matching the training logits
-    if "bias" in params:
-        scores = scores + params["bias"]
-    return scores
+    """Scores (m, K) for a stack of feature maps (m, n, f); see eval_forward."""
+    return eval_forward(params, config, X, cbp_features)[0]
 
 
-def combined_maps(params: dict, config: TrainConfig, X: np.ndarray):
-    """Per-example combined attention maps (m, n, K); None for cbp."""
-    m, n, f = X.shape
-    flat = X.reshape(m * n, f)
-    if config.head == "cbp":
-        return None
-    if config.head == "avg_pool":
-        K = params["W"].shape[1]
-        return (flat @ params["W"]).reshape(m, n, K)  # top-down maps only
-    if config.head in ("attention", "rank_p"):
-        K = params["A0"].shape[1]
-        c = np.zeros((m, n, K))
-        for p in range(_rank_of(config)):
-            h = (flat @ params[f"b{p}"]).reshape(m, n)
-            t = (flat @ params[f"A{p}"]).reshape(m, n, K)
-            c += t * h[:, :, None]
-        return c
-    if config.head == "per_class":
-        K = params["A"].shape[1]
-        t = (flat @ params["A"]).reshape(m, n, K)
-        hm = (flat @ params["B_pc"]).reshape(m, n, K)
-        return t * hm
-    if config.head == "pose_reg":
-        hidden = np.maximum(flat @ params["W1"] + params["bias1"], 0.0)
-        h = (hidden @ params["W2"] + params["bias2"])[:, ATTENTION_CHANNEL].reshape(m, n)
-        K = params["A"].shape[1]
-        t = (flat @ params["A"]).reshape(m, n, K)
-        return t * h[:, :, None]
-    raise ValueError(f"unknown head kind {config.head!r}")
+def localization_rate(maps: dict | None, dataset: Dataset) -> float:
+    """Fraction of examples whose true-class combined map peaks at the planted cell.
 
-
-def localization_rate(params: dict, config: TrainConfig, dataset: Dataset) -> float:
-    """Fraction of examples whose true-class combined map peaks at the planted cell."""
-    c = combined_maps(params, config, dataset.X)
-    if c is None:
+    `maps` comes from eval_forward on dataset.X; None (cbp) gives nan.
+    """
+    if maps is None:
         return float("nan")
+    c = maps["c"]
     m = len(dataset)
     if dataset.labels.ndim == 1:
         true_maps = c[np.arange(m), :, dataset.labels]
@@ -327,13 +321,6 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
 
 def _cbp_features(config: TrainConfig, dataset: Dataset, sk: SketchParams) -> np.ndarray:
     return np.stack([cbp_pool(dataset.X[i], sk) for i in range(len(dataset))])
-
-
-def _val_metric(params, config, val: Dataset, cbp_feats) -> float:
-    scores = eval_scores(params, config, val.X, cbp_feats)
-    if val.labels.ndim == 1:
-        return metric_accuracy(scores, val.labels)
-    return metric_map(scores, val.labels)[0]
 
 
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
@@ -366,7 +353,7 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
             idx = order[start:start + config.batch_size]
             Xb = train_ds.X[idx]
             yb = train_ds.labels[idx]
-            extra = {"K": K}
+            extra = {}
             if config.head == "cbp":
                 extra["features"] = cbp_train[idx]
             if config.head == "pose_reg" and config.lambda_pose > 0:
@@ -392,12 +379,14 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 return report
             total_loss += float(loss.value) * len(idx)
             total_seen += len(idx)
+        val = evaluate(params, config, val_ds, cbp_val)
         report.epochs.append(EpochRecord(
             epoch=epoch,
             train_loss=total_loss / total_seen,
-            val_metric=_val_metric(params, config, val_ds, cbp_val),
-            localization=localization_rate(params, config, val_ds),
+            val_metric=val["accuracy"] if "accuracy" in val else val["map"],
+            localization=val["localization"],
         ))
+        del val  # its maps would otherwise stay alive through the next epoch
 
     report.params = params
     report.wall_clock_s = time.perf_counter() - t0
@@ -405,41 +394,21 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
 
 
 def evaluate(params: dict, config: TrainConfig, dataset: Dataset,
-             ref_params: dict | None = None) -> dict:
-    """Metrics plus per-example maps and the score-improvement ranking.
+             cbp_features: np.ndarray | None = None) -> dict:
+    """Scores, accuracy (or mAP), localization and the combined maps
+    (m, n, K; None for cbp) from one forward pass.
 
-    The ranking orders examples by how much the trained head improved the
-    true-class softmax probability over `ref_params` (default: freshly
-    initialized parameters with the run seed), the ordering used for
-    gallery-style visualization of the most-helped examples.
+    cbp computes its sketch features from dataset.X unless given them.
     """
-    cbp_feats = None
-    if config.head == "cbp":
-        sk = sketch_for(config, dataset.X.shape[2])
-        cbp_feats = _cbp_features(config, dataset, sk)
-    scores = eval_scores(params, config, dataset.X, cbp_feats)
-    out: dict = {"scores": scores}
+    if config.head == "cbp" and cbp_features is None:
+        cbp_features = _cbp_features(config, dataset, sketch_for(config, dataset.X.shape[2]))
+    scores, maps = eval_forward(params, config, dataset.X, cbp_features)
+    out: dict = {"scores": scores, "maps": maps["c"] if maps else None,
+                 "localization": localization_rate(maps, dataset)}
     if dataset.labels.ndim == 1:
         out["accuracy"] = metric_accuracy(scores, dataset.labels)
     else:
         out["map"], out["skipped_classes"] = metric_map(scores, dataset.labels)
-    out["localization"] = localization_rate(params, config, dataset)
-    out["maps"] = combined_maps(params, config, dataset.X)
-
-    if dataset.labels.ndim == 1:
-        if ref_params is None:
-            ref_params = init_head_params(config, dataset.X.shape[2], dataset.config.K)
-        ref_scores = eval_scores(ref_params, config, dataset.X, cbp_feats)
-
-        def true_prob(s):
-            z = s - s.max(axis=1, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-            return p[np.arange(len(dataset)), dataset.labels]
-
-        improvement = true_prob(scores) - true_prob(ref_scores)
-        out["improvement"] = improvement
-        out["improvement_ranking"] = np.argsort(-improvement, kind="stable")
     return out
 
 

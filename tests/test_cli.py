@@ -42,7 +42,10 @@ class TestUsageErrors:
         assert main(["gen"]) == EXIT_USAGE
 
     def test_bad_threads(self, tmp_path):
-        assert main(["--threads", "0", "gen", "--out", str(tmp_path)]) == EXIT_USAGE
+        # the program is single-threaded and takes no --threads option
+        for value in ("0", "2"):
+            assert main(["--threads", value, "gen", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert not os.listdir(tmp_path)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -148,6 +151,13 @@ class TestHeatmap:
                 assert grid.shape == (3, 3)
             mont = read_pgm(os.path.join(out, f"ex{i:04d}_montage.pgm"))
             assert mont.shape == (3, 9)  # three 3x3 panels side by side
+
+    def test_zero_count_writes_nothing(self, run_dir, data_dir, tmp_path):
+        out = str(tmp_path / "maps")
+        rc = main(["heatmap", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", os.path.join(data_dir, "val"),
+                   "--out", out, "--count", "0"])
+        assert rc == 0 and os.listdir(out) == []
 
     def test_cbp_head_has_no_heatmaps(self, data_dir, tmp_path):
         run = str(tmp_path / "cbp_run")

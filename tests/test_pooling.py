@@ -1,15 +1,20 @@
+"""Pooling scores and maps of the heads, read from the training graph.
+
+Every head's scores and maps are defined once, in `train._batch_graph`;
+these tests check its forward pass against the explicit second-order
+oracle (`pooling.score_second_order`) and against hand-computed values.
+`graph_scores` returns sum-form scores (the graph's logits are these / n).
+"""
+
 import time
 
 import numpy as np
 import pytest
 
-from attnpool.pooling import (AttentionParams, PerClassParams, attention_maps,
-                              combined_map_score, extract_maps,
-                              init_attention_params, rank1_parts,
-                              score_avg_pool, score_multiclass, score_per_class,
-                              score_rank1, score_rank_p, score_second_order,
-                              score_top_down_only, uniform_init)
+from attnpool.pooling import score_second_order
+from attnpool.selftest import graph_scores
 from attnpool.tensors import ShapeError
+from attnpool.train import TrainConfig, eval_forward, init_head_params
 
 
 def random_instances(count, seed=123, max_dim=16):
@@ -20,46 +25,52 @@ def random_instances(count, seed=123, max_dim=16):
         yield rng.standard_normal((n, f)), rng.standard_normal(f), rng.standard_normal(f)
 
 
+def rank1(A, b):
+    return {"A0": np.asarray(A, dtype=np.float64).reshape(len(b), -1),
+            "b0": np.asarray(b, dtype=np.float64).reshape(-1, 1)}
+
+
 class TestRank1Equivalence:
     def test_hand_example(self):
         X = np.eye(2)
         a = np.array([1.0, 2.0])
         b = np.array([3.0, 4.0])
         # X^T X = I so the score is just a . b = 11
-        assert score_rank1(X, a, b) == 11.0
+        s, _ = graph_scores("attention", rank1(a, b), X)
+        assert s[0] == pytest.approx(11.0, rel=1e-15)
         assert score_second_order(X, np.outer(a, b)) == pytest.approx(11.0)
 
     def test_equivalence_over_1000_instances(self):
         t0 = time.perf_counter()
         for X, a, b in random_instances(1000):
-            cheap = score_rank1(X, a, b)
+            cheap = graph_scores("attention", rank1(a, b), X)[0][0]
             oracle = score_second_order(X, np.outer(a, b))
             assert abs(cheap - oracle) <= 1e-9 * (1.0 + abs(cheap))
         assert time.perf_counter() - t0 < 5.0
 
     def test_symmetric_form_identity(self):
         for X, a, b in random_instances(1000, seed=7):
-            s = score_rank1(X, a, b)
+            s = graph_scores("attention", rank1(a, b), X)[0][0]
             both = float((X @ a) @ (X @ b))
             scale = 1.0 + abs(both)
             assert abs(s - both) / scale <= 1e-12
-            assert abs(s - score_rank1(X, b, a)) / scale <= 1e-12
+            assert abs(s - graph_scores("attention", rank1(b, a), X)[0][0]) / scale <= 1e-12
 
     def test_combined_map_identity(self):
         for X, a, b in random_instances(300, seed=9):
-            params = AttentionParams.rank1(a.reshape(-1, 1), b)
-            direct = score_multiclass(X, params)
-            _, via_map = combined_map_score(X, params)
+            direct, maps = graph_scores("attention", rank1(a, b), X)
+            via_map = maps["c"].value.sum(axis=0)
             np.testing.assert_allclose(via_map, direct, rtol=1e-12, atol=1e-12)
 
     def test_rank1_parts(self):
         X = np.array([[1.0, 0.0], [2.0, 1.0]])
         b = np.array([1.0, 1.0])
         a = np.array([1.0, 0.0])
-        h, pooled, s = rank1_parts(X, a, b)
-        np.testing.assert_array_equal(h, [1.0, 3.0])
-        np.testing.assert_array_equal(pooled, [7.0, 3.0])
-        assert s == 7.0
+        s, maps = graph_scores("attention", rank1(a, b), X)
+        # bottom-up h = X b, top-down t = X a, score h . t = 1*1 + 3*2
+        np.testing.assert_array_equal(maps["h"].value[:, 0], [1.0, 3.0])
+        np.testing.assert_array_equal(maps["t"].value[:, 0], [1.0, 2.0])
+        assert s[0] == 7.0
 
 
 class TestRankP:
@@ -71,9 +82,12 @@ class TestRankP:
             f = int(rng.integers(1, 10))
             K = int(rng.integers(1, 5))
             X = rng.standard_normal((n, f))
-            A_p = tuple(rng.standard_normal((f, K)) for _ in range(P))
-            b_p = tuple(rng.standard_normal(f) for _ in range(P))
-            s = score_rank_p(X, AttentionParams(A_p, b_p))
+            A_p = [rng.standard_normal((f, K)) for _ in range(P)]
+            b_p = [rng.standard_normal(f) for _ in range(P)]
+            params = {}
+            for p in range(P):
+                params[f"A{p}"], params[f"b{p}"] = A_p[p], b_p[p][:, None]
+            s, _ = graph_scores("rank_p", params, X, rank=P)
             for k in range(K):
                 W = sum(np.outer(A[:, k], b) for A, b in zip(A_p, b_p))
                 oracle = score_second_order(X, W)
@@ -82,37 +96,42 @@ class TestRankP:
     def test_rank1_special_case_matches_multiclass(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((5, 4))
-        params = AttentionParams.rank1(rng.standard_normal((4, 3)), rng.standard_normal(4))
-        np.testing.assert_allclose(score_rank_p(X, params), score_multiclass(X, params),
-                                   rtol=1e-12, atol=1e-12)
+        params = rank1(rng.standard_normal((4, 3)), rng.standard_normal(4))
+        s_rank_p, maps_p = graph_scores("rank_p", params, X, rank=1)
+        s_att, maps_att = graph_scores("attention", params, X)
+        np.testing.assert_array_equal(s_rank_p, s_att)
+        np.testing.assert_array_equal(maps_p["c"].value, maps_att["c"].value)
 
 
 class TestOtherHeads:
     def test_avg_pool_hand(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert score_avg_pool(X, np.array([1.0, 1.0])) == 10.0
+        s, maps = graph_scores("avg_pool", {"W": np.ones((2, 1))}, X)
+        assert s[0] == 10.0
+        np.testing.assert_array_equal(maps["h"].value, np.ones((2, 1)))
 
     def test_top_down_only_matches_avg_pool_columns(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 5))
         W = rng.standard_normal((5, 3))
-        s = score_top_down_only(X, W)
-        for k in range(3):
-            assert s[k] == pytest.approx(score_avg_pool(X, W[:, k]), rel=1e-12)
+        s, maps = graph_scores("avg_pool", {"W": W}, X)
+        np.testing.assert_allclose(s, X.sum(axis=0) @ W, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(maps["c"].value, maps["t"].value)
 
     def test_per_class_hand(self):
         X = np.eye(2)
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
         B = np.array([[3.0, 0.0], [0.0, 4.0]])
         # X^T X = I: s[k] = A[:,k] . B[:,k]
-        np.testing.assert_allclose(score_per_class(X, PerClassParams(A, B)), [3.0, 8.0])
+        s, _ = graph_scores("per_class", {"A": A, "B_pc": B}, X)
+        np.testing.assert_allclose(s, [3.0, 8.0])
 
     def test_per_class_matches_second_order_per_class(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 6))
         A = rng.standard_normal((6, 3))
         B = rng.standard_normal((6, 3))
-        s = score_per_class(X, PerClassParams(A, B))
+        s, _ = graph_scores("per_class", {"A": A, "B_pc": B}, X)
         for k in range(3):
             oracle = score_second_order(X, np.outer(A[:, k], B[:, k]))
             assert s[k] == pytest.approx(oracle, rel=1e-10, abs=1e-10)
@@ -122,71 +141,79 @@ class TestMapsAndShapes:
     def test_attention_maps_structure(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((6, 4))
-        params = AttentionParams.rank1(rng.standard_normal((4, 3)), rng.standard_normal(4))
-        maps = attention_maps(X, params)
-        np.testing.assert_allclose(maps.c, maps.t * maps.h[:, None])
-        np.testing.assert_allclose(maps.c.sum(axis=0), score_multiclass(X, params),
-                                   rtol=1e-12)
+        A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        s, maps = graph_scores("attention", rank1(A, b), X)
+        h, t, c = (maps[key].value for key in ("h", "t", "c"))
+        np.testing.assert_allclose(h, np.repeat((X @ b)[:, None], 3, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(t, X @ A, rtol=1e-12)
+        np.testing.assert_array_equal(c, t * h)
+        np.testing.assert_allclose(c.sum(axis=0), s, rtol=1e-12)
 
     def test_extract_maps_row_major(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((6, 4))
-        params = AttentionParams.rank1(rng.standard_normal((4, 2)), rng.standard_normal(4))
-        grids = extract_maps(X, params, 2, 3)
-        flat = attention_maps(X, params)
-        # loc = row*n2 + col
-        assert grids.h[1, 2] == flat.h[1 * 3 + 2]
-        assert grids.c.shape == (2, 3, 2)
+        # eval_forward keeps each example's locations in X's order, so a
+        # map reshaped to (n1, n2) puts location row*n2 + col at [row, col]
+        n1, n2, f = 2, 3, 4
+        X = np.zeros((5, n1 * n2, f))
+        X[3, 1 * n2 + 2, 0] = 1.0
+        cfg = TrainConfig(head="attention", batch_size=2)
+        params = rank1(np.ones((f, 2)), np.eye(f)[0])
+        _, maps = eval_forward(params, cfg, X)
+        assert maps["c"].shape == (5, n1 * n2, 2)
+        grid = maps["h"][3, :, 0].reshape(n1, n2)
+        assert grid[1, 2] == 1.0 and np.count_nonzero(grid) == 1
+        assert np.count_nonzero(maps["h"][[0, 1, 2, 4]]) == 0
 
-    def test_extract_maps_rejects_bad_grid(self):
-        X = np.zeros((6, 4))
-        params = AttentionParams.rank1(np.zeros((4, 2)), np.zeros(4))
+    def test_feature_dim_mismatch(self):
+        params = rank1(np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(ShapeError):
-            extract_maps(X, params, 2, 4)
-
-    def test_multiclass_requires_rank1(self):
-        params = AttentionParams((np.zeros((3, 2)),) * 2, (np.zeros(3),) * 2)
+            graph_scores("attention", params, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            score_multiclass(np.zeros((2, 3)), params)
+            graph_scores("per_class", {"A": np.zeros((4, 2)), "B_pc": np.zeros((4, 2))},
+                         np.zeros((2, 3)))
 
     def test_second_order_requires_square_w(self):
         with pytest.raises(ShapeError):
             score_second_order(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_params_validation(self):
-        with pytest.raises(ShapeError):
-            AttentionParams((np.zeros((3, 2)),), (np.zeros(3), np.zeros(3)))
-        with pytest.raises(ShapeError):
-            AttentionParams((np.zeros((3, 2)), np.zeros((4, 2))), (np.zeros(3), np.zeros(4)))
-        with pytest.raises(ShapeError):
-            PerClassParams(np.zeros((3, 2)), np.zeros((3, 3)))
-
-    def test_feature_dim_mismatch(self):
-        params = AttentionParams.rank1(np.zeros((4, 2)), np.zeros(4))
-        with pytest.raises(ShapeError):
-            score_multiclass(np.zeros((2, 3)), params)
-        with pytest.raises(ShapeError):
-            score_rank1(np.zeros((2, 3)), np.zeros(4), np.zeros(4))
+        X = np.zeros((2, 3))
+        with pytest.raises(ShapeError):  # top-down and bottom-up disagree on f
+            graph_scores("attention", {"A0": np.zeros((3, 2)), "b0": np.zeros((4, 1))}, X)
+        with pytest.raises(ShapeError):  # rank components disagree on K
+            graph_scores("rank_p", {"A0": np.zeros((3, 2)), "b0": np.zeros((3, 1)),
+                                    "A1": np.zeros((3, 3)), "b1": np.zeros((3, 1))},
+                         X, rank=2)
+        with pytest.raises(ShapeError):  # per-class bottom-up needs one column per class
+            graph_scores("per_class", {"A": np.zeros((3, 2)), "B_pc": np.zeros((3, 3))}, X)
 
 
 class TestInit:
     def test_seeded_init_deterministic(self):
-        p1 = init_attention_params(5, 3, 2, seed=9)
-        p2 = init_attention_params(5, 3, 2, seed=9)
-        for A1, A2 in zip(p1.A_p, p2.A_p):
-            np.testing.assert_array_equal(A1, A2)
-        for b1, b2 in zip(p1.b_p, p2.b_p):
-            np.testing.assert_array_equal(b1, b2)
+        cfg = TrainConfig(head="rank_p", rank=2, seed=9)
+        p1 = init_head_params(cfg, 5, 3)
+        p2 = init_head_params(cfg, 5, 3)
+        for name in ("A0", "b0", "A1", "b1"):
+            np.testing.assert_array_equal(p1[name], p2[name])
+        other = init_head_params(TrainConfig(head="rank_p", rank=2, seed=10), 5, 3)
+        assert not np.array_equal(p1["A0"], other["A0"])
 
     def test_init_scale_bound(self):
-        p = init_attention_params(16, 4, 3, seed=1)
+        p = init_head_params(TrainConfig(head="rank_p", rank=3, seed=1), 16, 4)
         bound = 1.0 / 4.0
-        for A in p.A_p:
-            assert np.abs(A).max() <= bound
-        assert p.rank == 3 and p.num_features == 16 and p.num_classes == 4
+        for r in range(3):
+            assert p[f"A{r}"].shape == (16, 4) and p[f"b{r}"].shape == (16, 1)
+            assert np.abs(p[f"A{r}"]).max() <= bound
+            assert np.abs(p[f"b{r}"]).max() <= bound
 
     def test_uniform_init_shape_and_bound(self):
-        arr = uniform_init((3, 4), 7, 0.5)
-        assert arr.shape == (3, 4)
-        assert np.abs(arr).max() <= 0.5
-        np.testing.assert_array_equal(arr, uniform_init((3, 4), 7, 0.5))
+        f, K = 9, 4
+        for head in ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp"):
+            cfg = TrainConfig(head=head, rank=2, hdim=6, sketch_dim=16, seed=7)
+            for name, arr in init_head_params(cfg, f, K).items():
+                if name.startswith("bias"):
+                    np.testing.assert_array_equal(arr, np.zeros_like(arr))
+                    continue
+                fan_in = arr.shape[0]
+                assert fan_in in (f, cfg.hdim, cfg.sketch_dim)
+                assert arr.shape[1] in (1, K, cfg.hdim, 17)
+                assert np.abs(arr).max() <= 1.0 / np.sqrt(fan_in)

@@ -1,27 +1,67 @@
+"""The pose_reg head, read from the training graph, and its keypoint targets.
+
+Scores and the 17-channel MLP output come from `train._batch_graph`; the
+pose loss is the term `train._batch_loss` adds to the class loss.
+"""
+
 import numpy as np
 import pytest
 
-from attnpool.pooling import AttentionParams, score_multiclass, score_top_down_only
+from attnpool.autograd import Tape
 from attnpool.pose import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS,
-                           NUM_POSE_CHANNELS, PoseHeadParams, PoseTarget,
-                           pose_head_forward, pose_loss,
-                           score_pose_regularized, total_loss)
+                           NUM_POSE_CHANNELS, PoseTarget)
+from attnpool.selftest import graph_scores
+from attnpool.synth import Dataset, PlantedTaskConfig
 from attnpool.tensors import ShapeError
+from attnpool.train import (TrainConfig, _batch_loss, _pose_batch_extra,
+                            eval_scores, init_head_params)
 
 
-def _linear_params(b):
+def _pose_params(W1, W2, A, bias1=None, bias2=None):
+    hdim = W1.shape[1]
+    return {"W1": W1, "W2": W2, "A": A,
+            "bias1": np.zeros((1, hdim)) if bias1 is None else bias1,
+            "bias2": np.zeros((1, NUM_HEAD_CHANNELS)) if bias2 is None else bias2}
+
+
+def _linear_params(b, A):
     """Pose head rigged so the attention channel computes exactly h = X b.
 
     relu(Xb) - relu(-Xb) = Xb, via W1 = [b, -b] and opposite-sign output
     weights on channel 16.
     """
-    f = len(b)
     W1 = np.column_stack([b, -b])
     W2 = np.zeros((2, NUM_HEAD_CHANNELS))
     W2[0, ATTENTION_CHANNEL] = 1.0
     W2[1, ATTENTION_CHANNEL] = -1.0
-    return PoseHeadParams(W1=W1, bias1=np.zeros(2), W2=W2,
-                          bias2=np.zeros(NUM_HEAD_CHANNELS))
+    return _pose_params(W1, W2, A)
+
+
+def _losses(params, X, heatmaps, masks, lambda_pose):
+    """_batch_loss of one batch (labels all 0) with the given keypoint targets."""
+    B, n, _ = X.shape
+    task = PlantedTaskConfig(n1=1, n2=n, f=X.shape[2], K=params["A"].shape[1],
+                             train_samples=B, val_samples=1)
+    ds = Dataset(config=task, X=X, labels=np.zeros(B, dtype=np.int64),
+                 planted=np.zeros(B, dtype=np.int64),
+                 pose_heatmaps=heatmaps, pose_masks=masks)
+    extra = {}
+    extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(ds, np.arange(B), n)
+    cfg = TrainConfig(head="pose_reg", lambda_pose=lambda_pose, hdim=params["W1"].shape[1])
+    tape = Tape()
+    nodes = {name: tape.leaf(p) for name, p in params.items()}
+    return float(_batch_loss(tape, cfg, nodes, X, ds.labels, extra).value)
+
+
+def _pose_term(params, X, heatmaps, masks):
+    """The pose loss alone: lambda 1 minus lambda 0 (which skips the term)."""
+    return (_losses(params, X, heatmaps, masks, 1.0)
+            - _losses(params, X, heatmaps, masks, 0.0))
+
+
+def _zero_head(f=3, K=2, hdim=2):
+    return _pose_params(np.zeros((f, hdim)), np.zeros((hdim, NUM_HEAD_CHANNELS)),
+                        np.zeros((f, K)))
 
 
 class TestForward:
@@ -30,11 +70,11 @@ class TestForward:
         X = rng.standard_normal((6, 4))
         b = rng.standard_normal(4)
         A = rng.standard_normal((4, 3))
-        scores, h, out = score_pose_regularized(X, _linear_params(b), A)
-        np.testing.assert_allclose(h, X @ b, atol=1e-9)
-        ref = score_multiclass(X, AttentionParams.rank1(A, b))
+        scores, maps = graph_scores("pose_reg", _linear_params(b, A), X, hdim=2)
+        np.testing.assert_allclose(maps["h"].value[:, 0], X @ b, atol=1e-9)
+        ref, _ = graph_scores("attention", {"A0": A, "b0": b[:, None]}, X)
         np.testing.assert_allclose(scores, ref, atol=1e-9)
-        assert out.shape == (6, NUM_HEAD_CHANNELS)
+        assert maps["out"].value.shape == (6, NUM_HEAD_CHANNELS)
 
     def test_constant_attention_reduces_to_avg_pool(self):
         # W1 = 0, bias1 = 1, attention channel sums the hidden units / hdim:
@@ -45,59 +85,71 @@ class TestForward:
         hdim = 4
         W2 = np.zeros((hdim, NUM_HEAD_CHANNELS))
         W2[:, ATTENTION_CHANNEL] = 1.0 / hdim
-        params = PoseHeadParams(W1=np.zeros((3, hdim)), bias1=np.ones(hdim),
-                                W2=W2, bias2=np.zeros(NUM_HEAD_CHANNELS))
-        scores, h, _ = score_pose_regularized(X, params, A)
-        np.testing.assert_allclose(h, np.ones(5))
-        np.testing.assert_allclose(scores, score_top_down_only(X, A), atol=1e-12)
+        params = _pose_params(np.zeros((3, hdim)), W2, A, bias1=np.ones((1, hdim)))
+        scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
+        np.testing.assert_allclose(maps["h"].value, np.ones((5, 2)))
+        np.testing.assert_allclose(scores, X.sum(axis=0) @ A, atol=1e-12)
+
+    def test_graph_matches_numpy_mlp(self):
+        rng = np.random.default_rng(2)
+        f, K, hdim = 5, 3, 7
+        X = rng.standard_normal((6, f))
+        params = init_head_params(TrainConfig(head="pose_reg", hdim=hdim, seed=4), f, K)
+        params["bias1"] = rng.standard_normal((1, hdim))
+        params["bias2"] = rng.standard_normal((1, NUM_HEAD_CHANNELS))
+        scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
+        hidden = np.maximum(X @ params["W1"] + params["bias1"], 0.0)
+        out = hidden @ params["W2"] + params["bias2"]
+        h = out[:, ATTENTION_CHANNEL]
+        t = X @ params["A"]
+        np.testing.assert_allclose(maps["out"].value, out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(maps["c"].value, t * h[:, None], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scores, t.T @ h, rtol=1e-12, atol=1e-12)
 
     def test_forward_shape_error(self):
-        params = PoseHeadParams.init(f=4, hdim=3, seed=0)
+        params = init_head_params(TrainConfig(head="pose_reg", hdim=3), 4, 2)
         with pytest.raises(ShapeError):
-            pose_head_forward(np.zeros((2, 5)), params)
+            graph_scores("pose_reg", params, np.zeros((2, 5)), hdim=3)
 
 
 class TestPoseLoss:
     def test_hand_example(self):
         # n=2, one visible channel, unit error at one location: 1 / (2*1)
         n = 2
-        hm = np.zeros((n, NUM_POSE_CHANNELS))
-        hm[0, 0] = 1.0
-        mask = np.zeros(NUM_POSE_CHANNELS)
-        mask[0] = 1.0
-        target = PoseTarget(hm, mask)
-        pred = np.zeros((n, NUM_HEAD_CHANNELS))
-        assert pose_loss(pred, target) == pytest.approx(0.5)
+        hm = np.zeros((1, n, NUM_POSE_CHANNELS))
+        hm[0, 0, 0] = 1.0
+        mask = np.zeros((1, NUM_POSE_CHANNELS))
+        mask[0, 0] = 1.0
+        X = np.ones((1, n, 3))
+        assert _pose_term(_zero_head(), X, hm, mask) == pytest.approx(0.5, rel=1e-12)
 
     def test_masked_channels_ignored(self):
         n = 3
-        hm = np.zeros((n, NUM_POSE_CHANNELS))
-        mask = np.zeros(NUM_POSE_CHANNELS)
-        mask[2] = 1.0
-        target = PoseTarget(hm, mask)
-        pred = np.zeros((n, NUM_HEAD_CHANNELS))
-        pred[:, 5] = 100.0  # masked channel, must not contribute
-        assert pose_loss(pred, target) == 0.0
+        hm = np.zeros((1, n, NUM_POSE_CHANNELS))
+        mask = np.zeros((1, NUM_POSE_CHANNELS))
+        mask[0, 2] = 1.0
+        params = _zero_head()
+        params["bias2"][0, 5] = 100.0  # masked channel, must not contribute
+        assert _pose_term(params, np.ones((1, n, 3)), hm, mask) == 0.0
 
     def test_attention_channel_never_enters(self):
         n = 2
-        target = PoseTarget(np.zeros((n, NUM_POSE_CHANNELS)),
-                            np.ones(NUM_POSE_CHANNELS))
-        pred = np.zeros((n, NUM_HEAD_CHANNELS))
-        pred[:, ATTENTION_CHANNEL] = 1e6
-        assert pose_loss(pred, target) == 0.0
-
-    def test_all_masked_warns_and_returns_zero(self):
-        target = PoseTarget(np.zeros((2, NUM_POSE_CHANNELS)),
-                            np.zeros(NUM_POSE_CHANNELS))
-        with pytest.warns(UserWarning):
-            assert pose_loss(np.ones((2, NUM_HEAD_CHANNELS)), target) == 0.0
+        params = _zero_head()
+        params["bias2"][0, ATTENTION_CHANNEL] = 1e6
+        assert _pose_term(params, np.ones((1, n, 3)), np.zeros((1, n, NUM_POSE_CHANNELS)),
+                          np.ones((1, NUM_POSE_CHANNELS))) == 0.0
 
     def test_pred_shape_error(self):
-        target = PoseTarget(np.zeros((2, NUM_POSE_CHANNELS)),
-                            np.ones(NUM_POSE_CHANNELS))
+        # keypoint targets must cover every location of the batch
+        X = np.ones((1, 3, 3))
+        tape = Tape()
+        params = _zero_head()
+        nodes = {name: tape.leaf(p) for name, p in params.items()}
+        extra = {"pose_targets": np.zeros((2, NUM_POSE_CHANNELS)),
+                 "pose_weights": np.ones((2, NUM_POSE_CHANNELS))}
         with pytest.raises(ShapeError):
-            pose_loss(np.zeros((3, NUM_HEAD_CHANNELS)), target)
+            _batch_loss(tape, TrainConfig(head="pose_reg", hdim=2), nodes, X,
+                        np.zeros(1, dtype=np.int64), extra)
 
 
 class TestValidation:
@@ -112,26 +164,38 @@ class TestValidation:
 
     def test_param_shape_checks(self):
         with pytest.raises(ShapeError):
-            PoseHeadParams(W1=np.zeros((4, 3)), bias1=np.zeros(2),
-                           W2=np.zeros((3, NUM_HEAD_CHANNELS)),
-                           bias2=np.zeros(NUM_HEAD_CHANNELS))
+            graph_scores("pose_reg", _pose_params(np.zeros((4, 3)),
+                                                  np.zeros((3, NUM_HEAD_CHANNELS)),
+                                                  np.zeros((4, 2)), bias1=np.zeros((1, 2))),
+                         np.zeros((2, 4)), hdim=3)
         with pytest.raises(ValueError):
-            PoseHeadParams(W1=np.zeros((4, 3)), bias1=np.zeros(3),
-                           W2=np.zeros((3, NUM_HEAD_CHANNELS)),
-                           bias2=np.zeros(NUM_HEAD_CHANNELS), lambda_pose=-1.0)
+            TrainConfig(head="pose_reg", lambda_pose=-1.0)
 
     def test_init_deterministic_zero_biases(self):
-        p1 = PoseHeadParams.init(f=6, hdim=5, seed=3)
-        p2 = PoseHeadParams.init(f=6, hdim=5, seed=3)
-        np.testing.assert_array_equal(p1.W1, p2.W1)
-        np.testing.assert_array_equal(p1.W2, p2.W2)
-        np.testing.assert_array_equal(p1.bias1, np.zeros(5))
-        np.testing.assert_array_equal(p1.bias2, np.zeros(NUM_HEAD_CHANNELS))
-        assert p1.hdim == 5
-        assert np.abs(p1.W1).max() <= 1.0 / np.sqrt(6)
-        assert np.abs(p1.W2).max() <= 1.0 / np.sqrt(5)
+        cfg = TrainConfig(head="pose_reg", hdim=5, seed=3)
+        p1 = init_head_params(cfg, 6, 2)
+        p2 = init_head_params(cfg, 6, 2)
+        np.testing.assert_array_equal(p1["W1"], p2["W1"])
+        np.testing.assert_array_equal(p1["W2"], p2["W2"])
+        np.testing.assert_array_equal(p1["bias1"], np.zeros((1, 5)))
+        np.testing.assert_array_equal(p1["bias2"], np.zeros((1, NUM_HEAD_CHANNELS)))
+        assert p1["W1"].shape == (6, 5) and p1["W2"].shape == (5, NUM_HEAD_CHANNELS)
+        assert np.abs(p1["W1"]).max() <= 1.0 / np.sqrt(6)
+        assert np.abs(p1["W2"]).max() <= 1.0 / np.sqrt(5)
 
 
 def test_total_loss_composition():
-    assert total_loss(1.5, 2.0, 0.1) == pytest.approx(1.7)
-    assert total_loss(1.5, 2.0, 0.0) == 1.5  # lambda 0 fully decouples pose
+    # training loss = class loss + lambda_pose * pose loss; lambda 0 decouples pose
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((2, 4, 3))
+    params = init_head_params(TrainConfig(head="pose_reg", hdim=2, seed=1), 3, 2)
+    hm = rng.uniform(0, 1, size=(2, 4, NUM_POSE_CHANNELS))
+    mask = np.ones((2, NUM_POSE_CHANNELS))
+    pose = _pose_term(params, X, hm, mask)
+    assert pose > 0
+    class_only = _losses(params, X, hm, mask, 0.0)
+    assert _losses(params, X, hm, mask, 0.1) == pytest.approx(class_only + 0.1 * pose,
+                                                              rel=1e-12)
+    z = eval_scores(params, TrainConfig(head="pose_reg", hdim=2), X)
+    xent = np.mean(np.log(np.exp(z).sum(axis=1)) - z[:, 0])  # labels are all 0
+    assert class_only == pytest.approx(xent, rel=1e-12)

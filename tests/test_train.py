@@ -1,12 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from attnpool.autograd import Tape
-from attnpool.pooling import score_multiclass, score_per_class, PerClassParams, AttentionParams
-from attnpool.synth import Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets
+from attnpool.pooling import score_second_order
+from attnpool.rng import SplitMix64
+from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
+                            metric_accuracy)
 from attnpool.tensors import ShapeError
 from attnpool.train import (TrainConfig, TrainDivergence, _batch_graph,
-                            _fisher_yates, eval_scores, evaluate,
+                            _fisher_yates, eval_forward, eval_scores, evaluate,
                             init_head_params, localization_rate, sgd_step,
                             train, write_report, write_summary)
 
@@ -90,6 +94,39 @@ class TestInit:
         with pytest.raises(ValueError):
             TrainConfig(rank=0)
 
+    @pytest.mark.parametrize("head,order", [
+        ("avg_pool", ["W", "bias"]),
+        ("attention", ["A0", "b0", "bias"]),
+        ("rank_p", ["A0", "b0", "A1", "b1", "bias"]),
+        ("per_class", ["A", "B_pc", "bias"]),
+        ("pose_reg", ["W1", "W2", "bias1", "bias2", "A"]),
+        ("cbp", ["W", "bias"]),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
+    def test_matches_scalar_draws(self, head, order, seed):
+        # one SplitMix64 stream, one next_float per entry, row-major, tensors
+        # in this order, zero biases taking no draws: checkpoints stay
+        # byte-identical to the scalar-loop init
+        f, K = 6, 3
+        cfg = TrainConfig(head=head, rank=2, hdim=5, sketch_dim=7, seed=seed, use_bias=True)
+        params = init_head_params(cfg, f, K)
+        assert list(params) == order
+        rng = SplitMix64(seed)
+        for name, arr in params.items():
+            if name.startswith("bias"):
+                want = np.zeros(arr.shape)
+            else:
+                scale = 1.0 / np.sqrt(arr.shape[0])
+                want = np.array([(2.0 * rng.next_float() - 1.0) * scale
+                                 for _ in range(arr.size)]).reshape(arr.shape)
+            assert arr.tobytes() == want.tobytes(), name
+
+
+def test_train_module_import_binds_the_module():
+    T = importlib.import_module("attnpool.train")
+    import attnpool.train as T2
+    assert T2 is T and T.TrainConfig is TrainConfig and callable(T.train)
+
 
 class TestScores:
     def test_eval_scores_are_spatial_means(self, small_data):
@@ -99,10 +136,10 @@ class TestScores:
         cfg = TrainConfig(head="attention", seed=3)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
         got = eval_scores(params, cfg, tr.X[:5])
-        ap = AttentionParams.rank1(params["A0"], params["b0"].ravel())
         for i in range(5):
-            np.testing.assert_allclose(got[i], score_multiclass(tr.X[i], ap) / n,
-                                       rtol=1e-10, atol=1e-12)
+            want = [score_second_order(tr.X[i], np.outer(params["A0"][:, k], params["b0"]))
+                    for k in range(SMALL_TASK.K)]
+            np.testing.assert_allclose(got[i], np.array(want) / n, rtol=1e-10, atol=1e-12)
 
     def test_eval_scores_per_class(self, small_data):
         tr, _ = small_data
@@ -110,25 +147,29 @@ class TestScores:
         cfg = TrainConfig(head="per_class", seed=3)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
         got = eval_scores(params, cfg, tr.X[:4])
-        pc = PerClassParams(params["A"], params["B_pc"])
         for i in range(4):
-            np.testing.assert_allclose(got[i], score_per_class(tr.X[i], pc) / n,
-                                       rtol=1e-10, atol=1e-12)
+            want = [score_second_order(tr.X[i], np.outer(params["A"][:, k], params["B_pc"][:, k]))
+                    for k in range(SMALL_TASK.K)]
+            np.testing.assert_allclose(got[i], np.array(want) / n, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("head,kw", [
         ("avg_pool", {}), ("attention", {}), ("rank_p", {"rank": 2}),
         ("per_class", {}),
     ])
     def test_batch_graph_matches_eval_scores(self, small_data, head, kw):
+        # eval_forward runs the same graph in chunks of batch_size examples
         tr, _ = small_data
-        cfg = TrainConfig(head=head, seed=5, **kw)
+        cfg = TrainConfig(head=head, seed=5, batch_size=4, **kw)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
         Xb = tr.X[:6]
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits = _batch_graph(tape, cfg, nodes, Xb, {"K": SMALL_TASK.K})
-        np.testing.assert_allclose(logits.value, eval_scores(params, cfg, Xb),
+        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {})
+        scores, chunked = eval_forward(params, cfg, Xb)
+        np.testing.assert_allclose(logits.value, scores, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(maps["c"].value.reshape(chunked["c"].shape), chunked["c"],
                                    rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(scores, eval_scores(params, cfg, Xb))
 
 
 class TestLocalization:
@@ -140,16 +181,19 @@ class TestLocalization:
                      labels=np.array([0]), planted=np.array([0]))
         params = {"A0": np.eye(2), "b0": np.array([[1.0], [0.0]])}
         cfg = TrainConfig(head="attention")
-        assert localization_rate(params, cfg, ds) == 1.0
+        _, maps = eval_forward(params, cfg, ds.X)
+        assert localization_rate(maps, ds) == 1.0
         ds_miss = Dataset(config=cfg_task, X=np.eye(2)[None, :, :],
                           labels=np.array([0]), planted=np.array([1]))
-        assert localization_rate(params, cfg, ds_miss) == 0.0
+        assert localization_rate(maps, ds_miss) == 0.0
 
     def test_cbp_has_no_maps(self, small_data):
         tr, _ = small_data
         cfg = TrainConfig(head="cbp", sketch_dim=8)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
-        assert np.isnan(localization_rate(params, cfg, tr))
+        out = evaluate(params, cfg, tr)
+        assert out["maps"] is None and np.isnan(out["localization"])
+        assert np.isnan(localization_rate(None, tr))
 
 
 class TestTrainLoop:
@@ -264,10 +308,16 @@ class TestEvaluateAndReports:
         cfg = TrainConfig(head="attention", epochs=2, seed=7)
         report = train(cfg, tr, va)
         out = evaluate(report.params, cfg, va)
-        assert {"scores", "accuracy", "localization", "maps",
-                "improvement", "improvement_ranking"} <= set(out)
-        ranked = out["improvement"][out["improvement_ranking"]]
-        assert np.all(np.diff(ranked) <= 0)  # sorted by descending improvement
+        assert set(out) == {"scores", "accuracy", "localization", "maps"}
+        scores, maps = eval_forward(report.params, cfg, va.X)
+        np.testing.assert_array_equal(out["scores"], scores)
+        np.testing.assert_array_equal(out["maps"], maps["c"])
+        assert out["maps"].shape == (len(va), SMALL_TASK.n, SMALL_TASK.K)
+        # the last epoch's validation is this same pass
+        assert out["accuracy"] == metric_accuracy(scores, va.labels)
+        assert out["accuracy"] == report.final_val_metric
+        assert out["localization"] == localization_rate(maps, va)
+        assert out["localization"] == report.final_localization
 
     def test_write_report_round_trip(self, small_data, tmp_path):
         tr, va = small_data
