@@ -6,8 +6,7 @@ gradients for every leaf.  The op set is exactly what the pooling heads
 need; shapes are strict (no broadcasting) and every array is float64.
 
 Conventions:
-  - vectors are (n, 1) column matrices inside graphs, except
-    circular_conv which operates on 1-D (d,) vectors;
+  - vectors are (n, 1) column matrices inside graphs;
   - scalar-valued nodes (losses) have shape ();
   - relu uses subgradient 0 at 0;
   - both cross-entropy losses are fused, numerically stable, and
@@ -51,23 +50,6 @@ def _sigmoid_xent_forward(z, targets):
     return np.float64(np.mean(np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))))
 
 
-def _circ_conv(u, v):
-    d = u.shape[0]
-    out = np.zeros(d)
-    for k in range(d):
-        out[k] = np.dot(u, v[(k - np.arange(d)) % d])
-    return out
-
-
-def _circ_corr(g, w):
-    # adjoint helper: out[i] = sum_k g[k] * w[(k - i) mod d]
-    d = g.shape[0]
-    out = np.zeros(d)
-    for i in range(d):
-        out[i] = np.dot(g, w[(np.arange(d) - i) % d])
-    return out
-
-
 def _forward(op, vals, aux):
     if op == "matmul":
         a, b = vals
@@ -107,11 +89,6 @@ def _forward(op, vals, aux):
     if op == "sigmoid_xent":
         (z,) = vals
         return _sigmoid_xent_forward(z, aux)
-    if op == "circular_conv":
-        u, v = vals
-        if u.ndim != 1 or u.shape != v.shape:
-            raise ShapeError(f"circular_conv needs equal 1-D vectors, got {u.shape} and {v.shape}")
-        return _circ_conv(u, v)
     raise ValueError(f"unknown op tag: {op!r}")
 
 
@@ -146,9 +123,6 @@ def _backward(op, g, vals, out, aux):
         (z,) = vals
         s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
         return [float(g) * (s - aux) / z.size]
-    if op == "circular_conv":
-        u, v = vals
-        return [_circ_corr(g, v), _circ_corr(g, u)]
     raise ValueError(f"unknown op tag: {op!r}")
 
 
@@ -208,9 +182,6 @@ class Tape:
     def sigmoid_xent(self, logits, targets):
         return self.record("sigmoid_xent", (logits.id,),
                            aux=np.asarray(targets, dtype=np.float64))
-
-    def circular_conv(self, u, v):
-        return self.record("circular_conv", (u.id, v.id))
 
     def backward(self, loss: Node) -> None:
         """Reverse sweep from `loss`; gradients accumulate across fan-out."""

@@ -379,6 +379,7 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 return report
             total_loss += float(loss.value) * len(idx)
             total_seen += len(idx)
+        del tape, nodes, loss, grads, Xb  # the last batch's tape, not needed by validation
         val = evaluate(params, config, val_ds, cbp_val)
         report.epochs.append(EpochRecord(
             epoch=epoch,

@@ -71,20 +71,6 @@ class TestForward:
         loss = tape.sigmoid_xent(z, [[1.0, 0.0]])
         assert np.isfinite(loss.value)
 
-    def test_circular_conv_hand_value(self):
-        tape = Tape()
-        u = tape.leaf([1.0, 2.0, 3.0])
-        e1 = tape.leaf([0.0, 1.0, 0.0])
-        # convolving with a shifted delta rotates the vector
-        np.testing.assert_allclose(tape.circular_conv(u, e1).value, [3.0, 1.0, 2.0])
-
-    def test_circular_conv_rejects_mismatch(self):
-        tape = Tape()
-        u = tape.leaf([1.0, 2.0])
-        v = tape.leaf([1.0, 2.0, 3.0])
-        with pytest.raises(ShapeError):
-            tape.circular_conv(u, v)
-
     def test_unknown_op_rejected(self):
         tape, a = _tape_with([1.0])
         with pytest.raises(ValueError):
@@ -173,17 +159,6 @@ class TestFiniteDifference:
             return float(loss.value), [na.grad, nb.grad, nc.grad]
 
         self._check(f, [(3, 2), (3, 1), (1, 2)], seed=2)
-
-    def test_circular_conv_gradient(self):
-        def f(params):
-            u, v = params
-            tape = Tape()
-            nu, nv = tape.leaf(u), tape.leaf(v)
-            loss = tape.sum_squares(tape.circular_conv(nu, nv))
-            tape.backward(loss)
-            return float(loss.value), [nu.grad, nv.grad]
-
-        self._check(f, [(5,), (5,)], seed=3)
 
     def test_sigmoid_xent_gradient(self):
         targets = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from attnpool.autograd import Tape, finite_diff_check
-from attnpool.sketch import (SketchParams, cbp_pool, circular_convolve,
-                             count_sketch, tensor_sketch)
+from attnpool.rng import SplitMix64
+from attnpool.sketch import SketchParams, cbp_pool, count_sketch, tensor_sketch
 from attnpool.tensors import ShapeError
+
+DIMS = (1, 2, 7, 64)  # odd and even irfft lengths
+
+
+def direct_circular_convolve(u, v):
+    """O(d^2) reference: out[k] = sum_j u[j] * v[(k - j) mod d]."""
+    d = len(u)
+    return np.array([sum(u[j] * v[(k - j) % d] for j in range(d)) for k in range(d)])
+
+
+def assert_rel_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300))
 
 
 class TestCountSketch:
@@ -34,32 +45,16 @@ class TestCountSketch:
         with pytest.raises(ShapeError):
             count_sketch(np.ones(3), np.array([0, 1]), np.array([1, 1, 1]), d=4)
 
-
-class TestCircularConvolve:
-    def test_delta_is_identity(self):
-        u = np.array([1.0, 2.0, 3.0])
-        delta = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(circular_convolve(u, delta), u)
-
-    def test_shifted_delta_rotates(self):
-        u = np.array([1.0, 2.0, 3.0])
-        e1 = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(circular_convolve(u, e1), [3.0, 1.0, 2.0])
-
-    def test_matches_fft(self):
-        rng = np.random.default_rng(1)
-        u, v = rng.standard_normal(16), rng.standard_normal(16)
-        ref = np.real(np.fft.ifft(np.fft.fft(u) * np.fft.fft(v)))
-        np.testing.assert_allclose(circular_convolve(u, v), ref, atol=1e-10)
-
-    def test_commutative(self):
-        rng = np.random.default_rng(2)
-        u, v = rng.standard_normal(9), rng.standard_normal(9)
-        np.testing.assert_allclose(circular_convolve(u, v), circular_convolve(v, u))
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ShapeError):
-            circular_convolve(np.ones(3), np.ones(4))
+    def test_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((5, 9))
+        h = rng.integers(0, 4, size=9)
+        s = rng.choice([-1, 1], size=9)
+        np.testing.assert_array_equal(count_sketch(X, h, s, 4),
+                                      np.stack([count_sketch(x, h, s, 4) for x in X]))
+        assert count_sketch(X[:0], h, s, 4).shape == (0, 4)
+        np.testing.assert_array_equal(count_sketch(X[:, :0], h[:0], s[:0], 4), np.zeros((5, 4)))
+        assert count_sketch(X[:, :0], h[:0], s[:0], 4).dtype == np.float64
 
 
 class TestSketchParams:
@@ -74,6 +69,25 @@ class TestSketchParams:
         p = SketchParams.from_seed(32, 7, seed=11)
         assert p.h1.min() >= 0 and p.h1.max() < 7
         assert set(np.unique(p.s1)) <= {-1, 1}
+
+    @pytest.mark.parametrize("f,d,seed", [(32, 64, 5), (16, 1, 123), (7, 13, 2**63 + 7),
+                                          (9, 2, 2**64 - 1)])
+    def test_matches_scalar_draws(self, f, d, seed):
+        rng = SplitMix64(seed)
+        want = {}
+        for h, s in (("h1", "s1"), ("h2", "s2")):
+            want[h] = [rng.next_below(d) for _ in range(f)]
+            want[s] = [1 - 2 * (rng.next_u64() & 1) for _ in range(f)]
+        p = SketchParams.from_seed(f, d, seed)
+        for name, values in want.items():
+            table = getattr(p, name)
+            assert table.dtype == np.int64
+            assert table.tolist() == values
+
+    def test_rejects_empty_sketch(self):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="sketch dimension"):
+                SketchParams.from_seed(4, d, seed=1)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ShapeError):
@@ -91,10 +105,18 @@ class TestTensorSketch:
     def test_is_conv_of_count_sketches(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(10)
-        p = SketchParams.from_seed(10, 16, seed=4)
-        expected = circular_convolve(count_sketch(x, p.h1, p.s1, p.d),
-                                     count_sketch(x, p.h2, p.s2, p.d))
-        np.testing.assert_allclose(tensor_sketch(x, p), expected)
+        for d in DIMS:
+            p = SketchParams.from_seed(10, d, seed=4)
+            expected = direct_circular_convolve(count_sketch(x, p.h1, p.s1, d),
+                                                count_sketch(x, p.h2, p.s2, d))
+            assert_rel_close(tensor_sketch(x, p), expected)
+
+    def test_one_hot_lands_at_hash_sum(self):
+        # a convolution, not a correlation: bins h1 and h2 add modulo d
+        p = SketchParams(d=5, h1=np.array([3, 0]), h2=np.array([4, 1]),
+                         s1=np.array([-1, 1]), s2=np.array([1, 1]), seed=0)
+        np.testing.assert_allclose(tensor_sketch(np.array([2.0, 0.0]), p),
+                                   [0.0, 0.0, -4.0, 0.0, 0.0], atol=1e-12)
 
     def test_unbiased_inner_product(self):
         # E[<TS(x), TS(y)>] = <x, y>^2 over sketch seeds
@@ -114,9 +136,12 @@ class TestCbpPool:
     def test_sum_of_row_sketches(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 6))
-        p = SketchParams.from_seed(6, 12, seed=9)
-        expected = sum(tensor_sketch(row, p) for row in X)
-        np.testing.assert_allclose(cbp_pool(X, p), expected)
+        for d in DIMS:
+            p = SketchParams.from_seed(6, d, seed=9)
+            expected = sum(direct_circular_convolve(count_sketch(row, p.h1, p.s1, d),
+                                                    count_sketch(row, p.h2, p.s2, d))
+                           for row in X)
+            assert_rel_close(cbp_pool(X, p), expected)
 
     def test_normalize_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -130,25 +155,3 @@ class TestCbpPool:
         with pytest.raises(ShapeError):
             cbp_pool(np.zeros((3, 4)), p)
 
-
-def test_gradient_flows_through_sketch():
-    # the autograd circular_conv op matches the sketch module's convolution
-    rng = np.random.default_rng(7)
-    u, v = rng.standard_normal(6), rng.standard_normal(6)
-    tape = Tape()
-    nu, nv = tape.leaf(u), tape.leaf(v)
-    np.testing.assert_allclose(tape.circular_conv(nu, nv).value,
-                               circular_convolve(u, v), atol=1e-12)
-
-    target = rng.standard_normal(6)
-
-    def f(params):
-        uu, vv = params
-        t = Tape()
-        a, b = t.leaf(uu), t.leaf(vv)
-        diff = t.subtract(t.circular_conv(a, b), t.leaf(target))
-        loss = t.sum_squares(diff)
-        t.backward(loss)
-        return float(loss.value), [a.grad, b.grad]
-
-    assert finite_diff_check(f, [u, v]) <= 1e-6
