@@ -2,8 +2,14 @@
 
 A Tape holds an append-only list of Nodes; each non-leaf node stores its
 op tag and parent ids, so a single reverse sweep in id order computes
-gradients for every leaf.  The op set is exactly what the pooling heads
-need; shapes are strict (no broadcasting) and every array is float64.
+gradients.  Leaves (`Tape.leaf`, parameters) need a gradient; constants
+(`Tape.const`, data, selectors and targets) do not, and a node needs one
+when any of its parents does.  The sweep visits only nodes that need a
+gradient and computes a matmul's input gradient only for the inputs that
+need it, so a constant's grad stays None.  The op set is exactly what
+the pooling heads need; every array is float64 and shapes are strict:
+add, subtract and elementwise_mul take equal shapes, and the only
+broadcast is col_mul's (rows, k) times (rows, 1).
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -29,6 +35,7 @@ class Node:
     op: str
     parents: tuple
     aux: object = None
+    needs: bool = True
     grad: np.ndarray = field(default=None, repr=False)
 
 
@@ -74,6 +81,23 @@ def _forward(op, vals, aux):
         if a.shape != b.shape:
             raise ShapeError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
         return a * b
+    if op == "col_mul":
+        a, col = vals
+        if a.ndim != 2 or col.shape != (a.shape[0], 1):
+            raise ShapeError(f"col_mul shape mismatch: {a.shape} vs column {col.shape}")
+        return a * col
+    if op == "segment_sum":
+        (a,) = vals
+        if a.ndim != 2 or aux < 1 or a.shape[0] % aux:
+            raise ShapeError(f"segment_sum: {a.shape} rows are not segments of {aux}")
+        return a.reshape(a.shape[0] // aux, aux, a.shape[1]).sum(axis=1)
+    if op == "pool":
+        X, h = vals
+        if (X.ndim != 2 or h.shape != (X.shape[0], 1) or aux < 1
+                or X.shape[0] % aux):
+            raise ShapeError(f"pool shape mismatch: {X.shape}, {h.shape}, segments of {aux}")
+        B, f = X.shape[0] // aux, X.shape[1]
+        return (h.reshape(B, 1, aux) @ X.reshape(B, aux, f)).reshape(B, f)
     if op == "relu":
         (a,) = vals
         return np.maximum(a, 0.0)
@@ -92,10 +116,11 @@ def _forward(op, vals, aux):
     raise ValueError(f"unknown op tag: {op!r}")
 
 
-def _backward(op, g, vals, out, aux):
+def _backward(op, g, vals, out, aux, needs):
+    """Gradients for the parents; None where a parent needs none."""
     if op == "matmul":
         a, b = vals
-        return [g @ b.T, a.T @ g]
+        return [g @ b.T if needs[0] else None, a.T @ g if needs[1] else None]
     if op == "add":
         return [g, g]
     if op == "subtract":
@@ -105,6 +130,19 @@ def _backward(op, g, vals, out, aux):
     if op == "elementwise_mul":
         a, b = vals
         return [g * b, g * a]
+    if op == "col_mul":
+        a, col = vals
+        return [g * col, (g * a).sum(axis=1, keepdims=True)]
+    if op == "segment_sum":
+        return [np.repeat(g, aux, axis=0)]
+    if op == "pool":
+        X, h = vals
+        B, f = g.shape
+        # X_b^T h_b per segment b: dX_b = h_b g_b^T, dh_b = X_b g_b
+        return [(h.reshape(B, aux, 1) * g.reshape(B, 1, f)).reshape(B * aux, f)
+                if needs[0] else None,
+                (X.reshape(B, aux, f) @ g.reshape(B, f, 1)).reshape(B * aux, 1)
+                if needs[1] else None]
     if op == "relu":
         (a,) = vals
         return [g * (a > 0.0)]
@@ -132,14 +170,19 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _push(self, value, op, parents, aux=None) -> Node:
+    def _push(self, value, op, parents, aux=None, needs=True) -> Node:
         node = Node(id=len(self.nodes), value=np.asarray(value, dtype=np.float64),
-                    op=op, parents=tuple(parents), aux=aux)
+                    op=op, parents=tuple(parents), aux=aux, needs=needs)
         self.nodes.append(node)
         return node
 
     def leaf(self, value) -> Node:
+        """A differentiable input (a parameter)."""
         return self._push(value, "leaf", ())
+
+    def const(self, value) -> Node:
+        """An input that needs no gradient (data, selectors, targets)."""
+        return self._push(value, "const", (), needs=False)
 
     def record(self, op, input_ids, aux=None) -> Node:
         """Compute `op` on existing nodes and append the result."""
@@ -148,7 +191,8 @@ class Tape:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"input node {i} not on tape")
             vals.append(self.nodes[i].value)
-        return self._push(_forward(op, vals, aux), op, input_ids, aux)
+        needs = any(self.nodes[i].needs for i in input_ids)
+        return self._push(_forward(op, vals, aux), op, input_ids, aux, needs)
 
     # convenience wrappers
     def matmul(self, a, b):
@@ -165,6 +209,18 @@ class Tape:
 
     def elementwise_mul(self, a, b):
         return self.record("elementwise_mul", (a.id, b.id))
+
+    def col_mul(self, a, col):
+        """a (rows, k) times col (rows, 1), broadcast over a's columns."""
+        return self.record("col_mul", (a.id, col.id))
+
+    def segment_sum(self, a, n):
+        """Sums of consecutive blocks of n rows: (B*n, k) -> (B, k)."""
+        return self.record("segment_sum", (a.id,), aux=int(n))
+
+    def pool(self, X, h, n):
+        """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f)."""
+        return self.record("pool", (X.id, h.id), aux=int(n))
 
     def relu(self, a):
         return self.record("relu", (a.id,))
@@ -184,19 +240,25 @@ class Tape:
                            aux=np.asarray(targets, dtype=np.float64))
 
     def backward(self, loss: Node) -> None:
-        """Reverse sweep from `loss`; gradients accumulate across fan-out."""
+        """Reverse sweep from `loss`; gradients accumulate across fan-out.
+
+        Every node that needs a gradient gets one (zeros if `loss` does not
+        depend on it); every other node's grad is None.
+        """
         if np.asarray(loss.value).size != 1:
             raise ShapeError(f"loss must be scalar, got shape {np.asarray(loss.value).shape}")
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
+            node.grad = np.zeros_like(node.value) if node.needs else None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss.id + 1]):
-            if node.op == "leaf" or not np.any(node.grad):
+            if not node.needs or not node.parents or not np.any(node.grad):
                 continue
-            vals = [self.nodes[i].value for i in node.parents]
-            gs = _backward(node.op, node.grad, vals, node.value, node.aux)
-            for pid, pg in zip(node.parents, gs):
-                self.nodes[pid].grad = self.nodes[pid].grad + pg
+            parents = [self.nodes[i] for i in node.parents]
+            gs = _backward(node.op, node.grad, [p.value for p in parents], node.value,
+                           node.aux, [p.needs for p in parents])
+            for parent, pg in zip(parents, gs):
+                if parent.needs:
+                    parent.grad = parent.grad + pg
 
 
 def finite_diff_check(f, params, step=1e-5) -> float:

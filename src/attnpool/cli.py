@@ -75,8 +75,12 @@ def load_split(path: str) -> Dataset:
     cfg.update(meta)
     task = _task_config(cfg)
     X = read_atnp(os.path.join(path, "features.atnp"))
-    labels, planted = read_labels(os.path.join(path, "labels.tsv"),
-                                  task.K, task.multi_label)
+    labels_path = os.path.join(path, "labels.tsv")
+    labels, planted = read_labels(labels_path, task.K, task.multi_label)
+    if len(labels) != X.shape[0]:
+        raise ValueError(f"{labels_path}: {len(labels)} rows for {X.shape[0]} feature maps")
+    if np.any((planted < 0) | (planted >= task.n)):
+        raise ValueError(f"{labels_path}: planted cell out of range [0, {task.n})")
     ds = Dataset(config=task, X=X, labels=labels, planted=planted)
     pose_path = os.path.join(path, "pose.atnp")
     if os.path.exists(pose_path):

@@ -16,6 +16,7 @@ import io
 import os
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def graph_scores(head: str, params: dict, X, **config):
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
     logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
-                                nodes, X[None], {})
+                                nodes, X[None], {}, with_maps=True)
     return logits.value[0] * X.shape[0], maps
 
 
@@ -101,15 +102,22 @@ def check_rank_p_oracle(ranks=(1, 2, 5), count: int = 50) -> tuple:
     return worst <= 1e-9, f"rank-P graph vs explicit second order, worst rel err {worst:.3e}"
 
 
-def head_gradient_error(head: str, seed: int) -> float:
-    """Finite-difference error of one head's batch loss at small dims."""
+def head_gradient_error(head: str, seed: int, **config) -> float:
+    """Finite-difference error of one head's batch loss at small dims.
+
+    `config` overrides TrainConfig fields, e.g. loss="sigmoid" (random
+    multi-label targets) or use_bias=True.
+    """
     B, n1, n2, f, K = 3, 2, 2, 5, 3
     n = n1 * n2
-    cfg = TrainConfig(head=head, rank=2, hdim=4, sketch_dim=7, seed=seed,
-                      lambda_pose=0.3, epochs=0)
+    cfg = replace(TrainConfig(head=head, rank=2, hdim=4, sketch_dim=7, seed=seed,
+                              lambda_pose=0.3, epochs=0), **config)
     rng = np.random.default_rng(seed)
     Xb = rng.standard_normal((B, n, f))
-    yb = rng.integers(0, K, size=B)
+    if cfg.loss == "sigmoid":
+        yb = (rng.uniform(size=(B, K)) < 0.5).astype(np.float64)
+    else:
+        yb = rng.integers(0, K, size=B)
     extra = {}
     if head == "cbp":
         extra["features"] = rng.standard_normal((B, cfg.sketch_dim))

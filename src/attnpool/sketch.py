@@ -42,9 +42,10 @@ class SketchParams:
         for t in (self.h1, self.h2, self.s1, self.s2):
             if len(t) != f:
                 raise ShapeError("sketch tables must all have length f")
-        if np.any(self.h1 >= self.d) or np.any(self.h2 >= self.d):
-            raise ShapeError(f"hash table entry out of range for d={self.d}")
-        if not (set(np.unique(self.s1)) <= {-1, 1} and set(np.unique(self.s2)) <= {-1, 1}):
+        h = np.concatenate((self.h1, self.h2))
+        if not ((h >= 0) & (h < self.d)).all():
+            raise ShapeError(f"hash table entry out of range [0, {self.d})")
+        if not (np.abs(np.concatenate((self.s1, self.s2))) == 1).all():
             raise ValueError("sign tables must contain only -1/+1")
 
     @property

@@ -290,7 +290,12 @@ def write_labels(path, dataset: Dataset) -> None:
 
 
 def read_labels(path, num_classes: int, multi_label: bool):
-    """Inverse of write_labels; returns (labels, planted)."""
+    """Inverse of write_labels; returns (labels, planted).
+
+    Raises ValueError, naming the file, unless every example index in
+    [0, m) appears exactly once (m rows) and every class id is in
+    [0, num_classes).
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -303,12 +308,21 @@ def read_labels(path, num_classes: int, multi_label: bool):
         labels = np.zeros((m, num_classes))
     else:
         labels = np.empty(m, dtype=np.int64)
+    seen = np.zeros(m, dtype=bool)
     for idx, lab, loc in rows:
         i = int(idx)
+        if not 0 <= i < m or seen[i]:
+            raise ValueError(f"{path}: example index {i} is out of range [0, {m}) "
+                             "or repeated")
+        seen[i] = True
+        classes = [int(k) for k in lab.split(",")]
+        if not all(0 <= k < num_classes for k in classes) or (
+                not multi_label and len(classes) != 1):
+            raise ValueError(f"{path}: example {i} has label {lab!r}, "
+                             f"not a class id in [0, {num_classes})")
         planted[i] = int(loc)
         if multi_label:
-            for k in lab.split(","):
-                labels[i, int(k)] = 1.0
+            labels[i, classes] = 1.0
         else:
-            labels[i] = int(lab)
+            labels[i] = classes[0]
     return labels, planted

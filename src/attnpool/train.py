@@ -4,12 +4,15 @@ Heads: avg_pool (top-down only), attention (rank-1, shared bottom-up),
 rank_p, per_class, pose_reg (MLP bottom-up channel with keypoint
 supervision), cbp (linear classifier on TensorSketch features).
 
-Every batch is one tape: the per-example score computations are stacked
-into block matrices so the whole batch stays inside the autograd op set
-(selector matrices replace slicing, ones-matmuls replace broadcasting).
-`_batch_graph` is the one definition of every head's scores and maps:
-validation, `evaluate`, localization, the heatmap command and the
-selftest oracle checks all read its forward pass (`eval_forward`).
+Every batch is one tape: the batch's examples are stacked into one
+(B*n, f) block, and per-example sums and pooling are the tape's segment
+ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter the tape
+as constants, so backward differentiates only the parameters.
+`_batch_graph` is the one definition of every head's scores and maps.
+Training scores pool first (X^T h per example, as in the identity
+a^T (X^T (X b))) and record no map; validation, `evaluate`,
+localization, the heatmap command and the selftest oracle checks read
+its forward pass with its maps (`eval_forward`).
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -158,17 +161,23 @@ def _rank_of(config: TrainConfig) -> int:
 
 
 def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
-                 extra: dict):
+                 extra: dict, with_maps: bool = False):
     """Record one batch's forward pass; returns (logits, maps).
 
     This is the only definition of each head's scores and maps: training
     differentiates it, and evaluation, localization and heatmaps read its
-    values (see eval_forward).  Every head scores class k as 1^T (t_k o h):
-    logits is the (B, K) node, and maps holds the (B*n, K) nodes "t"
-    (top-down), "h" (bottom-up, broadcast over classes; the first rank
-    component for rank_p, ones for avg_pool) and "c" (combined, summed
-    over rank components; avg_pool's is its top-down map).  pose_reg adds
-    "out", the MLP's 17 channels.  maps is None for cbp.
+    values (see eval_forward).  Every head scores class k as sum_i t_ik h_i
+    over locations i (top-down map t, bottom-up map h).  Where h is one
+    column (attention, rank_p per component, pose_reg) that is
+    a_k^T (X^T (X b)), so scores pool first, X^T h per example, with no
+    (B*n, K) map; avg_pool pools X itself; per_class, with K bottom-up
+    columns, sums its combined map.  logits is the (B, K) node.
+
+    with_maps=True also records (B*n, .) map nodes: "h" (one column: the
+    first rank component for rank_p, ones for avg_pool; K for per_class),
+    "t" (first rank component) and "c" (t_k h summed over rank
+    components; avg_pool's is t).  maps always holds pose_reg's "out",
+    the MLP's 17 channels, for its pose loss.  maps is None for cbp.
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -177,53 +186,54 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     B, n, f = Xb.shape
     maps = None
     if config.head == "cbp":
-        F = tape.leaf(extra["features"] / n)  # mean-pooled sketches
+        F = tape.const(extra["features"] / n)  # mean-pooled sketches
         scores = tape.matmul(F, nodes["W"])
     else:
-        Xs = tape.leaf(Xb.reshape(B * n, f))
-        S = tape.leaf(np.kron(np.eye(B), np.ones((1, n))))  # block row sums
+        Xs = tape.const(Xb.reshape(B * n, f))
+        maps = {}
         if config.head == "avg_pool":
-            t = tape.matmul(Xs, nodes["W"])
-            maps = {"h": tape.leaf(np.ones(t.value.shape)), "t": t, "c": t}
-            scores = tape.matmul(S, t)
+            scores = tape.matmul(tape.segment_sum(Xs, n), nodes["W"])
+            if with_maps:
+                t = tape.matmul(Xs, nodes["W"])
+                maps.update(h=tape.const(np.ones((B * n, 1))), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
-            ones_k = tape.leaf(np.ones((1, nodes["A0"].value.shape[1])))
             for p in range(_rank_of(config)):
                 h = tape.matmul(Xs, nodes[f"b{p}"])              # (Bn, 1)
-                t = tape.matmul(Xs, nodes[f"A{p}"])              # (Bn, K)
-                hk = tape.matmul(h, ones_k)
-                c = tape.elementwise_mul(t, hk)
-                sp = tape.matmul(S, c)
-                if maps is None:
-                    maps, scores = {"h": hk, "t": t, "c": c}, sp
-                else:
-                    maps["c"] = tape.add(maps["c"], c)
-                    scores = tape.add(scores, sp)
+                sp = tape.matmul(tape.pool(Xs, h, n), nodes[f"A{p}"])
+                scores = sp if p == 0 else tape.add(scores, sp)
+                if with_maps:
+                    t = tape.matmul(Xs, nodes[f"A{p}"])          # (Bn, K)
+                    c = tape.col_mul(t, h)
+                    if p == 0:
+                        maps.update(h=h, t=t, c=c)
+                    else:
+                        maps["c"] = tape.add(maps["c"], c)
         elif config.head == "per_class":
             t = tape.matmul(Xs, nodes["A"])
             hm = tape.matmul(Xs, nodes["B_pc"])
             c = tape.elementwise_mul(t, hm)
-            maps = {"h": hm, "t": t, "c": c}
-            scores = tape.matmul(S, c)
+            scores = tape.segment_sum(c, n)
+            if with_maps:
+                maps.update(h=hm, t=t, c=c)
         elif config.head == "pose_reg":
-            ones_col = tape.leaf(np.ones((B * n, 1)))
+            ones_col = tape.const(np.ones((B * n, 1)))
             hidden = tape.relu(tape.add(tape.matmul(Xs, nodes["W1"]),
                                         tape.matmul(ones_col, nodes["bias1"])))
             out = tape.add(tape.matmul(hidden, nodes["W2"]),
                            tape.matmul(ones_col, nodes["bias2"]))
             e_att = np.zeros((NUM_HEAD_CHANNELS, 1))
             e_att[ATTENTION_CHANNEL, 0] = 1.0
-            h = tape.matmul(out, tape.leaf(e_att))
-            t = tape.matmul(Xs, nodes["A"])
-            hk = tape.matmul(h, tape.leaf(np.ones((1, t.value.shape[1]))))
-            c = tape.elementwise_mul(t, hk)
-            maps = {"h": hk, "t": t, "c": c, "out": out}
-            scores = tape.matmul(S, c)
+            h = tape.matmul(out, tape.const(e_att))
+            scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
+            maps["out"] = out
+            if with_maps:
+                t = tape.matmul(Xs, nodes["A"])
+                maps.update(h=h, t=t, c=tape.col_mul(t, h))
         else:
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)
     if "bias" in nodes:
-        ones_b = tape.leaf(np.ones((B, 1)))
+        ones_b = tape.const(np.ones((B, 1)))
         scores = tape.add(scores, tape.matmul(ones_b, nodes["bias"]))
     return scores, maps
 
@@ -238,11 +248,11 @@ def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, extra):
         B, n, _ = Xb.shape
         sel = np.zeros((NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS))
         sel[:NUM_POSE_CHANNELS, :NUM_POSE_CHANNELS] = np.eye(NUM_POSE_CHANNELS)
-        p16 = tape.matmul(maps["out"], tape.leaf(sel))
-        diff = tape.subtract(p16, tape.leaf(extra["pose_targets"]))
+        p16 = tape.matmul(maps["out"], tape.const(sel))
+        diff = tape.subtract(p16, tape.const(extra["pose_targets"]))
         # per-example mask folded into sqrt weights so one sum_squares
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
-        weighted = tape.elementwise_mul(diff, tape.leaf(extra["pose_weights"]))
+        weighted = tape.elementwise_mul(diff, tape.const(extra["pose_weights"]))
         pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / B)
         loss = tape.add(loss, tape.scalar_mul(pose_l, config.lambda_pose))
     return loss
@@ -264,10 +274,11 @@ def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
                  cbp_features: np.ndarray | None = None):
     """Scores (m, K) and maps of a stack of feature maps (m, n, f).
 
-    Forward passes of `_batch_graph` over chunks of config.batch_size
-    examples, with no backward pass, so the block-sum leaf stays at its
-    training size.  maps is None for cbp, else {"h", "t", "c"} as (m, n, K)
-    arrays (see _batch_graph).  cbp needs its sketch features (m, d).
+    Forward passes of `_batch_graph` with its maps, over chunks of
+    config.batch_size examples and with no backward pass.  maps is None
+    for cbp, else {"h", "t", "c"} as (m, n, K) arrays (see _batch_graph);
+    "h" is a read-only broadcast of the (m, n, 1) bottom-up map where the
+    head has one.  cbp needs its sketch features (m, d).
     """
     m, n, _ = X.shape
     scores, chunk_maps = [], []
@@ -275,16 +286,20 @@ def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
         stop = start + config.batch_size
         extra = {} if cbp_features is None else {"features": cbp_features[start:stop]}
         tape = Tape()
-        nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra)
+        nodes = {name: tape.const(p) for name, p in params.items()}
+        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra, with_maps=True)
         scores.append(logits.value)
         chunk_maps.append(maps)
     scores = np.concatenate(scores)
     if chunk_maps[0] is None:
         return scores, None
-    K = scores.shape[1]
-    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps]).reshape(m, n, K)
-                    for key in ("h", "t", "c")}
+
+    def stacked(key):
+        arr = np.concatenate([maps[key].value for maps in chunk_maps])
+        return arr.reshape(m, n, arr.shape[1])
+
+    return scores, {"h": np.broadcast_to(stacked("h"), (m, n, scores.shape[1])),
+                    "t": stacked("t"), "c": stacked("c")}
 
 
 def eval_scores(params: dict, config: TrainConfig, X: np.ndarray,

@@ -71,6 +71,31 @@ class TestForward:
         loss = tape.sigmoid_xent(z, [[1.0, 0.0]])
         assert np.isfinite(loss.value)
 
+    def test_segment_ops_hand_values(self):
+        tape = Tape()
+        X = tape.const([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        h = tape.const([[1.0], [0.0], [2.0], [-1.0]])
+        np.testing.assert_array_equal(tape.segment_sum(X, 2).value, [[4.0, 6.0], [12.0, 14.0]])
+        np.testing.assert_array_equal(tape.segment_sum(X, 1).value, X.value)
+        # per block of 2 rows: X_b^T h_b
+        np.testing.assert_array_equal(tape.pool(X, h, 2).value, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(tape.col_mul(X, h).value,
+                                      [[1.0, 2.0], [0.0, 0.0], [10.0, 12.0], [-7.0, -8.0]])
+
+    def test_segment_ops_shape_errors(self):
+        tape = Tape()
+        X = tape.const(np.zeros((6, 2)))
+        with pytest.raises(ShapeError):  # 6 rows are not blocks of 4
+            tape.segment_sum(X, 4)
+        with pytest.raises(ShapeError):
+            tape.pool(X, tape.const(np.zeros((6, 1))), 4)
+        with pytest.raises(ShapeError):  # h must be one column of X's rows
+            tape.pool(X, tape.const(np.zeros((6, 2))), 3)
+        with pytest.raises(ShapeError):
+            tape.col_mul(X, tape.const(np.zeros((5, 1))))
+        with pytest.raises(ShapeError):
+            tape.col_mul(X, tape.const(np.zeros((6, 2))))
+
     def test_unknown_op_rejected(self):
         tape, a = _tape_with([1.0])
         with pytest.raises(ValueError):
@@ -113,6 +138,17 @@ class TestBackward:
         tape, x = _tape_with([1.0, 2.0])
         with pytest.raises(ShapeError):
             tape.backward(x)
+
+    def test_const_has_no_grad(self):
+        tape = Tape()
+        a = tape.leaf([[1.0, 2.0]])
+        x = tape.const([[3.0], [4.0]])
+        y = tape.matmul(a, x)
+        data_only = tape.scalar_mul(x, 2.0)
+        assert a.needs and y.needs and not x.needs and not data_only.needs
+        tape.backward(tape.sum(y))
+        assert x.grad is None and data_only.grad is None
+        np.testing.assert_array_equal(a.grad, [[3.0, 4.0]])
 
     def test_leaf_untouched_by_graph_has_zero_grad(self):
         tape = Tape()
@@ -183,3 +219,22 @@ class TestFiniteDifference:
             return float(loss.value), [na.grad]
 
         self._check(f, [(3, 3)], seed=5)
+
+    @pytest.mark.parametrize("B,n", [(3, 1), (1, 5), (2, 3)])
+    def test_segment_ops(self, B, n):
+        """segment_sum, pool and col_mul, with both pool inputs differentiated."""
+        f, K = 3, 2
+
+        def build(params):
+            X, b, A = params
+            tape = Tape()
+            nX, nb, nA = tape.leaf(X), tape.leaf(b), tape.leaf(A)
+            h = tape.matmul(nX, nb)                                        # (Bn, 1)
+            pooled = tape.matmul(tape.pool(nX, h, n), nA)                  # (B, K)
+            summed = tape.segment_sum(tape.col_mul(tape.matmul(nX, nA), h), n)
+            loss = tape.softmax_xent(tape.add(pooled, tape.scalar_mul(summed, 0.5)),
+                                     np.arange(B) % K)
+            tape.backward(loss)
+            return float(loss.value), [nX.grad, nb.grad, nA.grad]
+
+        self._check(build, [(B * n, f), (f, 1), (f, K)], seed=B * 10 + n)

@@ -137,6 +137,24 @@ class TestEval:
                    "--data", os.path.join(data_dir, "val")])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("edit", ["planted", "rows"])
+    def test_corrupt_labels_are_validation_errors(self, run_dir, data_dir, tmp_path,
+                                                  edit, capsys):
+        import shutil
+        split = str(tmp_path / "val")
+        shutil.copytree(os.path.join(data_dir, "val"), split)
+        lpath = os.path.join(split, "labels.tsv")
+        lines = open(lpath).read().splitlines()
+        if edit == "planted":  # cell 9 of a 3x3 grid
+            lines[5] = "\t".join(lines[5].split("\t")[:2] + ["9"])
+        else:  # one row fewer than feature maps
+            lines = lines[:-1]
+        open(lpath, "w").write("\n".join(lines) + "\n")
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        assert lpath in capsys.readouterr().err
+
 
 class TestHeatmap:
     def test_exports_valid_pgms(self, run_dir, data_dir, tmp_path):

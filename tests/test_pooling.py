@@ -144,7 +144,9 @@ class TestMapsAndShapes:
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
         s, maps = graph_scores("attention", rank1(A, b), X)
         h, t, c = (maps[key].value for key in ("h", "t", "c"))
-        np.testing.assert_allclose(h, np.repeat((X @ b)[:, None], 3, axis=1), rtol=1e-12)
+        assert h.shape == (6, 1)  # one bottom-up column, shared by the classes
+        np.testing.assert_allclose(np.broadcast_to(h, t.shape),
+                                   np.repeat((X @ b)[:, None], 3, axis=1), rtol=1e-12)
         np.testing.assert_allclose(t, X @ A, rtol=1e-12)
         np.testing.assert_array_equal(c, t * h)
         np.testing.assert_allclose(c.sum(axis=0), s, rtol=1e-12)

@@ -87,7 +87,7 @@ class TestForward:
         W2[:, ATTENTION_CHANNEL] = 1.0 / hdim
         params = _pose_params(np.zeros((3, hdim)), W2, A, bias1=np.ones((1, hdim)))
         scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
-        np.testing.assert_allclose(maps["h"].value, np.ones((5, 2)))
+        np.testing.assert_allclose(np.broadcast_to(maps["h"].value, (5, 2)), np.ones((5, 2)))
         np.testing.assert_allclose(scores, X.sum(axis=0) @ A, atol=1e-12)
 
     def test_graph_matches_numpy_mlp(self):

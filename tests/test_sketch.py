@@ -99,6 +99,9 @@ class TestSketchParams:
         with pytest.raises(ShapeError):
             SketchParams(d=4, h1=np.array([0, 1, 2]), h2=np.array([0, 1]),
                          s1=np.array([1, 1]), s2=np.array([1, 1]), seed=0)
+        with pytest.raises(ShapeError):  # negative hash entry
+            SketchParams(d=4, h1=np.array([0, 1]), h2=np.array([-1, 1]),
+                         s1=np.array([1, 1]), s2=np.array([1, 1]), seed=0)
 
 
 class TestTensorSketch:

@@ -191,3 +191,23 @@ class TestLabelFiles:
         labels, planted = read_labels(path, cfg.K, multi_label=True)
         np.testing.assert_array_equal(labels, tr.labels)
         np.testing.assert_array_equal(planted, tr.planted)
+
+    @pytest.mark.parametrize("lines,why", [
+        (["0\t1\t0", "0\t2\t3"], "example index"),     # duplicate: row 1 never set
+        (["0\t1\t0", "-1\t2\t3"], "example index"),    # negative index
+        (["0\t1\t0", "2\t2\t3"], "example index"),     # index >= m
+        (["0\t1\t0", "1\t9\t3"], "label '9'"),         # class id >= K
+        (["0\t1\t0", "1\t-1\t3"], "label '-1'"),       # negative class id
+    ])
+    def test_rejects_corrupt_single_label(self, tmp_path, lines, why):
+        path = tmp_path / "labels.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=why) as err:
+            read_labels(path, 8, multi_label=False)
+        assert str(path) in str(err.value)
+
+    def test_rejects_class_out_of_range_multi_label(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("0\t1,5\t0\n1\t-2\t3\n")
+        with pytest.raises(ValueError, match="label '-2'"):
+            read_labels(path, 6, multi_label=True)

@@ -9,8 +9,9 @@ from attnpool.rng import SplitMix64
 from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                             metric_accuracy)
 from attnpool.tensors import ShapeError
-from attnpool.train import (TrainConfig, TrainDivergence, _batch_graph,
-                            _fisher_yates, eval_forward, eval_scores, evaluate,
+from attnpool.selftest import head_gradient_error
+from attnpool.train import (HEAD_KINDS, TrainConfig, TrainDivergence, _batch_graph,
+                            _batch_loss, _fisher_yates, eval_forward, eval_scores, evaluate,
                             init_head_params, localization_rate, sgd_step,
                             train, write_report, write_summary)
 
@@ -164,12 +165,57 @@ class TestScores:
         Xb = tr.X[:6]
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {})
+        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {}, with_maps=True)
         scores, chunked = eval_forward(params, cfg, Xb)
         np.testing.assert_allclose(logits.value, scores, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(maps["c"].value.reshape(chunked["c"].shape), chunked["c"],
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(scores, eval_scores(params, cfg, Xb))
+
+
+    def test_eval_bottom_up_map_is_one_shared_column(self, small_data):
+        tr, _ = small_data
+        cfg = TrainConfig(head="attention", seed=5, batch_size=4)
+        params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
+        _, maps = eval_forward(params, cfg, tr.X[:6])
+        h = maps["h"]
+        assert h.shape == (6, SMALL_TASK.n, SMALL_TASK.K)
+        assert h.strides[2] == 0 and not h.flags.writeable  # a view, not K copies
+        np.testing.assert_allclose(h[..., 1], tr.X[:6] @ params["b0"][:, 0], rtol=1e-12)
+
+
+class TestTrainingTape:
+    """A training step pools first and differentiates only the parameters."""
+
+    @pytest.mark.parametrize("head", list(HEAD_KINDS))
+    def test_no_class_maps_and_no_data_gradients(self, head):
+        B, n, f, K, hdim, d = 3, 4, 5, 3, 6, 7  # K differs from every other width
+        cfg = TrainConfig(head=head, rank=2, hdim=hdim, sketch_dim=d, seed=1)
+        rng = np.random.default_rng(0)
+        Xb = rng.standard_normal((B, n, f))
+        extra = {}
+        if head == "cbp":
+            extra["features"] = rng.standard_normal((B, d))
+        if head == "pose_reg":
+            extra["pose_targets"] = rng.uniform(size=(B * n, 16))
+            extra["pose_weights"] = np.full((B * n, 16), 0.1)
+        tape = Tape()
+        nodes = {name: tape.leaf(p) for name, p in init_head_params(cfg, f, K).items()}
+        loss = _batch_loss(tape, cfg, nodes, Xb, np.arange(B) % K, extra)
+        tape.backward(loss)
+        if head not in ("per_class", "cbp"):  # per_class has K bottom-up maps
+            assert (B * n, K) not in {node.value.shape for node in tape.nodes}
+        data = [node for node in tape.nodes if not node.needs]
+        assert any(node.op == "const" for node in data)
+        assert all(node.grad is None for node in data)
+        assert all(node.grad is not None for node in nodes.values())
+
+    @pytest.mark.parametrize("head", ["avg_pool", "attention", "rank_p", "pose_reg"])
+    @pytest.mark.parametrize("config", [{"loss": "sigmoid"}, {"use_bias": True},
+                                        {"loss": "sigmoid", "use_bias": True}])
+    def test_pool_first_gradients(self, head, config):
+        worst = max(head_gradient_error(head, seed, **config) for seed in range(3))
+        assert worst <= 1e-6
 
 
 class TestLocalization:
