@@ -11,16 +11,15 @@ Training lives in the `attnpool.train` module
 
 from .autograd import Tape, finite_diff_check
 from .pooling import score_second_order
-from .pose import PoseTarget
 from .sketch import SketchParams, cbp_pool, count_sketch, tensor_sketch
-from .synth import (Dataset, LabeledExample, PlantedTaskConfig, gen_planted,
-                    gen_pose_targets, metric_accuracy, metric_map)
+from .synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
+                    metric_accuracy, metric_map)
 from .train import TrainConfig, TrainReport, evaluate, sgd_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "LabeledExample", "PlantedTaskConfig", "PoseTarget",
+    "Dataset", "PlantedTaskConfig",
     "SketchParams", "Tape", "TrainConfig", "TrainReport", "cbp_pool",
     "count_sketch", "evaluate", "finite_diff_check", "gen_planted",
     "gen_pose_targets", "metric_accuracy", "metric_map",

@@ -17,9 +17,9 @@ from . import config as cfgmod
 from .atnp import AtnpError, read_atnp, write_atnp
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
+from .pose import NUM_POSE_CHANNELS
 from .selftest import run_all
-from .synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
-                    read_labels, write_labels)
+from .synth import Dataset, PlantedTaskConfig, gen_planted, read_labels, write_labels
 from .tensors import ShapeError
 from .train import (TrainConfig, eval_forward, evaluate, train, write_report,
                     write_summary)
@@ -28,29 +28,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_SELFTEST = 4
-
-
-class UsageError(Exception):
-    pass
-
-
-def _task_config(cfg: dict) -> PlantedTaskConfig:
-    return PlantedTaskConfig(
-        n1=cfg["task.n1"], n2=cfg["task.n2"], f=cfg["task.f"], K=cfg["task.classes"],
-        train_samples=cfg["task.train_samples"], val_samples=cfg["task.val_samples"],
-        signal_strength=cfg["task.signal_strength"],
-        clutter_classes=cfg["task.clutter_classes"],
-        seed=cfg["task.seed"], multi_label=cfg["task.multi_label"])
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        head=cfg["train.head"], rank=cfg["train.rank"], lr=cfg["train.lr"],
-        momentum=cfg["train.momentum"], weight_decay=cfg["train.weight_decay"],
-        batch_size=cfg["train.batch_size"], epochs=cfg["train.epochs"],
-        seed=cfg["train.seed"], lambda_pose=cfg["train.lambda_pose"],
-        loss=cfg["train.loss"], hdim=cfg["train.hdim"],
-        sketch_dim=cfg["train.sketch_dim"], use_bias=cfg["train.use_bias"])
 
 
 def _write_split(path: str, ds: Dataset, cfg: dict) -> None:
@@ -68,34 +45,41 @@ def _write_split(path: str, ds: Dataset, cfg: dict) -> None:
 
 
 def load_split(path: str) -> Dataset:
-    meta_path = os.path.join(path, "meta.txt")
-    with open(meta_path) as fh:
-        meta = cfgmod.parse_config_text(fh.read())
-    cfg = dict(cfgmod.DEFAULTS)
-    cfg.update(meta)
-    task = _task_config(cfg)
-    X = read_atnp(os.path.join(path, "features.atnp"))
+    """A split directory written by `gen`; ValueError, naming the file,
+    for data that do not fit its meta.txt."""
+    with open(os.path.join(path, "meta.txt")) as fh:
+        task = cfgmod.build(PlantedTaskConfig, cfgmod.parse_config_text(fh.read()))
+    features_path = os.path.join(path, "features.atnp")
+    X = read_atnp(features_path)
+    if X.shape[1:] != (task.n, task.f):
+        raise ValueError(f"{features_path}: shape {X.shape} is not (m, {task.n}, {task.f})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{features_path}: non-finite feature value")
+    m = X.shape[0]
     labels_path = os.path.join(path, "labels.tsv")
     labels, planted = read_labels(labels_path, task.K, task.multi_label)
-    if len(labels) != X.shape[0]:
-        raise ValueError(f"{labels_path}: {len(labels)} rows for {X.shape[0]} feature maps")
+    if len(labels) != m:
+        raise ValueError(f"{labels_path}: {len(labels)} rows for {m} feature maps")
     if np.any((planted < 0) | (planted >= task.n)):
         raise ValueError(f"{labels_path}: planted cell out of range [0, {task.n})")
     ds = Dataset(config=task, X=X, labels=labels, planted=planted)
     pose_path = os.path.join(path, "pose.atnp")
     if os.path.exists(pose_path):
-        ds.pose_heatmaps = read_atnp(pose_path)
-        ds.pose_masks = read_atnp(os.path.join(path, "pose_mask.atnp"))
+        mask_path = os.path.join(path, "pose_mask.atnp")
+        ds.pose_heatmaps = hm = read_atnp(pose_path)
+        ds.pose_masks = masks = read_atnp(mask_path)
+        if hm.shape != (m, task.n, NUM_POSE_CHANNELS) or not np.all((hm >= 0) & (hm <= 1)):
+            raise ValueError(f"{pose_path}: shape {hm.shape} is not ({m}, {task.n}, 16) "
+                             "or an entry is outside [0, 1]")
+        if masks.shape != (m, NUM_POSE_CHANNELS) or not np.all((masks == 0) | (masks == 1)):
+            raise ValueError(f"{mask_path}: shape {masks.shape} is not ({m}, 16) "
+                             "or an entry is not 0 or 1")
     return ds
 
 
 def cmd_gen(args) -> int:
     cfg = cfgmod.resolve(args.config, args.set)
-    task = _task_config(cfg)
-    train_ds, val_ds = gen_planted(task)
-    if cfg["task.pose"]:
-        train_ds = gen_pose_targets(train_ds)
-        val_ds = gen_pose_targets(val_ds)
+    train_ds, val_ds = gen_planted(cfgmod.build(PlantedTaskConfig, cfg))
     os.makedirs(args.out, exist_ok=True)
     _write_split(os.path.join(args.out, "train"), train_ds, cfg)
     _write_split(os.path.join(args.out, "val"), val_ds, cfg)
@@ -107,7 +91,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = cfgmod.resolve(args.config, args.set)
-    tconf = _train_config(cfg)
+    tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
     val_ds = load_split(os.path.join(args.data, "val"))
     report = train(tconf, train_ds, val_ds)
@@ -116,11 +100,7 @@ def cmd_train(args) -> int:
         fh.write(cfgmod.serialize(cfg))
     write_report(os.path.join(args.out, "report.tsv"), report)
     write_summary(os.path.join(args.out, "summary.txt"), report)
-    extra = {"rank": tconf.rank, "loss": tconf.loss, "hdim": tconf.hdim,
-             "sketch_dim": tconf.sketch_dim, "use_bias": tconf.use_bias,
-             "lambda_pose": tconf.lambda_pose}
-    save_checkpoint(os.path.join(args.out, "checkpoint"), report.params,
-                    head=tconf.head, seed=tconf.seed, extra=extra)
+    save_checkpoint(os.path.join(args.out, "checkpoint"), report.params, tconf)
     if report.diverged:
         print("training diverged; partial report written", file=sys.stderr)
         return EXIT_VALIDATION
@@ -129,27 +109,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_from_manifest(manifest: dict) -> TrainConfig:
-    return TrainConfig(
-        head=manifest["head"], rank=int(manifest.get("rank", 1)),
-        seed=int(manifest.get("seed", 0)), loss=manifest.get("loss", "softmax"),
-        hdim=int(manifest.get("hdim", 128)),
-        sketch_dim=int(manifest.get("sketch_dim", 64)),
-        lambda_pose=float(manifest.get("lambda_pose", 0.1)),
-        use_bias=manifest.get("use_bias", "False") in ("True", "true"),
-        epochs=0)
-
-
 def cmd_eval(args) -> int:
-    params, manifest = load_checkpoint(args.checkpoint)
-    tconf = _config_from_manifest(manifest)
     ds = load_split(args.data)
+    params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
     result = evaluate(params, tconf, ds)
-    lines = []
-    for key in ("accuracy", "map", "localization"):
-        if key in result:
-            lines.append(f"{key}={result[key]:.6f}")
-    out = "\n".join(lines) + "\n"
+    out = "".join(f"{key}={result[key]:.6f}\n"
+                  for key in ("accuracy", "map", "localization") if key in result)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -158,27 +123,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    params, manifest = load_checkpoint(args.checkpoint)
-    tconf = _config_from_manifest(manifest)
+    ds = load_split(args.data)
+    params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
     if tconf.head == "cbp":
         raise ShapeError("the cbp head has no spatial attention maps to export")
-    ds = load_split(args.data)
     n1, n2 = ds.config.n1, ds.config.n2
     count = min(args.count, len(ds))
     scores, maps = eval_forward(params, tconf, ds.X[:count])
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):
-        if ds.labels.ndim == 1:
-            k = int(ds.labels[i])
-        else:
-            k = int(np.argmax(scores[i]))
-        combined, top_down, bottom_up = (maps[key][i, :, k].reshape(n1, n2)
-                                         for key in ("c", "t", "h"))
-        export_pgm(normalize_map(combined), os.path.join(args.out, f"ex{i:04d}_combined.pgm"))
-        export_pgm(normalize_map(top_down), os.path.join(args.out, f"ex{i:04d}_top_down.pgm"))
-        export_pgm(normalize_map(bottom_up), os.path.join(args.out, f"ex{i:04d}_bottom_up.pgm"))
-        export_pgm(montage([combined, top_down, bottom_up]),
-                   os.path.join(args.out, f"ex{i:04d}_montage.pgm"))
+        k = int(ds.labels[i]) if ds.labels.ndim == 1 else int(np.argmax(scores[i]))
+        panels = [maps[key][i, :, k].reshape(n1, n2) for key in ("c", "t", "h")]
+        for name, grid in zip(("combined", "top_down", "bottom_up"), panels):
+            export_pgm(normalize_map(grid), os.path.join(args.out, f"ex{i:04d}_{name}.pgm"))
+        export_pgm(montage(panels), os.path.join(args.out, f"ex{i:04d}_montage.pgm"))
     print(f"wrote heatmaps for {count} examples to {args.out}")
     return 0
 

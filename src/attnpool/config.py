@@ -6,46 +6,40 @@ Unknown keys are rejected so typos fail loudly, and every run serializes
 its fully resolved config next to its outputs.  The ATTNPOOL_SEED
 environment variable overrides all seed keys; command-line overrides
 (`--set section.key=value`) are applied last.
+
+The keys are the fields of the two run dataclasses: `task.<field>` of
+`synth.PlantedTaskConfig` (except that `task.classes` sets its K) and
+`train.<field>` of `train.TrainConfig`.  Each key's default is its
+field's default, and its type is that default's type.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+
+from .synth import PlantedTaskConfig
+from .train import TrainConfig
 
 
 class ConfigError(ValueError):
     """Unknown key, bad syntax, or unparsable value."""
 
 
-TASK_KEYS = {
-    "n1": int, "n2": int, "f": int, "classes": int,
-    "train_samples": int, "val_samples": int,
-    "signal_strength": float, "clutter_classes": int,
-    "seed": int, "multi_label": bool, "pose": bool,
-}
-TRAIN_KEYS = {
-    "head": str, "rank": int, "lr": float, "momentum": float,
-    "weight_decay": float, "batch_size": int, "epochs": int,
-    "seed": int, "lambda_pose": float, "loss": str,
-    "hdim": int, "sketch_dim": int, "use_bias": bool,
-}
-KNOWN_KEYS = {f"task.{k}": t for k, t in TASK_KEYS.items()}
-KNOWN_KEYS.update({f"train.{k}": t for k, t in TRAIN_KEYS.items()})
+_KEY_NAMES = {"task.K": "task.classes"}
 
-DEFAULTS = {
-    "task.n1": 7, "task.n2": 7, "task.f": 32, "task.classes": 8,
-    "task.train_samples": 2000, "task.val_samples": 500,
-    "task.signal_strength": 3.0, "task.clutter_classes": 4,
-    "task.seed": 7, "task.multi_label": False, "task.pose": False,
-    "train.head": "attention", "train.rank": 1, "train.lr": 0.03,
-    "train.momentum": 0.9, "train.weight_decay": 1e-4,
-    "train.batch_size": 32, "train.epochs": 50, "train.seed": 0,
-    "train.lambda_pose": 0.1, "train.loss": "softmax",
-    "train.hdim": 128, "train.sketch_dim": 64, "train.use_bias": False,
-}
+# key -> (dataclass, field)
+_FIELDS = {_KEY_NAMES.get(f"{section}.{fld.name}", f"{section}.{fld.name}"): (cls, fld)
+           for section, cls in (("task", PlantedTaskConfig), ("train", TrainConfig))
+           for fld in dataclasses.fields(cls)}
+KNOWN_KEYS = {key: type(fld.default) for key, (_, fld) in _FIELDS.items()}
+DEFAULTS = {key: fld.default for key, (_, fld) in _FIELDS.items()}
 
 
-def _coerce(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The value of `key = raw`, coerced to the key's type."""
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"unknown key {key!r}")
     typ = KNOWN_KEYS[key]
     try:
         if typ is bool:
@@ -58,6 +52,13 @@ def _coerce(key: str, raw: str):
         return typ(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
+
+
+def build(cls, cfg: dict):
+    """The `cls` dataclass from a dict of `section.key` values; keys it
+    lacks keep their field defaults."""
+    return cls(**{fld.name: cfg[key] for key, (owner, fld) in _FIELDS.items()
+                  if owner is cls and key in cfg})
 
 
 def parse_config_text(text: str) -> dict:
@@ -74,9 +75,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         full = f"{section}.{key.strip()}" if section else key.strip()
-        if full not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {full!r}")
-        out[full] = _coerce(full, raw)
+        try:
+            out[full] = parse_value(full, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -98,10 +100,7 @@ def resolve(path=None, overrides=(), env=None) -> dict:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        cfg[key.strip()] = parse_value(key.strip(), raw)
     return cfg
 
 

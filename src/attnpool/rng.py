@@ -55,9 +55,6 @@ class SplitMix64:
             raise ValueError(f"next_below requires n >= 1, got {n}")
         return self.next_u64() % n
 
-    def next_uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_float()
-
     def next_normal(self) -> float:
         """One standard normal; consumes exactly two u64 draws."""
         u1 = self.next_u64()
@@ -89,16 +86,7 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
     Pair 2i, 2i+1 of the u64 stream yields normals 2i (cos branch) and
     2i+1 (sin branch); an odd count drops the final sin value.
     """
-    pairs = (count + 1) // 2
-    u = u64_stream(seed, 2 * pairs)
-    u1 = (u[0::2] >> np.uint64(11)).astype(np.float64)
-    u2 = (u[1::2] >> np.uint64(11)).astype(np.float64)
-    r = np.sqrt(-2.0 * np.log((u1 + 1.0) / _TWO53))
-    theta = 2.0 * np.pi * u2 / _TWO53
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+    return normals_from_u64(u64_stream(seed, 2 * ((count + 1) // 2)))[:count]
 
 
 def normals_from_u64(u: np.ndarray) -> np.ndarray:
@@ -114,7 +102,3 @@ def normals_from_u64(u: np.ndarray) -> np.ndarray:
     out[1::2] = r * np.sin(theta)
     return out
 
-
-def sub_seeds(seed: int, count: int) -> np.ndarray:
-    """Per-item sub-seeds: the first `count` u64 outputs of the master stream."""
-    return u64_stream(seed, count)

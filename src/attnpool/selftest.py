@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, normalize_map, read_pgm
 from .pooling import score_second_order
 from .sketch import SketchParams, tensor_sketch
-from .synth import PlantedTaskConfig, gen_planted, gen_pose_targets, read_labels, write_labels
+from .synth import PlantedTaskConfig, gen_planted, read_labels, write_labels
 from .train import (TrainConfig, _batch_graph, _batch_loss, init_head_params, train,
                     write_report)
 
@@ -200,7 +200,7 @@ def check_determinism() -> tuple:
             rpath = os.path.join(tmp, f"report{run}.tsv")
             write_report(rpath, rep)
             cdir = os.path.join(tmp, f"ckpt{run}")
-            save_checkpoint(cdir, rep.params, head=cfg.head, seed=cfg.seed)
+            save_checkpoint(cdir, rep.params, cfg)
             with open(rpath, "rb") as fh:
                 rbytes = fh.read()
             cbytes = b"".join(
@@ -233,7 +233,7 @@ def check_determinism() -> tuple:
         if not (np.array_equal(labels, va1.labels) and np.array_equal(planted, va1.planted)):
             return False, "label file round-trip failed"
 
-        params, _ = load_checkpoint(os.path.join(tmp, "ckpt0"))
+        params, _ = load_checkpoint(os.path.join(tmp, "ckpt0"), task.f, task.K)
         for name, arr in params.items():
             if not np.array_equal(arr, rep.params[name]):
                 return False, f"checkpoint round-trip differs for {name}"
@@ -247,15 +247,11 @@ def check_determinism() -> tuple:
 
 def check_pose_targets() -> tuple:
     # pose supervision plumbing is covered here so selftest exercises every format
-    task = PlantedTaskConfig(n1=4, n2=4, f=8, K=4, train_samples=8, val_samples=4, seed=3)
+    task = PlantedTaskConfig(n1=4, n2=4, f=8, K=4, train_samples=8, val_samples=4, seed=3,
+                             pose=True)
     tr, _ = gen_planted(task)
-    tr = gen_pose_targets(tr)
-    peak_ok = True
-    for i in range(len(tr)):
-        ex = tr.example(i)
-        for c in range(16):
-            if ex.pose_target.mask[c] == 1.0:
-                peak_ok &= abs(ex.pose_target.heatmaps[:, c].max() - 1.0) < 1e-12
+    visible = tr.pose_masks == 1.0
+    peak_ok = bool(np.all(np.abs(tr.pose_heatmaps.max(axis=1)[visible] - 1.0) < 1e-12))
     return peak_ok, "pose target heatmaps peak at 1.0 on visible keypoints"
 
 

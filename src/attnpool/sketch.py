@@ -100,21 +100,14 @@ def tensor_sketch(x, params: SketchParams) -> np.ndarray:
     return np.fft.irfft(f1 * f2, n=params.d)
 
 
-def cbp_pool(X, params: SketchParams, normalize: bool = False) -> np.ndarray:
+def cbp_pool(X, params: SketchParams) -> np.ndarray:
     """Sum of per-location TensorSketches of the rows of X.
 
     The FFT is linear, so the spectrum products are summed over rows and
-    inverted once.  `normalize` applies the signed-square-root + L2 steps
-    some CBP pipelines use; off by default.
+    inverted once.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.num_features:
         raise ShapeError(f"X shape {X.shape} vs sketch f={params.num_features}")
     f1, f2 = _spectra(X, params)
-    out = np.fft.irfft((f1 * f2).sum(axis=0), n=params.d)
-    if normalize:
-        out = np.sign(out) * np.sqrt(np.abs(out))
-        norm = np.linalg.norm(out)
-        if norm > 0:
-            out = out / norm
-    return out
+    return np.fft.irfft((f1 * f2).sum(axis=0), n=params.d)

@@ -25,12 +25,12 @@ seed, a distractor seed, a marker seed, then one sub-seed per example
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng
-from .pose import NUM_POSE_CHANNELS, PoseTarget
+from .pose import NUM_POSE_CHANNELS
 from .tensors import ShapeError
 
 # Fixed keypoint offsets (row, col) around the planted cell; keypoints
@@ -53,6 +53,7 @@ class PlantedTaskConfig:
     clutter_classes: int = 4
     seed: int = 7
     multi_label: bool = False
+    pose: bool = False  # attach keypoint targets (gen_pose_targets)
 
     def __post_init__(self):
         for name in ("n1", "n2", "f", "K", "train_samples", "val_samples"):
@@ -70,18 +71,9 @@ class PlantedTaskConfig:
         return self.n1 * self.n2
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    X: np.ndarray              # (n, f)
-    label: object              # int class id, or (K,) binary vector in multi-label mode
-    planted_loc: int           # primary discriminative cell
-    planted_locs: tuple = ()   # all planted cells (multi-label)
-    pose_target: PoseTarget | None = None
-
-
 @dataclass
 class Dataset:
-    """Array-of-structs view of a generated split."""
+    """The arrays of a generated or loaded split."""
 
     config: PlantedTaskConfig
     X: np.ndarray                 # (m, n, f)
@@ -94,18 +86,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def example(self, i: int) -> LabeledExample:
-        pose = None
-        if self.pose_heatmaps is not None:
-            pose = PoseTarget(self.pose_heatmaps[i], self.pose_masks[i])
-        return LabeledExample(
-            X=self.X[i],
-            label=self.labels[i] if self.labels.ndim == 1 else self.labels[i].copy(),
-            planted_loc=int(self.planted[i]),
-            planted_locs=tuple(self.planted_all[i]) if self.planted_all else (int(self.planted[i]),),
-            pose_target=pose,
-        )
 
 
 def _unit_rows(a):
@@ -197,12 +177,17 @@ def _gen_split(sub, config, protos, distractors, marker):
 
 
 def gen_planted(config: PlantedTaskConfig):
-    """Generate (train, val) datasets; byte-identical for identical configs."""
+    """Generate (train, val) datasets; byte-identical for identical configs.
+
+    With config.pose set, both splits carry keypoint targets.
+    """
     protos, distractors, marker = class_prototypes(config)
     total = config.train_samples + config.val_samples
     sub = rng.u64_stream(config.seed, 3 + total)[3:]
     train = _gen_split(sub[: config.train_samples], config, protos, distractors, marker)
     val = _gen_split(sub[config.train_samples:], config, protos, distractors, marker)
+    if config.pose:
+        return gen_pose_targets(train), gen_pose_targets(val)
     return train, val
 
 
@@ -221,14 +206,7 @@ def gen_pose_targets(dataset: Dataset, sigma: float = 1.0) -> Dataset:
                 masks[i, c] = 1.0
                 d2 = (rows - kr) ** 2 + (cols - kc) ** 2
                 heatmaps[i, :, c] = np.exp(-d2 / (2.0 * sigma * sigma))
-    return replace_pose(dataset, heatmaps, masks)
-
-
-def replace_pose(dataset: Dataset, heatmaps, masks) -> Dataset:
-    return Dataset(config=dataset.config, X=dataset.X, labels=dataset.labels,
-                   planted=dataset.planted, planted_all=dataset.planted_all,
-                   prototypes=dataset.prototypes,
-                   pose_heatmaps=heatmaps, pose_masks=masks)
+    return replace(dataset, pose_heatmaps=heatmaps, pose_masks=masks)
 
 
 def nearest_prototype_accuracy(dataset: Dataset) -> float:

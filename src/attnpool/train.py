@@ -44,19 +44,22 @@ class TrainDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training run settings: the `[train]` config keys, and the fields a
+    checkpoint manifest records, in this order."""
+
     head: str = "attention"
+    seed: int = 0
     rank: int = 1
+    loss: str = "softmax"        # or "sigmoid" for multi-label
+    hdim: int = 128
+    sketch_dim: int = 64
+    use_bias: bool = False
+    lambda_pose: float = 0.1
     lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
     batch_size: int = 32
     epochs: int = 50
-    seed: int = 0
-    lambda_pose: float = 0.1
-    loss: str = "softmax"        # or "sigmoid" for multi-label
-    hdim: int = 128
-    sketch_dim: int = 64
-    use_bias: bool = False
 
     def __post_init__(self):
         if self.head not in HEAD_KINDS:
@@ -113,14 +116,9 @@ def sgd_step(params: dict, grads: dict, state: dict, lr: float,
         params[name] = params[name] - lr * state[name]
 
 
-def init_head_params(config: TrainConfig, f: int, K: int) -> dict:
-    """Seeded parameter dict for a head; fixed draw order per head kind.
-
-    Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in
-    their row count, filled row-major, tensor after tensor in dict order,
-    from one SplitMix64 stream seeded with config.seed.  Biases start at
-    zero and take no draws.
-    """
+def head_shapes(config: TrainConfig, f: int, K: int) -> dict:
+    """{name: shape} of a head's parameters at f features and K classes,
+    in init draw order."""
     if config.head == "avg_pool":
         shapes = {"W": (f, K)}
     elif config.head in ("attention", "rank_p"):
@@ -136,6 +134,18 @@ def init_head_params(config: TrainConfig, f: int, K: int) -> dict:
         shapes = {"W": (config.sketch_dim, K)}
     if config.use_bias and config.head != "pose_reg":
         shapes["bias"] = (1, K)
+    return shapes
+
+
+def init_head_params(config: TrainConfig, f: int, K: int) -> dict:
+    """Seeded parameter dict for a head; fixed draw order per head kind.
+
+    Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in
+    their row count, filled row-major, tensor after tensor in the order of
+    head_shapes, from one SplitMix64 stream seeded with config.seed.
+    Biases start at zero and take no draws.
+    """
+    shapes = head_shapes(config, f, K)
     weights = {name: shape for name, shape in shapes.items() if not name.startswith("bias")}
     draws = float_stream(config.seed, sum(int(np.prod(shape)) for shape in weights.values()))
     params: dict[str, np.ndarray] = {}
@@ -361,49 +371,42 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
         cbp_train = _cbp_features(config, train_ds, sk)
         cbp_val = _cbp_features(config, val_ds, sk)
 
-    for epoch in range(config.epochs):
-        order = _fisher_yates(m, config.seed + epoch)
-        total_loss, total_seen = 0.0, 0
-        for start in range(0, m, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb = train_ds.X[idx]
-            yb = train_ds.labels[idx]
-            extra = {}
-            if config.head == "cbp":
-                extra["features"] = cbp_train[idx]
-            if config.head == "pose_reg" and config.lambda_pose > 0:
-                extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(
-                    train_ds, idx, n)
-            tape = Tape()
-            nodes = {name: tape.leaf(p) for name, p in params.items()}
-            loss = _batch_loss(tape, config, nodes, Xb, yb, extra)
-            if not np.isfinite(loss.value):
-                report.diverged = True
-                report.params = params
-                report.wall_clock_s = time.perf_counter() - t0
-                return report
-            tape.backward(loss)
-            grads = {name: nodes[name].grad for name in params}
-            try:
+    try:
+        for epoch in range(config.epochs):
+            order = _fisher_yates(m, config.seed + epoch)
+            total_loss, total_seen = 0.0, 0
+            for start in range(0, m, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                Xb = train_ds.X[idx]
+                yb = train_ds.labels[idx]
+                extra = {}
+                if config.head == "cbp":
+                    extra["features"] = cbp_train[idx]
+                if config.head == "pose_reg" and config.lambda_pose > 0:
+                    extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(
+                        train_ds, idx, n)
+                tape = Tape()
+                nodes = {name: tape.leaf(p) for name, p in params.items()}
+                loss = _batch_loss(tape, config, nodes, Xb, yb, extra)
+                if not np.isfinite(loss.value):
+                    raise TrainDivergence("non-finite training loss")
+                tape.backward(loss)
+                grads = {name: nodes[name].grad for name in params}
                 sgd_step(params, grads, state, config.lr, config.momentum,
                          config.weight_decay)
-            except TrainDivergence:
-                report.diverged = True
-                report.params = params
-                report.wall_clock_s = time.perf_counter() - t0
-                return report
-            total_loss += float(loss.value) * len(idx)
-            total_seen += len(idx)
-        del tape, nodes, loss, grads, Xb  # the last batch's tape, not needed by validation
-        val = evaluate(params, config, val_ds, cbp_val)
-        report.epochs.append(EpochRecord(
-            epoch=epoch,
-            train_loss=total_loss / total_seen,
-            val_metric=val["accuracy"] if "accuracy" in val else val["map"],
-            localization=val["localization"],
-        ))
-        del val  # its maps would otherwise stay alive through the next epoch
-
+                total_loss += float(loss.value) * len(idx)
+                total_seen += len(idx)
+            del tape, nodes, loss, grads, Xb  # the last batch's tape, not needed by validation
+            val = evaluate(params, config, val_ds, cbp_val)
+            report.epochs.append(EpochRecord(
+                epoch=epoch,
+                train_loss=total_loss / total_seen,
+                val_metric=val["accuracy"] if "accuracy" in val else val["map"],
+                localization=val["localization"],
+            ))
+            del val  # its maps would otherwise stay alive through the next epoch
+    except TrainDivergence:
+        report.diverged = True
     report.params = params
     report.wall_clock_s = time.perf_counter() - t0
     return report

@@ -1,9 +1,10 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from attnpool.atnp import read_atnp
+from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
                           main)
 from attnpool.images import read_pgm
@@ -29,6 +30,19 @@ def run_dir(tmp_path_factory, data_dir):
               ["--set", "train.epochs=3"])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def pose_data_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("pose_data"))
+    assert main(["gen", "--out", out] + SMALL + ["--set", "task.pose=true"]) == 0
+    return out
+
+
+def _copy_dir(src, tmp_path):
+    dst = str(tmp_path / "copy")
+    shutil.copytree(src, dst)
+    return dst
 
 
 class TestUsageErrors:
@@ -154,6 +168,73 @@ class TestEval:
                    "--data", split])
         assert rc == EXIT_VALIDATION
         assert lpath in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, run_dir, data_dir, tmp_path, value, capsys):
+        split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+        path = os.path.join(split, "features.atnp")
+        X = read_atnp(path)
+        X[3, 2, 1] = value
+        write_atnp(path, X)
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["channels", "range"])
+    def test_bad_pose_heatmaps_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
+        split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
+        path = os.path.join(split, "pose.atnp")
+        hm = read_atnp(path)
+        write_atnp(path, hm[:, :, :5] if bad == "channels" else hm * 1.5)
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["shape", "values"])
+    def test_bad_pose_masks_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
+        split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
+        path = os.path.join(split, "pose_mask.atnp")
+        masks = read_atnp(path)
+        write_atnp(path, masks[:, :15] if bad == "shape" else masks * 0.5)
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+
+
+class TestCheckpointMismatch:
+    """eval and heatmap reject a checkpoint that does not fit the split."""
+
+    @staticmethod
+    def _run(command, ckpt, split, tmp_path):
+        argv = [command, "--checkpoint", ckpt, "--data", split]
+        return main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_manifest_head_disagrees_with_tensors(self, run_dir, data_dir, tmp_path,
+                                                  command, capsys):
+        ckpt = _copy_dir(os.path.join(run_dir, "checkpoint"), tmp_path)
+        mpath = os.path.join(ckpt, "manifest.txt")
+        for head in ("avg_pool", "per_class"):
+            text = open(os.path.join(run_dir, "checkpoint", "manifest.txt")).read()
+            open(mpath, "w").write(text.replace("head=attention", f"head={head}"))
+            rc = self._run(command, ckpt, os.path.join(data_dir, "val"), tmp_path)
+            assert rc == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert ckpt in err and head in err
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    @pytest.mark.parametrize("setting", ["task.f=12", "task.classes=3"])
+    def test_split_f_or_k_differs(self, run_dir, tmp_path, command, setting, capsys):
+        data = str(tmp_path / "other")
+        assert main(["gen", "--out", data] + SMALL + ["--set", setting]) == 0
+        ckpt = os.path.join(run_dir, "checkpoint")
+        rc = self._run(command, ckpt, os.path.join(data, "val"), tmp_path)
+        assert rc == EXIT_VALIDATION
+        assert ckpt in capsys.readouterr().err
 
 
 class TestHeatmap:

@@ -1,7 +1,24 @@
+import dataclasses
+
 import pytest
 
-from attnpool.config import (DEFAULTS, ConfigError, parse_config_text,
-                             resolve, serialize)
+from attnpool.config import (DEFAULTS, KNOWN_KEYS, ConfigError, build,
+                             parse_config_text, resolve, serialize)
+from attnpool.synth import PlantedTaskConfig
+from attnpool.train import TrainConfig
+
+# a valid value other than the default, for every key
+NON_DEFAULT = {
+    "task.n1": "5", "task.n2": "6", "task.f": "40", "task.classes": "3",
+    "task.train_samples": "11", "task.val_samples": "12",
+    "task.signal_strength": "2.5", "task.clutter_classes": "0", "task.seed": "99",
+    "task.multi_label": "true", "task.pose": "yes",
+    "train.head": "rank_p", "train.rank": "4", "train.lr": "0.5",
+    "train.momentum": "0.0", "train.weight_decay": "0.0", "train.batch_size": "9",
+    "train.epochs": "0", "train.seed": "12", "train.lambda_pose": "2.0",
+    "train.loss": "sigmoid", "train.hdim": "7", "train.sketch_dim": "8",
+    "train.use_bias": "on",
+}
 
 
 class TestParse:
@@ -93,3 +110,31 @@ class TestSerialize:
         # serialized form has fully-qualified keys; reparse without sections
         reparsed = parse_config_text(serialize(cfg))
         assert reparsed == cfg
+
+
+class TestSchema:
+    def test_keys_are_the_dataclass_fields(self):
+        task = {f"task.{fld.name}" for fld in dataclasses.fields(PlantedTaskConfig)}
+        train = {f"train.{fld.name}" for fld in dataclasses.fields(TrainConfig)}
+        assert set(KNOWN_KEYS) == (task - {"task.K"}) | {"task.classes"} | train
+        assert set(NON_DEFAULT) == set(KNOWN_KEYS)
+
+    def test_defaults_build_default_configs(self):
+        assert build(PlantedTaskConfig, DEFAULTS) == PlantedTaskConfig()
+        assert build(TrainConfig, DEFAULTS) == TrainConfig()
+        assert build(TrainConfig, {}) == TrainConfig()  # absent keys keep defaults
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_every_key_reaches_its_field(self, key):
+        cfg = resolve(overrides=(f"{key}={NON_DEFAULT[key]}",), env={})
+        changed = {}
+        for cls in (PlantedTaskConfig, TrainConfig):
+            built, default = build(cls, cfg), cls()
+            changed.update({f"{cls.__name__}.{fld.name}": getattr(built, fld.name)
+                            for fld in dataclasses.fields(cls)
+                            if getattr(built, fld.name) != getattr(default, fld.name)})
+        section, name = key.split(".")
+        field = {"task.classes": "K"}.get(key, name)
+        owner = {"task": "PlantedTaskConfig", "train": "TrainConfig"}[section]
+        assert changed == {f"{owner}.{field}": cfg[key]}
+        assert cfg[key] != DEFAULTS[key] and type(cfg[key]) is type(DEFAULTS[key])

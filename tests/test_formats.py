@@ -1,5 +1,7 @@
 """ATNP binary matrices, PGM heatmaps, and checkpoint directories."""
 
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -118,50 +120,124 @@ class TestPgm:
 
 
 class TestCheckpoint:
+    CONFIG = TrainConfig(head="attention", seed=4)
+
     def _params(self):
-        return init_head_params(TrainConfig(head="attention", seed=4), 32, 8)
+        return init_head_params(self.CONFIG, 32, 8)
+
+    def _save(self, tmp_path, params=None, config=CONFIG):
+        save_checkpoint(tmp_path / "ckpt", self._params() if params is None else params,
+                        config)
+        return tmp_path / "ckpt"
+
+    def _edit_manifest(self, ckpt, old, new):
+        mpath = ckpt / "manifest.txt"
+        text = mpath.read_text()
+        assert old in text
+        mpath.write_text(text.replace(old, new))
 
     def test_round_trip_bit_identical(self, tmp_path):
         params = self._params()
-        save_checkpoint(tmp_path / "ckpt", params, head="attention", seed=4,
-                        extra={"rank": 1})
-        loaded, manifest = load_checkpoint(tmp_path / "ckpt")
-        assert manifest["head"] == "attention"
-        assert manifest["seed"] == "4"
-        assert manifest["rank"] == "1"
+        loaded, config = load_checkpoint(self._save(tmp_path, params), 32, 8)
+        assert config == self.CONFIG
         assert set(loaded) == set(params)
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
 
+    def test_manifest_records_every_field(self, tmp_path):
+        config = TrainConfig(head="rank_p", rank=2, lr=0.5, momentum=0.25,
+                             weight_decay=0.0, batch_size=7, epochs=3, seed=2**63 + 7,
+                             lambda_pose=0.0, loss="sigmoid", hdim=3, sketch_dim=5,
+                             use_bias=True)
+        ckpt = self._save(tmp_path, init_head_params(config, 6, 4), config)
+        lines = (ckpt / "manifest.txt").read_text().splitlines()
+        assert lines[0] == "format_version=1"
+        assert lines[1:14] == [f"{fld.name}={getattr(config, fld.name)}"
+                               for fld in dataclasses.fields(TrainConfig)]
+        assert lines[14:] == ["tensor.A0.dims=6x4", "tensor.A1.dims=6x4",
+                              "tensor.b0.dims=6x1", "tensor.b1.dims=6x1",
+                              "tensor.bias.dims=1x4"]
+        assert load_checkpoint(ckpt, 6, 4)[1] == config
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(head="attention", seed=4),
+        TrainConfig(head="rank_p", seed=9, rank=3, loss="sigmoid", use_bias=True),
+        TrainConfig(head="pose_reg", seed=1, hdim=16, lambda_pose=0.5),
+        TrainConfig(head="cbp", sketch_dim=32, use_bias=True),
+    ])
+    def test_earlier_manifest_format_loads(self, tmp_path, config):
+        # checkpoints written before the manifest held every TrainConfig
+        # field: training-only fields were left out and take their defaults
+        params = init_head_params(config, 32, 8)
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        lines = ["format_version=1"] + [
+            f"{key}={getattr(config, key)}" for key in
+            ("head", "seed", "rank", "loss", "hdim", "sketch_dim", "use_bias", "lambda_pose")]
+        for name in sorted(params):
+            lines.append(f"tensor.{name}.dims={'x'.join(map(str, params[name].shape))}")
+            write_atnp(str(ckpt / f"{name}.atnp"), params[name])
+        (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+        loaded, got = load_checkpoint(ckpt, 32, 8)
+        assert got == config
+        assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+
     def test_default_attention_has_two_blobs(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(), head="attention", seed=4)
-        blobs = sorted(p.name for p in (tmp_path / "ckpt").glob("*.atnp"))
+        ckpt = self._save(tmp_path)
+        blobs = sorted(p.name for p in ckpt.glob("*.atnp"))
         assert blobs == ["A0.atnp", "b0.atnp"]
-        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        loaded, _ = load_checkpoint(ckpt, 32, 8)
         assert loaded["A0"].shape == (32, 8) and loaded["b0"].shape == (32, 1)
 
     def test_version_mismatch(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(), head="attention", seed=4)
-        mpath = tmp_path / "ckpt" / "manifest.txt"
-        mpath.write_text(mpath.read_text().replace("format_version=1",
-                                                   "format_version=2"))
+        ckpt = self._save(tmp_path)
+        self._edit_manifest(ckpt, "format_version=1", "format_version=2")
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(ckpt, 32, 8)
+
+    @pytest.mark.parametrize("old, new", [
+        ("loss=softmax", "loss=softmax\nbogus=1"),   # unknown key
+        ("rank=1", "rank=one"),                    # unparsable value
+        ("use_bias=False", "use_bias=maybe"),
+        ("head=attention", "head=rank_9"),         # not a head
+        ("tensor.A0.dims=32x8", "tensor.A0.dims=32xeight"),
+        ("format_version=1", "format_version=1\nno equals sign"),
+    ])
+    def test_bad_manifest_entry(self, tmp_path, old, new):
+        ckpt = self._save(tmp_path)
+        self._edit_manifest(ckpt, old, new)
+        with pytest.raises(CheckpointError, match="manifest.txt"):
+            load_checkpoint(ckpt, 32, 8)
+
+    def test_tensors_must_be_the_heads(self, tmp_path):
+        ckpt = self._save(tmp_path)
+        for f, K in ((31, 8), (32, 9)):  # the scored split's f or K differs
+            want = f"checkpoint {ckpt}: head 'attention' at f={f}, K={K} has tensors"
+            with pytest.raises(CheckpointError, match=re.escape(want)):
+                load_checkpoint(ckpt, f, K)
+        self._edit_manifest(ckpt, "head=attention", "head=avg_pool")
+        with pytest.raises(CheckpointError,
+                           match=re.escape("'avg_pool' at f=32, K=8 has tensors {'W': (32, 8)}, "
+                                           "manifest lists {'A0': (32, 8), 'b0': (32, 1)}")):
+            load_checkpoint(ckpt, 32, 8)
 
     def test_dim_tamper_detected(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(), head="attention", seed=4)
-        mpath = tmp_path / "ckpt" / "manifest.txt"
-        mpath.write_text(mpath.read_text().replace("tensor.A0.dims=32x8",
-                                                   "tensor.A0.dims=32x9"))
+        ckpt = self._save(tmp_path)
+        self._edit_manifest(ckpt, "tensor.A0.dims=32x8", "tensor.A0.dims=32x9")
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(ckpt, 32, 8)
+        # a blob whose shape differs from its manifest entry
+        ckpt = self._save(tmp_path)
+        write_atnp(str(ckpt / "b0.atnp"), np.zeros((1, 32)))
+        with pytest.raises(CheckpointError, match="b0"):
+            load_checkpoint(ckpt, 32, 8)
 
     def test_missing_blob(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(), head="attention", seed=4)
-        (tmp_path / "ckpt" / "b0.atnp").unlink()
+        ckpt = self._save(tmp_path)
+        (ckpt / "b0.atnp").unlink()
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(ckpt, 32, 8)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_checkpoint(tmp_path / "nothing")
+            load_checkpoint(tmp_path / "nothing", 32, 8)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from attnpool.autograd import Tape
-from attnpool.pose import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS,
-                           NUM_POSE_CHANNELS, PoseTarget)
+from attnpool.atnp import read_atnp, write_atnp
+from attnpool.cli import load_split, main
+from attnpool.pose import ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS
 from attnpool.selftest import graph_scores
 from attnpool.synth import Dataset, PlantedTaskConfig
 from attnpool.tensors import ShapeError
@@ -153,14 +154,24 @@ class TestPoseLoss:
 
 
 class TestValidation:
-    def test_target_range_checks(self):
-        with pytest.raises(ValueError):
-            PoseTarget(np.full((2, NUM_POSE_CHANNELS), 1.5), np.ones(NUM_POSE_CHANNELS))
-        with pytest.raises(ValueError):
-            PoseTarget(np.zeros((2, NUM_POSE_CHANNELS)),
-                       np.full(NUM_POSE_CHANNELS, 0.5))
-        with pytest.raises(ShapeError):
-            PoseTarget(np.zeros((2, 5)), np.ones(NUM_POSE_CHANNELS))
+    def test_target_range_checks(self, tmp_path):
+        # targets are checked where they enter the program: loading a split
+        assert main(["gen", "--out", str(tmp_path), "--set", "task.train_samples=4",
+                     "--set", "task.val_samples=2", "--set", "task.pose=true"]) == 0
+        split = str(tmp_path / "val")
+        good = {name: read_atnp(str(tmp_path / "val" / name))
+                for name in ("pose.atnp", "pose_mask.atnp")}
+        assert good["pose.atnp"].shape == (2, 49, NUM_POSE_CHANNELS)
+        load_split(split)
+        bad = [("pose.atnp", np.full((2, 49, NUM_POSE_CHANNELS), 1.5)),
+               ("pose_mask.atnp", np.full((2, NUM_POSE_CHANNELS), 0.5)),
+               ("pose.atnp", np.zeros((2, 49, 5)))]
+        for name, arr in bad:
+            write_atnp(str(tmp_path / "val" / name), arr)
+            with pytest.raises(ValueError, match=name):
+                load_split(split)
+            write_atnp(str(tmp_path / "val" / name), good[name])
+        load_split(split)
 
     def test_param_shape_checks(self):
         with pytest.raises(ShapeError):

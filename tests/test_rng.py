@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attnpool.rng import (SplitMix64, float_stream, mix64, normal_stream,
-                          normals_from_u64, sub_seeds, u64_stream)
+                          normals_from_u64, u64_stream)
 
 
 class TestScalarStream:
@@ -42,12 +42,6 @@ class TestScalarStream:
     def test_next_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SplitMix64(0).next_below(0)
-
-    def test_next_uniform_bounds(self):
-        rng = SplitMix64(5)
-        for _ in range(100):
-            x = rng.next_uniform(-2.0, 3.0)
-            assert -2.0 <= x < 3.0
 
     def test_next_normal_consumes_two_draws(self):
         a = SplitMix64(17)
@@ -90,9 +84,6 @@ class TestVectorizedStreams:
 
     def test_stream_prefix_property(self):
         np.testing.assert_array_equal(u64_stream(77, 5), u64_stream(77, 20)[:5])
-
-    def test_sub_seeds_is_master_stream(self):
-        np.testing.assert_array_equal(sub_seeds(123, 8), u64_stream(123, 8))
 
 
 def test_normal_moments():

@@ -146,13 +146,6 @@ class TestCbpPool:
                            for row in X)
             assert_rel_close(cbp_pool(X, p), expected)
 
-    def test_normalize_unit_norm(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((3, 5))
-        p = SketchParams.from_seed(5, 8, seed=2)
-        out = cbp_pool(X, p, normalize=True)
-        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
-
     def test_rejects_feature_mismatch(self):
         p = SketchParams.from_seed(5, 8, seed=2)
         with pytest.raises(ShapeError):
