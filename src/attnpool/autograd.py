@@ -1,8 +1,10 @@
 """Tape-based reverse-mode automatic differentiation.
 
-A Tape holds an append-only list of Nodes; each non-leaf node stores its
-op tag and parent ids, so a single reverse sweep in id order computes
-gradients.  Leaves (`Tape.leaf`, parameters) need a gradient; constants
+A Tape holds an append-only list of Nodes.  Each op is one Tape method:
+it checks its input shapes, computes its value and appends a node that
+carries its parent ids and its gradient function, a closure over the
+input values, so a single reverse sweep in id order computes gradients.
+Leaves (`Tape.leaf`, parameters) need a gradient; constants
 (`Tape.const`, data, selectors and targets) do not, and a node needs one
 when any of its parents does.  The sweep visits only nodes that need a
 gradient and computes a matmul's input gradient only for the inputs that
@@ -34,134 +36,9 @@ class Node:
     value: np.ndarray
     op: str
     parents: tuple
-    aux: object = None
     needs: bool = True
+    grad_fn: object = field(default=None, repr=False)
     grad: np.ndarray = field(default=None, repr=False)
-
-
-def _stable_softmax(z):
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_xent_forward(z, labels):
-    m = z.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))[:, 0]
-    picked = z[np.arange(z.shape[0]), labels]
-    return np.float64(np.mean(lse - picked))
-
-
-def _sigmoid_xent_forward(z, targets):
-    # mean over all entries of max(z,0) - z*t + log1p(exp(-|z|))
-    return np.float64(np.mean(np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))))
-
-
-def _forward(op, vals, aux):
-    if op == "matmul":
-        a, b = vals
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return a @ b
-    if op == "add":
-        a, b = vals
-        if a.shape != b.shape:
-            raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        return a + b
-    if op == "subtract":
-        a, b = vals
-        if a.shape != b.shape:
-            raise ShapeError(f"subtract shape mismatch: {a.shape} vs {b.shape}")
-        return a - b
-    if op == "scalar_mul":
-        (a,) = vals
-        return float(aux) * a
-    if op == "elementwise_mul":
-        a, b = vals
-        if a.shape != b.shape:
-            raise ShapeError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
-        return a * b
-    if op == "col_mul":
-        a, col = vals
-        if a.ndim != 2 or col.shape != (a.shape[0], 1):
-            raise ShapeError(f"col_mul shape mismatch: {a.shape} vs column {col.shape}")
-        return a * col
-    if op == "segment_sum":
-        (a,) = vals
-        if a.ndim != 2 or aux < 1 or a.shape[0] % aux:
-            raise ShapeError(f"segment_sum: {a.shape} rows are not segments of {aux}")
-        return a.reshape(a.shape[0] // aux, aux, a.shape[1]).sum(axis=1)
-    if op == "pool":
-        X, h = vals
-        if (X.ndim != 2 or h.shape != (X.shape[0], 1) or aux < 1
-                or X.shape[0] % aux):
-            raise ShapeError(f"pool shape mismatch: {X.shape}, {h.shape}, segments of {aux}")
-        B, f = X.shape[0] // aux, X.shape[1]
-        return (h.reshape(B, 1, aux) @ X.reshape(B, aux, f)).reshape(B, f)
-    if op == "relu":
-        (a,) = vals
-        return np.maximum(a, 0.0)
-    if op == "sum":
-        (a,) = vals
-        return np.float64(a.sum())
-    if op == "sum_squares":
-        (a,) = vals
-        return np.float64((a * a).sum())
-    if op == "softmax_xent":
-        (z,) = vals
-        return _softmax_xent_forward(z, aux)
-    if op == "sigmoid_xent":
-        (z,) = vals
-        return _sigmoid_xent_forward(z, aux)
-    raise ValueError(f"unknown op tag: {op!r}")
-
-
-def _backward(op, g, vals, out, aux, needs):
-    """Gradients for the parents; None where a parent needs none."""
-    if op == "matmul":
-        a, b = vals
-        return [g @ b.T if needs[0] else None, a.T @ g if needs[1] else None]
-    if op == "add":
-        return [g, g]
-    if op == "subtract":
-        return [g, -g]
-    if op == "scalar_mul":
-        return [float(aux) * g]
-    if op == "elementwise_mul":
-        a, b = vals
-        return [g * b, g * a]
-    if op == "col_mul":
-        a, col = vals
-        return [g * col, (g * a).sum(axis=1, keepdims=True)]
-    if op == "segment_sum":
-        return [np.repeat(g, aux, axis=0)]
-    if op == "pool":
-        X, h = vals
-        B, f = g.shape
-        # X_b^T h_b per segment b: dX_b = h_b g_b^T, dh_b = X_b g_b
-        return [(h.reshape(B, aux, 1) * g.reshape(B, 1, f)).reshape(B * aux, f)
-                if needs[0] else None,
-                (X.reshape(B, aux, f) @ g.reshape(B, f, 1)).reshape(B * aux, 1)
-                if needs[1] else None]
-    if op == "relu":
-        (a,) = vals
-        return [g * (a > 0.0)]
-    if op == "sum":
-        (a,) = vals
-        return [np.full_like(a, float(g))]
-    if op == "sum_squares":
-        (a,) = vals
-        return [2.0 * float(g) * a]
-    if op == "softmax_xent":
-        (z,) = vals
-        p = _stable_softmax(z)
-        p[np.arange(z.shape[0]), aux] -= 1.0
-        return [float(g) * p / z.shape[0]]
-    if op == "sigmoid_xent":
-        (z,) = vals
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        return [float(g) * (s - aux) / z.size]
-    raise ValueError(f"unknown op tag: {op!r}")
 
 
 class Tape:
@@ -170,74 +47,123 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _push(self, value, op, parents, aux=None, needs=True) -> Node:
-        node = Node(id=len(self.nodes), value=np.asarray(value, dtype=np.float64),
-                    op=op, parents=tuple(parents), aux=aux, needs=needs)
+    def _push(self, op, value, parents=(), grad_fn=None, needs=None) -> Node:
+        """Append a node; `grad_fn(g)` maps its output gradient to one
+        gradient per parent (None where a parent needs none)."""
+        if needs is None:
+            needs = any(p.needs for p in parents)
+        node = Node(id=len(self.nodes), value=np.asarray(value, dtype=np.float64), op=op,
+                    parents=tuple(p.id for p in parents), needs=needs, grad_fn=grad_fn)
         self.nodes.append(node)
         return node
 
     def leaf(self, value) -> Node:
         """A differentiable input (a parameter)."""
-        return self._push(value, "leaf", ())
+        return self._push("leaf", value, needs=True)
 
     def const(self, value) -> Node:
         """An input that needs no gradient (data, selectors, targets)."""
-        return self._push(value, "const", (), needs=False)
+        return self._push("const", value, needs=False)
 
-    def record(self, op, input_ids, aux=None) -> Node:
-        """Compute `op` on existing nodes and append the result."""
-        vals = []
-        for i in input_ids:
-            if not 0 <= i < len(self.nodes):
-                raise ValueError(f"input node {i} not on tape")
-            vals.append(self.nodes[i].value)
-        needs = any(self.nodes[i].needs for i in input_ids)
-        return self._push(_forward(op, vals, aux), op, input_ids, aux, needs)
-
-    # convenience wrappers
     def matmul(self, a, b):
-        return self.record("matmul", (a.id, b.id))
+        A, B = a.value, b.value
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ShapeError(f"matmul shape mismatch: {A.shape} x {B.shape}")
+        return self._push("matmul", A @ B, (a, b), lambda g: (
+            g @ B.T if a.needs else None, A.T @ g if b.needs else None))
 
     def add(self, a, b):
-        return self.record("add", (a.id, b.id))
+        if a.value.shape != b.value.shape:
+            raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
+        return self._push("add", a.value + b.value, (a, b), lambda g: (g, g))
 
     def subtract(self, a, b):
-        return self.record("subtract", (a.id, b.id))
+        if a.value.shape != b.value.shape:
+            raise ShapeError(f"subtract shape mismatch: {a.value.shape} vs {b.value.shape}")
+        return self._push("subtract", a.value - b.value, (a, b), lambda g: (g, -g))
 
     def scalar_mul(self, a, c):
-        return self.record("scalar_mul", (a.id,), aux=float(c))
+        c = float(c)
+        return self._push("scalar_mul", c * a.value, (a,), lambda g: (c * g,))
 
     def elementwise_mul(self, a, b):
-        return self.record("elementwise_mul", (a.id, b.id))
+        A, B = a.value, b.value
+        if A.shape != B.shape:
+            raise ShapeError(f"elementwise_mul shape mismatch: {A.shape} vs {B.shape}")
+        return self._push("elementwise_mul", A * B, (a, b), lambda g: (g * B, g * A))
 
     def col_mul(self, a, col):
         """a (rows, k) times col (rows, 1), broadcast over a's columns."""
-        return self.record("col_mul", (a.id, col.id))
+        A, C = a.value, col.value
+        if A.ndim != 2 or C.shape != (A.shape[0], 1):
+            raise ShapeError(f"col_mul shape mismatch: {A.shape} vs column {C.shape}")
+        return self._push("col_mul", A * C, (a, col), lambda g: (
+            g * C, (g * A).sum(axis=1, keepdims=True)))
 
     def segment_sum(self, a, n):
         """Sums of consecutive blocks of n rows: (B*n, k) -> (B, k)."""
-        return self.record("segment_sum", (a.id,), aux=int(n))
+        A, n = a.value, int(n)
+        if A.ndim != 2 or n < 1 or A.shape[0] % n:
+            raise ShapeError(f"segment_sum: {A.shape} rows are not segments of {n}")
+        return self._push("segment_sum", A.reshape(A.shape[0] // n, n, A.shape[1]).sum(axis=1),
+                          (a,), lambda g: (np.repeat(g, n, axis=0),))
 
     def pool(self, X, h, n):
         """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f)."""
-        return self.record("pool", (X.id, h.id), aux=int(n))
+        Xv, hv, n = X.value, h.value, int(n)
+        if Xv.ndim != 2 or hv.shape != (Xv.shape[0], 1) or n < 1 or Xv.shape[0] % n:
+            raise ShapeError(f"pool shape mismatch: {Xv.shape}, {hv.shape}, segments of {n}")
+        B, f = Xv.shape[0] // n, Xv.shape[1]
+
+        def grad_fn(g):  # dX_b = h_b g_b^T, dh_b = X_b g_b
+            return ((hv.reshape(B, n, 1) * g.reshape(B, 1, f)).reshape(B * n, f)
+                    if X.needs else None,
+                    (Xv.reshape(B, n, f) @ g.reshape(B, f, 1)).reshape(B * n, 1)
+                    if h.needs else None)
+
+        return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
+                          (X, h), grad_fn)
 
     def relu(self, a):
-        return self.record("relu", (a.id,))
+        A = a.value
+        return self._push("relu", np.maximum(A, 0.0), (a,), lambda g: (g * (A > 0.0),))
 
     def sum(self, a):
-        return self.record("sum", (a.id,))
+        A = a.value
+        return self._push("sum", np.float64(A.sum()), (a,),
+                          lambda g: (np.full_like(A, float(g)),))
 
     def sum_squares(self, a):
-        return self.record("sum_squares", (a.id,))
+        A = a.value
+        return self._push("sum_squares", np.float64((A * A).sum()), (a,),
+                          lambda g: (2.0 * float(g) * A,))
 
     def softmax_xent(self, logits, labels):
-        return self.record("softmax_xent", (logits.id,),
-                           aux=np.asarray(labels, dtype=np.int64))
+        z, labels = logits.value, np.asarray(labels, dtype=np.int64)
+        rows = np.arange(z.shape[0])
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        s = e.sum(axis=1, keepdims=True)
+        lse = (m + np.log(s))[:, 0]
+
+        def grad_fn(g):
+            p = e / s
+            p[rows, labels] -= 1.0
+            return (float(g) * p / z.shape[0],)
+
+        return self._push("softmax_xent", np.float64(np.mean(lse - z[rows, labels])),
+                          (logits,), grad_fn)
 
     def sigmoid_xent(self, logits, targets):
-        return self.record("sigmoid_xent", (logits.id,),
-                           aux=np.asarray(targets, dtype=np.float64))
+        z, t = logits.value, np.asarray(targets, dtype=np.float64)
+
+        def grad_fn(g):
+            s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+            return (float(g) * (s - t) / z.size,)
+
+        # mean over all entries of max(z,0) - z*t + log1p(exp(-|z|))
+        value = np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))))
+        return self._push("sigmoid_xent", np.float64(value), (logits,), grad_fn)
 
     def backward(self, loss: Node) -> None:
         """Reverse sweep from `loss`; gradients accumulate across fan-out.
@@ -248,17 +174,19 @@ class Tape:
         if np.asarray(loss.value).size != 1:
             raise ShapeError(f"loss must be scalar, got shape {np.asarray(loss.value).shape}")
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value) if node.needs else None
+            node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss.id + 1]):
-            if not node.needs or not node.parents or not np.any(node.grad):
+            if not node.needs or node.grad_fn is None or node.grad is None \
+                    or not np.any(node.grad):
                 continue
-            parents = [self.nodes[i] for i in node.parents]
-            gs = _backward(node.op, node.grad, [p.value for p in parents], node.value,
-                           node.aux, [p.needs for p in parents])
-            for parent, pg in zip(parents, gs):
+            for i, pg in zip(node.parents, node.grad_fn(node.grad)):
+                parent = self.nodes[i]
                 if parent.needs:
-                    parent.grad = parent.grad + pg
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+        for node in self.nodes:
+            if node.needs and node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
 
 def finite_diff_check(f, params, step=1e-5) -> float:

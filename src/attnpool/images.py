@@ -7,38 +7,29 @@ bit-exactly with no codec dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import ShapeError
 
 
-@dataclass(frozen=True)
-class HeatmapImage:
-    grid: np.ndarray   # (h, w) uint8
-    source_min: float
-    source_max: float
-
-
-def normalize_map(grid) -> HeatmapImage:
+def normalize_map(grid) -> np.ndarray:
+    """The (h, w) uint8 display grid of a 2-D map."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"heatmap grid must be 2-D, got shape {g.shape}")
     lo, hi = float(g.min()), float(g.max())
     if hi == lo:
-        bytes_ = np.full(g.shape, 128, dtype=np.uint8)
-    else:
-        bytes_ = np.clip(np.round((g - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
-    return HeatmapImage(grid=bytes_, source_min=lo, source_max=hi)
+        return np.full(g.shape, 128, dtype=np.uint8)
+    return np.clip(np.round((g - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
 
 
-def export_pgm(image: HeatmapImage, path) -> None:
-    """Binary PGM: 'P5\\n<w> <h>\\n255\\n' then raw bytes, top row first."""
-    h, w = image.grid.shape
+def export_pgm(grid: np.ndarray, path) -> None:
+    """Binary PGM of an (h, w) uint8 grid: 'P5\\n<w> <h>\\n255\\n' then raw
+    bytes, top row first."""
+    h, w = grid.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.grid.tobytes())
+        fh.write(grid.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -54,11 +45,10 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
-def montage(grids) -> HeatmapImage:
-    """Side-by-side montage (each panel normalized independently)."""
-    panels = [normalize_map(g).grid for g in grids]
+def montage(grids) -> np.ndarray:
+    """Side-by-side uint8 montage (each panel normalized independently)."""
+    panels = [normalize_map(g) for g in grids]
     heights = {p.shape[0] for p in panels}
     if len(heights) != 1:
         raise ShapeError("montage panels must share a height")
-    joined = np.hstack(panels)
-    return HeatmapImage(grid=joined, source_min=0.0, source_max=255.0)
+    return np.hstack(panels)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .pose import NUM_POSE_CHANNELS
 from .tensors import ShapeError
 
 # Fixed keypoint offsets (row, col) around the planted cell; keypoints
@@ -194,18 +193,18 @@ def gen_planted(config: PlantedTaskConfig):
 def gen_pose_targets(dataset: Dataset, sigma: float = 1.0) -> Dataset:
     """Attach 16 Gaussian keypoint heatmaps (peak 1.0) around each planted cell."""
     cfg = dataset.config
-    m, n = len(dataset), cfg.n
-    rows, cols = np.divmod(np.arange(n), cfg.n2)
-    heatmaps = np.zeros((m, n, NUM_POSE_CHANNELS))
-    masks = np.zeros((m, NUM_POSE_CHANNELS))
-    for i in range(m):
-        pr, pc = divmod(int(dataset.planted[i]), cfg.n2)
-        for c, (dr, dc) in enumerate(KEYPOINT_OFFSETS):
-            kr, kc = pr + dr, pc + dc
-            if 0 <= kr < cfg.n1 and 0 <= kc < cfg.n2:
-                masks[i, c] = 1.0
-                d2 = (rows - kr) ** 2 + (cols - kc) ** 2
-                heatmaps[i, :, c] = np.exp(-d2 / (2.0 * sigma * sigma))
+    rows, cols = np.divmod(np.arange(cfg.n), cfg.n2)
+    # gauss[k, loc]: the Gaussian around grid cell k at every location
+    d2 = (rows - rows[:, None]) ** 2 + (cols - cols[:, None]) ** 2
+    gauss = np.exp(-d2 / (2.0 * sigma * sigma))
+    pr, pc = np.divmod(np.asarray(dataset.planted, dtype=np.int64), cfg.n2)
+    offsets = np.array(KEYPOINT_OFFSETS)
+    kr = pr[:, None] + offsets[:, 0]                                   # (m, 16)
+    kc = pc[:, None] + offsets[:, 1]
+    masks = ((kr >= 0) & (kr < cfg.n1) & (kc >= 0) & (kc < cfg.n2)).astype(np.float64)
+    cell = np.clip(kr, 0, cfg.n1 - 1) * cfg.n2 + np.clip(kc, 0, cfg.n2 - 1)
+    heatmaps = gauss[cell[:, None, :], np.arange(cfg.n)[:, None]]      # (m, n, 16)
+    heatmaps *= masks[:, None, :]  # off-grid keypoints read a clipped cell
     return replace(dataset, pose_heatmaps=heatmaps, pose_masks=masks)
 
 

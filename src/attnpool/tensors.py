@@ -43,20 +43,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D matrix, got shape {a.shape}")
-    return a.T.copy()
-
-
-def trace(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got shape {a.shape}")
-    return float(np.trace(a))
-
-
 def elementwise_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

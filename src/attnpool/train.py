@@ -439,7 +439,7 @@ def write_report(path, report: TrainReport) -> None:
                      f"\t{rec.localization:.17g}\n")
 
 
-def write_summary(path, report: TrainReport, extra: dict | None = None) -> None:
+def write_summary(path, report: TrainReport) -> None:
     kv = {
         "head": report.config.head,
         "epochs": len(report.epochs),
@@ -449,8 +449,6 @@ def write_summary(path, report: TrainReport, extra: dict | None = None) -> None:
         "wall_clock_s": f"{report.wall_clock_s:.3f}",
         "diverged": str(report.diverged).lower(),
     }
-    if extra:
-        kv.update(extra)
     with open(path, "w") as fh:
         for k, v in kv.items():
             fh.write(f"{k}={v}\n")

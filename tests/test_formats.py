@@ -10,8 +10,7 @@ import pytest
 from attnpool.atnp import AtnpError, read_atnp, write_atnp
 from attnpool.checkpoint import (CheckpointError, load_checkpoint,
                                  save_checkpoint)
-from attnpool.images import (HeatmapImage, export_pgm, montage, normalize_map,
-                             read_pgm)
+from attnpool.images import export_pgm, montage, normalize_map, read_pgm
 from attnpool.tensors import ShapeError
 from attnpool.train import TrainConfig, init_head_params
 
@@ -75,13 +74,12 @@ class TestAtnp:
 
 class TestPgm:
     def test_normalize_linear(self):
-        img = normalize_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(img.grid, [[0, 85], [170, 255]])
-        assert img.source_min == 1.0 and img.source_max == 4.0
+        grid = normalize_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(grid, [[0, 85], [170, 255]])
 
     def test_constant_map_mid_gray(self):
-        img = normalize_map(np.full((2, 3), 7.0))
-        np.testing.assert_array_equal(img.grid, np.full((2, 3), 128, dtype=np.uint8))
+        grid = normalize_map(np.full((2, 3), 7.0))
+        np.testing.assert_array_equal(grid, np.full((2, 3), 128, dtype=np.uint8))
 
     def test_normalize_requires_2d(self):
         with pytest.raises(ShapeError):
@@ -95,7 +93,7 @@ class TestPgm:
     def test_read_round_trip(self, tmp_path):
         path = tmp_path / "m.pgm"
         grid = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        export_pgm(HeatmapImage(grid=grid, source_min=0, source_max=11), path)
+        export_pgm(grid, path)
         np.testing.assert_array_equal(read_pgm(path), grid)
 
     def test_read_rejects_garbage(self, tmp_path):
@@ -110,9 +108,8 @@ class TestPgm:
     def test_montage_layout(self):
         a = np.array([[0.0, 1.0]])
         b = np.array([[5.0, 5.0]])
-        img = montage([a, b])
         # each panel normalized independently: [0, 255] then [128, 128]
-        np.testing.assert_array_equal(img.grid, [[0, 255, 128, 128]])
+        np.testing.assert_array_equal(montage([a, b]), [[0, 255, 128, 128]])
 
     def test_montage_height_mismatch(self):
         with pytest.raises(ShapeError):

@@ -173,6 +173,29 @@ class TestPoseTargets:
                     assert np.argmax(tr.pose_heatmaps[i, :, c]) == peak
 
 
+    @pytest.mark.parametrize("n1,n2", [(7, 7), (3, 5), (1, 1)])
+    def test_matches_per_example_loop(self, n1, n2):
+        """The vectorized targets equal a loop over examples and channels."""
+        cfg = PlantedTaskConfig(n1=n1, n2=n2, f=8, K=4, train_samples=40,
+                                val_samples=4, seed=5)
+        tr, _ = gen_planted(cfg)
+        sigma = 1.0
+        rows, cols = np.divmod(np.arange(cfg.n), cfg.n2)
+        want_maps = np.zeros((len(tr), cfg.n, len(KEYPOINT_OFFSETS)))
+        want_masks = np.zeros((len(tr), len(KEYPOINT_OFFSETS)))
+        for i in range(len(tr)):
+            pr, pc = divmod(int(tr.planted[i]), cfg.n2)
+            for c, (dr, dc) in enumerate(KEYPOINT_OFFSETS):
+                kr, kc = pr + dr, pc + dc
+                if 0 <= kr < cfg.n1 and 0 <= kc < cfg.n2:
+                    want_masks[i, c] = 1.0
+                    d2 = (rows - kr) ** 2 + (cols - kc) ** 2
+                    want_maps[i, :, c] = np.exp(-d2 / (2.0 * sigma * sigma))
+        got = gen_pose_targets(tr, sigma)
+        np.testing.assert_array_equal(got.pose_masks, want_masks)
+        np.testing.assert_array_equal(got.pose_heatmaps, want_maps)
+
+
 class TestLabelFiles:
     def test_round_trip_single_label(self, tmp_path):
         tr, _ = gen_planted(SMALL)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from attnpool.tensors import (ShapeError, as_matrix, elementwise_mul,
-                              flatten_spatial, matmul, trace, transpose,
-                              unflatten_spatial)
+                              flatten_spatial, matmul, unflatten_spatial)
 
 
 class TestMatmul:
@@ -29,51 +28,6 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-class TestTranspose:
-    def test_hand_computed(self):
-        out = transpose(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(out, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_symmetric(self):
-        np.testing.assert_array_equal(transpose(np.eye(3)), np.eye(3))
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(transpose(transpose(a)), a)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            transpose(np.zeros(3))
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(3)) == 3.0
-
-    def test_hand_computed(self):
-        assert trace(np.array([[2.0, 9.0], [9.0, 5.0]])) == 7.0
-
-    def test_dot_identity(self):
-        # Tr(A B^T) equals the inner product of the flattened matrices
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert trace(a @ b.T) == pytest.approx(float(a.ravel() @ b.ravel()), rel=1e-12)
-
-    def test_cyclic_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
-            lhs = trace(a @ b @ c)
-            rhs = trace(c @ a @ b)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.zeros((2, 3)))
 
 
 class TestElementwiseMul:

@@ -382,10 +382,11 @@ class TestEvaluateAndReports:
         tr, va = small_data
         report = train(TrainConfig(head="avg_pool", epochs=1, seed=1), tr, va)
         path = tmp_path / "summary.txt"
-        write_summary(path, report, extra={"note": "x"})
+        write_summary(path, report)
         kv = dict(line.split("=", 1) for line in path.read_text().splitlines())
+        assert list(kv) == ["head", "epochs", "final_train_loss", "final_val_metric",
+                            "final_localization", "wall_clock_s", "diverged"]
         assert kv["head"] == "avg_pool"
         assert kv["epochs"] == "1"
         assert kv["diverged"] == "false"
-        assert kv["note"] == "x"
         assert float(kv["final_val_metric"]) == report.final_val_metric
