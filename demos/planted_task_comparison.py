@@ -44,9 +44,9 @@ print(f"\nfinal: avg_pool val {avg.final_val_metric:.3f} | attention val "
       f"{att.final_localization:.3f}")
 
 # heatmap montage for the first validation example (true class)
-_, maps = eval_forward(att.params, att.config, val_ds.X[:1])
 k = int(val_ds.labels[0])
-grids = {key: maps[key][0, :, k].reshape(task.n1, task.n2) for key in ("c", "t", "h")}
+_, maps = eval_forward(att.params, att.config, val_ds.X[:1], classes=[k])
+grids = {key: maps[key][0].reshape(task.n1, task.n2) for key in ("c", "t", "h")}
 out_dir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out_dir, exist_ok=True)
 path = os.path.join(out_dir, "val0_montage.pgm")

@@ -30,7 +30,7 @@ def write_atnp(path, array) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, a.ndim))
         fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-        fh.write(a.astype("<f8").tobytes())
+        fh.write(memoryview(a.astype("<f8", copy=False)).cast("B"))  # no copy when a is "<f8"
 
 
 def read_atnp(path) -> np.ndarray:

@@ -10,8 +10,8 @@ when any of its parents does.  The sweep visits only nodes that need a
 gradient and computes a matmul's input gradient only for the inputs that
 need it, so a constant's grad stays None.  The op set is exactly what
 the pooling heads need; every array is float64 and shapes are strict:
-add, subtract and elementwise_mul take equal shapes, and the only
-broadcast is col_mul's (rows, k) times (rows, 1).
+add, subtract and elementwise_mul take equal shapes, and no op
+broadcasts.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -92,14 +92,6 @@ class Tape:
             raise ShapeError(f"elementwise_mul shape mismatch: {A.shape} vs {B.shape}")
         return self._push("elementwise_mul", A * B, (a, b), lambda g: (g * B, g * A))
 
-    def col_mul(self, a, col):
-        """a (rows, k) times col (rows, 1), broadcast over a's columns."""
-        A, C = a.value, col.value
-        if A.ndim != 2 or C.shape != (A.shape[0], 1):
-            raise ShapeError(f"col_mul shape mismatch: {A.shape} vs column {C.shape}")
-        return self._push("col_mul", A * C, (a, col), lambda g: (
-            g * C, (g * A).sum(axis=1, keepdims=True)))
-
     def segment_sum(self, a, n):
         """Sums of consecutive blocks of n rows: (B*n, k) -> (B, k)."""
         A, n = a.value, int(n)
@@ -123,6 +115,32 @@ class Tape:
 
         return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
                           (X, h), grad_fn)
+
+    def gather_cols(self, X, A, cols, n):
+        """Per block of n rows, X_b A[:, cols[b]]: X (B*n, f), A (f, K) -> (B*n, 1).
+
+        The adjoint of pool: each example's map for its own class column.
+        """
+        Xv, Av, n = X.value, A.value, int(n)
+        cols = np.asarray(cols, dtype=np.int64)
+        if (Xv.ndim != 2 or Av.ndim != 2 or Xv.shape[1] != Av.shape[0] or n < 1
+                or Xv.shape[0] % n or cols.shape != (Xv.shape[0] // n,)
+                or np.any((cols < 0) | (cols >= Av.shape[1]))):
+            raise ShapeError(f"gather_cols shape mismatch: {Xv.shape} x {Av.shape}, "
+                             f"segments of {n}, columns {cols.shape}")
+        B, f = len(cols), Xv.shape[1]
+        a = Av[:, cols].T.reshape(B, f, 1)  # example b's column, one per block
+
+        def grad_fn(g):  # dX_b = g_b a_b^T; dA[:, k] = sum over b with cols[b] = k of X_b^T g_b
+            dA = None
+            if A.needs:
+                dA = np.zeros_like(Av)
+                np.add.at(dA.T, cols, (g.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f))
+            return ((g.reshape(B, n, 1) * a.reshape(B, 1, f)).reshape(B * n, f)
+                    if X.needs else None, dA)
+
+        return self._push("gather_cols", (Xv.reshape(B, n, f) @ a).reshape(B * n, 1), (X, A),
+                          grad_fn)
 
     def relu(self, a):
         A = a.value

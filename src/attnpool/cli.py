@@ -21,8 +21,8 @@ from .pose import NUM_POSE_CHANNELS
 from .selftest import run_all
 from .synth import Dataset, PlantedTaskConfig, gen_planted, read_labels, write_labels
 from .tensors import ShapeError
-from .train import (TrainConfig, eval_forward, evaluate, train, write_report,
-                    write_summary)
+from .train import (TrainConfig, eval_forward, eval_scores, evaluate, train,
+                    write_report, write_summary)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -77,6 +77,13 @@ def load_split(path: str) -> Dataset:
     return ds
 
 
+def _check_scores(scores: np.ndarray, split: str) -> None:
+    """ValueError, naming the split's features, when a score overflowed."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{os.path.join(split, 'features.atnp')}: a feature value is "
+                         "too large to score (non-finite scores)")
+
+
 def cmd_gen(args) -> int:
     cfg = cfgmod.resolve(args.config, args.set)
     train_ds, val_ds = gen_planted(cfgmod.build(PlantedTaskConfig, cfg))
@@ -113,6 +120,7 @@ def cmd_eval(args) -> int:
     ds = load_split(args.data)
     params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
     result = evaluate(params, tconf, ds)
+    _check_scores(result["scores"], args.data)
     out = "".join(f"{key}={result[key]:.6f}\n"
                   for key in ("accuracy", "map", "localization") if key in result)
     if args.out:
@@ -129,11 +137,15 @@ def cmd_heatmap(args) -> int:
         raise ShapeError("the cbp head has no spatial attention maps to export")
     n1, n2 = ds.config.n1, ds.config.n2
     count = min(args.count, len(ds))
-    scores, maps = eval_forward(params, tconf, ds.X[:count])
+    X = ds.X[:count]
+    # the true class, or for multi-label data the top-scoring one
+    classes = (ds.labels[:count] if ds.labels.ndim == 1
+               else np.argmax(eval_scores(params, tconf, X), axis=1))
+    scores, maps = eval_forward(params, tconf, X, classes=classes)
+    _check_scores(scores, args.data)
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):
-        k = int(ds.labels[i]) if ds.labels.ndim == 1 else int(np.argmax(scores[i]))
-        panels = [maps[key][i, :, k].reshape(n1, n2) for key in ("c", "t", "h")]
+        panels = [maps[key][i].reshape(n1, n2) for key in ("c", "t", "h")]
         for name, grid in zip(("combined", "top_down", "bottom_up"), panels):
             export_pgm(normalize_map(grid), os.path.join(args.out, f"ex{i:04d}_{name}.pgm"))
         export_pgm(montage(panels), os.path.join(args.out, f"ex{i:04d}_montage.pgm"))

@@ -45,13 +45,13 @@ def random_instances(count: int, seed: int = 123, max_dim: int = 16):
     return out
 
 
-def graph_scores(head: str, params: dict, X, **config):
-    """Sum-form scores (K,) and maps of one feature map X (n, f), read from
-    the training graph; `_batch_graph`'s logits are these scores / n."""
+def graph_scores(head: str, params: dict, X, k: int = 0, **config):
+    """Sum-form scores (K,) and the class-k maps of one feature map X (n, f),
+    read from the training graph; `_batch_graph`'s logits are these scores / n."""
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
     logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
-                                nodes, X[None], {}, with_maps=True)
+                                nodes, X[None], {}, classes=[k])
     return logits.value[0] * X.shape[0], maps
 
 
@@ -74,7 +74,7 @@ def check_symmetry_and_combined(count: int = 1000) -> tuple:
         scale = 1.0 + abs(both)
         worst_sym = max(worst_sym, abs(s_ab[0] - s_ba[0]) / scale,
                         abs(s_ab[0] - both) / scale)
-        via_map = maps["c"].value.sum(axis=0)
+        via_map = maps["c"].value.sum(axis=0)  # K = 1: class 0's map
         worst_comb = max(worst_comb, float(np.max(np.abs(s_ab - via_map) / (1.0 + np.abs(s_ab)))))
     ok = worst_sym <= 1e-12 and worst_comb <= 1e-12
     return ok, f"symmetry worst {worst_sym:.3e}, combined-map worst {worst_comb:.3e}"

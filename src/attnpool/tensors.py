@@ -49,20 +49,3 @@ def elementwise_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise ShapeError(f"elementwise_mul shape mismatch: {u.shape} vs {v.shape}")
     return u * v
-
-
-def flatten_spatial(grid: np.ndarray) -> np.ndarray:
-    """[n1, n2, f] -> [n1*n2, f] with loc = row*n2 + col."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ShapeError(f"expected a 3-D spatial block, got shape {grid.shape}")
-    n1, n2, f = grid.shape
-    return grid.reshape(n1 * n2, f)
-
-
-def unflatten_spatial(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """[n1*n2, ...] -> [n1, n2, ...], inverse of flatten_spatial."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != n1 * n2:
-        raise ShapeError(f"cannot reshape {x.shape[0]} locations to {n1}x{n2}")
-    return x.reshape((n1, n2) + x.shape[1:])

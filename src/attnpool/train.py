@@ -9,10 +9,11 @@ Every batch is one tape: the batch's examples are stacked into one
 ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter the tape
 as constants, so backward differentiates only the parameters.
 `_batch_graph` is the one definition of every head's scores and maps.
-Training scores pool first (X^T h per example, as in the identity
-a^T (X^T (X b))) and record no map; validation, `evaluate`,
-localization, the heatmap command and the selftest oracle checks read
-its forward pass with its maps (`eval_forward`).
+Training and `eval_scores` score by pooling first (X^T h per example, as
+in the identity a^T (X^T (X b))) and record no map.  Validation,
+`evaluate`, localization, the heatmap command and the selftest oracle
+checks read its forward pass with the maps of one class per example
+(`eval_forward`).
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -171,7 +172,7 @@ def _rank_of(config: TrainConfig) -> int:
 
 
 def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
-                 extra: dict, with_maps: bool = False):
+                 extra: dict, classes=None):
     """Record one batch's forward pass; returns (logits, maps).
 
     This is the only definition of each head's scores and maps: training
@@ -183,11 +184,13 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     (B*n, K) map; avg_pool pools X itself; per_class, with K bottom-up
     columns, sums its combined map.  logits is the (B, K) node.
 
-    with_maps=True also records (B*n, .) map nodes: "h" (one column: the
-    first rank component for rank_p, ones for avg_pool; K for per_class),
-    "t" (first rank component) and "c" (t_k h summed over rank
-    components; avg_pool's is t).  maps always holds pose_reg's "out",
-    the MLP's 17 channels, for its pose loss.  maps is None for cbp.
+    classes (one class index per example, or None) also records the maps
+    of those classes only, as (B*n, 1) nodes (`Tape.gather_cols`): "h"
+    (the first rank component for rank_p, ones for avg_pool, the class's
+    own column for per_class), "t" (first rank component) and "c" (t h
+    summed over rank components; avg_pool's is t).  maps always holds
+    pose_reg's "out", the MLP's 17 channels, for its pose loss.  maps is
+    None for cbp.
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -201,30 +204,33 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     else:
         Xs = tape.const(Xb.reshape(B * n, f))
         maps = {}
+
+        def column(name):  # each example's map for its own class column of a parameter
+            return tape.gather_cols(Xs, nodes[name], classes, n)
+
         if config.head == "avg_pool":
             scores = tape.matmul(tape.segment_sum(Xs, n), nodes["W"])
-            if with_maps:
-                t = tape.matmul(Xs, nodes["W"])
+            if classes is not None:
+                t = column("W")
                 maps.update(h=tape.const(np.ones((B * n, 1))), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
             for p in range(_rank_of(config)):
                 h = tape.matmul(Xs, nodes[f"b{p}"])              # (Bn, 1)
                 sp = tape.matmul(tape.pool(Xs, h, n), nodes[f"A{p}"])
                 scores = sp if p == 0 else tape.add(scores, sp)
-                if with_maps:
-                    t = tape.matmul(Xs, nodes[f"A{p}"])          # (Bn, K)
-                    c = tape.col_mul(t, h)
+                if classes is not None:
+                    t = column(f"A{p}")
+                    c = tape.elementwise_mul(t, h)
                     if p == 0:
                         maps.update(h=h, t=t, c=c)
                     else:
                         maps["c"] = tape.add(maps["c"], c)
         elif config.head == "per_class":
-            t = tape.matmul(Xs, nodes["A"])
-            hm = tape.matmul(Xs, nodes["B_pc"])
-            c = tape.elementwise_mul(t, hm)
-            scores = tape.segment_sum(c, n)
-            if with_maps:
-                maps.update(h=hm, t=t, c=c)
+            scores = tape.segment_sum(tape.elementwise_mul(tape.matmul(Xs, nodes["A"]),
+                                                           tape.matmul(Xs, nodes["B_pc"])), n)
+            if classes is not None:
+                t, h = column("A"), column("B_pc")
+                maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
         elif config.head == "pose_reg":
             ones_col = tape.const(np.ones((B * n, 1)))
             hidden = tape.relu(tape.add(tape.matmul(Xs, nodes["W1"]),
@@ -236,9 +242,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
             h = tape.matmul(out, tape.const(e_att))
             scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
             maps["out"] = out
-            if with_maps:
-                t = tape.matmul(Xs, nodes["A"])
-                maps.update(h=h, t=t, c=tape.col_mul(t, h))
+            if classes is not None:
+                t = column("A")
+                maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
         else:
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)
@@ -281,35 +287,35 @@ def _pose_batch_extra(dataset: Dataset, idx, n):
 
 
 def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
-                 cbp_features: np.ndarray | None = None):
-    """Scores (m, K) and maps of a stack of feature maps (m, n, f).
+                 cbp_features: np.ndarray | None = None, classes=None):
+    """Scores (m, K) of a stack of feature maps (m, n, f), and the maps of
+    one class per example.
 
-    Forward passes of `_batch_graph` with its maps, over chunks of
-    config.batch_size examples and with no backward pass.  maps is None
-    for cbp, else {"h", "t", "c"} as (m, n, K) arrays (see _batch_graph);
-    "h" is a read-only broadcast of the (m, n, 1) bottom-up map where the
-    head has one.  cbp needs its sketch features (m, d).
+    Forward passes of `_batch_graph` over chunks of config.batch_size
+    examples, with no backward pass.  classes holds one class index per
+    example; maps is then {"h", "t", "c"}, each (m, n), for those classes
+    (see _batch_graph).  maps is None when classes is None and for cbp,
+    which needs its sketch features (m, d).
     """
     m, n, _ = X.shape
+    if classes is not None and len(classes) != m:
+        raise ShapeError(f"{len(classes)} classes for {m} examples")
     scores, chunk_maps = [], []
     for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
         stop = start + config.batch_size
         extra = {} if cbp_features is None else {"features": cbp_features[start:stop]}
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra, with_maps=True)
+        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra,
+                                    None if classes is None else classes[start:stop])
         scores.append(logits.value)
-        chunk_maps.append(maps)
+        if classes is not None and maps is not None:
+            chunk_maps.append(maps)
     scores = np.concatenate(scores)
-    if chunk_maps[0] is None:
+    if not chunk_maps:
         return scores, None
-
-    def stacked(key):
-        arr = np.concatenate([maps[key].value for maps in chunk_maps])
-        return arr.reshape(m, n, arr.shape[1])
-
-    return scores, {"h": np.broadcast_to(stacked("h"), (m, n, scores.shape[1])),
-                    "t": stacked("t"), "c": stacked("c")}
+    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps]).reshape(m, n)
+                    for key in ("h", "t", "c")}
 
 
 def eval_scores(params: dict, config: TrainConfig, X: np.ndarray,
@@ -318,21 +324,21 @@ def eval_scores(params: dict, config: TrainConfig, X: np.ndarray,
     return eval_forward(params, config, X, cbp_features)[0]
 
 
+def true_classes(dataset: Dataset) -> np.ndarray:
+    """Each example's label, or its first positive label for multi-label data."""
+    labels = dataset.labels
+    return labels if labels.ndim == 1 else np.argmax(labels > 0, axis=1)
+
+
 def localization_rate(maps: dict | None, dataset: Dataset) -> float:
     """Fraction of examples whose true-class combined map peaks at the planted cell.
 
-    `maps` comes from eval_forward on dataset.X; None (cbp) gives nan.
+    `maps` comes from eval_forward on dataset.X with classes=true_classes(dataset);
+    None (cbp) gives nan.
     """
     if maps is None:
         return float("nan")
-    c = maps["c"]
-    m = len(dataset)
-    if dataset.labels.ndim == 1:
-        true_maps = c[np.arange(m), :, dataset.labels]
-    else:
-        first_pos = np.argmax(dataset.labels > 0, axis=1)
-        true_maps = c[np.arange(m), :, first_pos]
-    return float(np.mean(np.argmax(true_maps, axis=1) == dataset.planted))
+    return float(np.mean(np.argmax(maps["c"], axis=1) == dataset.planted))
 
 
 def _fisher_yates(m: int, seed: int) -> np.ndarray:
@@ -414,14 +420,14 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
 
 def evaluate(params: dict, config: TrainConfig, dataset: Dataset,
              cbp_features: np.ndarray | None = None) -> dict:
-    """Scores, accuracy (or mAP), localization and the combined maps
-    (m, n, K; None for cbp) from one forward pass.
+    """Scores, accuracy (or mAP), localization and the true-class combined
+    maps (m, n; None for cbp) from one forward pass.
 
     cbp computes its sketch features from dataset.X unless given them.
     """
     if config.head == "cbp" and cbp_features is None:
         cbp_features = _cbp_features(config, dataset, sketch_for(config, dataset.X.shape[2]))
-    scores, maps = eval_forward(params, config, dataset.X, cbp_features)
+    scores, maps = eval_forward(params, config, dataset.X, cbp_features, true_classes(dataset))
     out: dict = {"scores": scores, "maps": maps["c"] if maps else None,
                  "localization": localization_rate(maps, dataset)}
     if dataset.labels.ndim == 1:

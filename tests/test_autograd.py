@@ -79,8 +79,12 @@ class TestForward:
         np.testing.assert_array_equal(tape.segment_sum(X, 1).value, X.value)
         # per block of 2 rows: X_b^T h_b
         np.testing.assert_array_equal(tape.pool(X, h, 2).value, [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(tape.col_mul(X, h).value,
-                                      [[1.0, 2.0], [0.0, 0.0], [10.0, 12.0], [-7.0, -8.0]])
+        # per block of 2 rows: X_b times its own column of A (block 0: A[:, 1], block 1: A[:, 0])
+        A = tape.const([[1.0, -1.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(tape.gather_cols(X, A, [1, 0], 2).value,
+                                      [[3.0], [5.0], [5.0], [7.0]])
+        np.testing.assert_array_equal(tape.gather_cols(X, A, [0, 0, 1, 1], 1).value,
+                                      [[1.0], [3.0], [7.0], [9.0]])
 
     def test_segment_ops_shape_errors(self):
         tape = Tape()
@@ -91,10 +95,15 @@ class TestForward:
             tape.pool(X, tape.const(np.zeros((6, 1))), 4)
         with pytest.raises(ShapeError):  # h must be one column of X's rows
             tape.pool(X, tape.const(np.zeros((6, 2))), 3)
+        A = tape.const(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):  # one column per block of 3 rows
+            tape.gather_cols(X, A, [0, 1, 2], 3)
+        with pytest.raises(ShapeError):  # column 3 of a 3-column parameter
+            tape.gather_cols(X, A, [0, 3], 3)
+        with pytest.raises(ShapeError):  # A must have X's width as rows
+            tape.gather_cols(X, tape.const(np.zeros((3, 3))), [0, 1], 3)
         with pytest.raises(ShapeError):
-            tape.col_mul(X, tape.const(np.zeros((5, 1))))
-        with pytest.raises(ShapeError):
-            tape.col_mul(X, tape.const(np.zeros((6, 2))))
+            tape.gather_cols(X, A, [0, 1, 2], 4)
 
 
 class TestBackward:
@@ -211,8 +220,10 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("B,n", [(3, 1), (1, 5), (2, 3)])
     def test_segment_ops(self, B, n):
-        """segment_sum, pool and col_mul, with both pool inputs differentiated."""
+        """segment_sum, pool and gather_cols, with both inputs of pool and of
+        gather_cols differentiated; B = 3 gathers column 0 twice."""
         f, K = 3, 2
+        cols = np.arange(B) % K
 
         def build(params):
             X, b, A = params
@@ -220,9 +231,9 @@ class TestFiniteDifference:
             nX, nb, nA = tape.leaf(X), tape.leaf(b), tape.leaf(A)
             h = tape.matmul(nX, nb)                                        # (Bn, 1)
             pooled = tape.matmul(tape.pool(nX, h, n), nA)                  # (B, K)
-            summed = tape.segment_sum(tape.col_mul(tape.matmul(nX, nA), h), n)
-            loss = tape.softmax_xent(tape.add(pooled, tape.scalar_mul(summed, 0.5)),
-                                     np.arange(B) % K)
+            c = tape.elementwise_mul(tape.gather_cols(nX, nA, cols, n), h)
+            summed = tape.matmul(tape.segment_sum(c, n), tape.const(np.ones((1, K))))
+            loss = tape.softmax_xent(tape.add(pooled, tape.scalar_mul(summed, 0.5)), cols)
             tape.backward(loss)
             return float(loss.value), [nX.grad, nb.grad, nA.grad]
 

@@ -182,6 +182,20 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_overflowing_feature_rejected(self, run_dir, data_dir, tmp_path, command, capsys):
+        # finite, so it loads, but the scores overflow to inf
+        split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+        path = os.path.join(split, "features.atnp")
+        X = read_atnp(path)
+        X[0, 0, 0] = 1e300
+        write_atnp(path, X)
+        argv = [command, "--checkpoint", os.path.join(run_dir, "checkpoint"), "--data", split]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
+        assert rc == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["channels", "range"])
     def test_bad_pose_heatmaps_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
         split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)

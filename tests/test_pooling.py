@@ -142,14 +142,14 @@ class TestMapsAndShapes:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((6, 4))
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        s, maps = graph_scores("attention", rank1(A, b), X)
-        h, t, c = (maps[key].value for key in ("h", "t", "c"))
-        assert h.shape == (6, 1)  # one bottom-up column, shared by the classes
-        np.testing.assert_allclose(np.broadcast_to(h, t.shape),
-                                   np.repeat((X @ b)[:, None], 3, axis=1), rtol=1e-12)
-        np.testing.assert_allclose(t, X @ A, rtol=1e-12)
-        np.testing.assert_array_equal(c, t * h)
-        np.testing.assert_allclose(c.sum(axis=0), s, rtol=1e-12)
+        for k in range(3):
+            s, maps = graph_scores("attention", rank1(A, b), X, k=k)
+            h, t, c = (maps[key].value for key in ("h", "t", "c"))
+            assert h.shape == t.shape == c.shape == (6, 1)  # class k's column only
+            np.testing.assert_allclose(h[:, 0], X @ b, rtol=1e-12)
+            np.testing.assert_allclose(t[:, 0], X @ A[:, k], rtol=1e-12)
+            np.testing.assert_array_equal(c, t * h)
+            assert c.sum() == pytest.approx(s[k], rel=1e-12)
 
     def test_extract_maps_row_major(self):
         # eval_forward keeps each example's locations in X's order, so a
@@ -159,9 +159,9 @@ class TestMapsAndShapes:
         X[3, 1 * n2 + 2, 0] = 1.0
         cfg = TrainConfig(head="attention", batch_size=2)
         params = rank1(np.ones((f, 2)), np.eye(f)[0])
-        _, maps = eval_forward(params, cfg, X)
-        assert maps["c"].shape == (5, n1 * n2, 2)
-        grid = maps["h"][3, :, 0].reshape(n1, n2)
+        _, maps = eval_forward(params, cfg, X, classes=[0, 1, 0, 1, 1])
+        assert maps["c"].shape == (5, n1 * n2)
+        grid = maps["h"][3].reshape(n1, n2)
         assert grid[1, 2] == 1.0 and np.count_nonzero(grid) == 1
         assert np.count_nonzero(maps["h"][[0, 1, 2, 4]]) == 0
 

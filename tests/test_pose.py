@@ -88,7 +88,7 @@ class TestForward:
         W2[:, ATTENTION_CHANNEL] = 1.0 / hdim
         params = _pose_params(np.zeros((3, hdim)), W2, A, bias1=np.ones((1, hdim)))
         scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
-        np.testing.assert_allclose(np.broadcast_to(maps["h"].value, (5, 2)), np.ones((5, 2)))
+        np.testing.assert_allclose(maps["h"].value, np.ones((5, 1)))
         np.testing.assert_allclose(scores, X.sum(axis=0) @ A, atol=1e-12)
 
     def test_graph_matches_numpy_mlp(self):
@@ -98,14 +98,17 @@ class TestForward:
         params = init_head_params(TrainConfig(head="pose_reg", hdim=hdim, seed=4), f, K)
         params["bias1"] = rng.standard_normal((1, hdim))
         params["bias2"] = rng.standard_normal((1, NUM_HEAD_CHANNELS))
-        scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
         hidden = np.maximum(X @ params["W1"] + params["bias1"], 0.0)
         out = hidden @ params["W2"] + params["bias2"]
         h = out[:, ATTENTION_CHANNEL]
         t = X @ params["A"]
-        np.testing.assert_allclose(maps["out"].value, out, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(maps["c"].value, t * h[:, None], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(scores, t.T @ h, rtol=1e-12, atol=1e-12)
+        for k in range(K):
+            scores, maps = graph_scores("pose_reg", params, X, k=k, hdim=hdim)
+            np.testing.assert_allclose(maps["out"].value, out, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(maps["h"].value[:, 0], h, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(maps["c"].value[:, 0], t[:, k] * h,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(scores, t.T @ h, rtol=1e-12, atol=1e-12)
 
     def test_forward_shape_error(self):
         params = init_head_params(TrainConfig(head="pose_reg", hdim=3), 4, 2)

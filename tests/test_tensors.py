@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from attnpool.tensors import (ShapeError, as_matrix, elementwise_mul,
-                              flatten_spatial, matmul, unflatten_spatial)
+from attnpool.tensors import ShapeError, as_matrix, elementwise_mul, matmul
 
 
 class TestMatmul:
@@ -62,14 +61,6 @@ class TestConstructionAndShapes:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ShapeError):
             as_matrix([], shape=(0, 3))
-
-    def test_row_major_flatten_round_trip(self):
-        rng = np.random.default_rng(5)
-        grid = rng.standard_normal((3, 4, 2))
-        flat = flatten_spatial(grid)
-        # loc = row*n2 + col
-        assert np.array_equal(flat[1 * 4 + 2], grid[1, 2])
-        assert np.array_equal(unflatten_spatial(flat, 3, 4), grid)
 
 
 def test_evaluation_order_associativity():

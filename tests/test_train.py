@@ -5,6 +5,7 @@ import pytest
 
 from attnpool.autograd import Tape
 from attnpool.pooling import score_second_order
+from attnpool.pose import ATTENTION_CHANNEL
 from attnpool.rng import SplitMix64
 from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                             metric_accuracy)
@@ -13,7 +14,7 @@ from attnpool.selftest import head_gradient_error
 from attnpool.train import (HEAD_KINDS, TrainConfig, TrainDivergence, _batch_graph,
                             _batch_loss, _fisher_yates, eval_forward, eval_scores, evaluate,
                             init_head_params, localization_rate, sgd_step,
-                            train, write_report, write_summary)
+                            train, true_classes, write_report, write_summary)
 
 SMALL_TASK = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=128,
                                val_samples=64, seed=11)
@@ -22,6 +23,31 @@ SMALL_TASK = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=128,
 @pytest.fixture(scope="module")
 def small_data():
     return gen_planted(SMALL_TASK)
+
+
+@pytest.fixture(scope="module")
+def multi_label_data():
+    return gen_planted(PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=16,
+                                         val_samples=4, seed=6, multi_label=True))
+
+
+def _all_class_maps(head, params, X):
+    """Every class's maps h, t, c (m, n, K) of a head, written with plain numpy."""
+    if head == "avg_pool":
+        t = X @ params["W"]
+        return np.ones_like(t), t, t
+    if head == "per_class":
+        t, h = X @ params["A"], X @ params["B_pc"]
+        return h, t, t * h
+    if head == "pose_reg":
+        hidden = np.maximum(X @ params["W1"] + params["bias1"], 0.0)
+        h = (hidden @ params["W2"] + params["bias2"])[..., ATTENTION_CHANNEL, None]
+        t = X @ params["A"]
+        return np.broadcast_to(h, t.shape), t, t * h
+    ranks = range(sum(name.startswith("A") for name in params))  # A0 .. A{P-1}
+    hs = [X @ params[f"b{p}"] for p in ranks]
+    ts = [X @ params[f"A{p}"] for p in ranks]
+    return np.broadcast_to(hs[0], ts[0].shape), ts[0], sum(t * h for t, h in zip(ts, hs))
 
 
 class TestSgdStep:
@@ -162,26 +188,77 @@ class TestScores:
         tr, _ = small_data
         cfg = TrainConfig(head=head, seed=5, batch_size=4, **kw)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
-        Xb = tr.X[:6]
+        Xb, classes = tr.X[:6], tr.labels[:6]
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {}, with_maps=True)
-        scores, chunked = eval_forward(params, cfg, Xb)
+        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {}, classes)
+        scores, chunked = eval_forward(params, cfg, Xb, classes=classes)
         np.testing.assert_allclose(logits.value, scores, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(maps["c"].value.reshape(chunked["c"].shape), chunked["c"],
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(scores, eval_scores(params, cfg, Xb))
 
-
     def test_eval_bottom_up_map_is_one_shared_column(self, small_data):
+        # attention's bottom-up map is X b whichever class is asked for
         tr, _ = small_data
         cfg = TrainConfig(head="attention", seed=5, batch_size=4)
         params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
-        _, maps = eval_forward(params, cfg, tr.X[:6])
-        h = maps["h"]
-        assert h.shape == (6, SMALL_TASK.n, SMALL_TASK.K)
-        assert h.strides[2] == 0 and not h.flags.writeable  # a view, not K copies
-        np.testing.assert_allclose(h[..., 1], tr.X[:6] @ params["b0"][:, 0], rtol=1e-12)
+        for k in range(SMALL_TASK.K):
+            _, maps = eval_forward(params, cfg, tr.X[:6], classes=np.full(6, k))
+            assert maps["h"].shape == (6, SMALL_TASK.n)
+            np.testing.assert_allclose(maps["h"], tr.X[:6] @ params["b0"][:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("head,kw", [
+        ("avg_pool", {}), ("attention", {}), ("attention", {"use_bias": True}),
+        ("rank_p", {"rank": 3}), ("per_class", {}), ("pose_reg", {"hdim": 6}),
+    ])
+    @pytest.mark.parametrize("multi_label", [False, True])
+    def test_class_maps_match_all_class_maps(self, small_data, multi_label_data, head, kw,
+                                             multi_label):
+        # 10 examples in chunks of 4: the last chunk is short
+        ds = (multi_label_data if multi_label else small_data)[0]
+        m, n, f, K = 10, SMALL_TASK.n, SMALL_TASK.f, SMALL_TASK.K
+        X, classes = ds.X[:m], true_classes(ds)[:m]
+        cfg = TrainConfig(head=head, seed=5, batch_size=4, **kw)
+        params = init_head_params(cfg, f, K)
+        if "bias" in params:
+            params["bias"] = np.arange(1.0, K + 1.0)[None, :]
+        scores, maps = eval_forward(params, cfg, X, classes=classes)
+        np.testing.assert_array_equal(scores, eval_scores(params, cfg, X))
+        for key, full in zip(("h", "t", "c"), _all_class_maps(head, params, X)):
+            want = full[np.arange(m), :, classes]
+            assert maps[key].shape == (m, n)
+            np.testing.assert_allclose(maps[key], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        # the maps are of the chosen columns only: no (B*n, K) node
+        tape = Tape()
+        nodes = {name: tape.const(p) for name, p in params.items()}
+        _batch_graph(tape, cfg, nodes, X[:4], {}, classes[:4])
+        if head != "per_class":  # per_class scores through its K bottom-up maps
+            assert (4 * n, K) not in {node.value.shape for node in tape.nodes}
+
+    def test_class_maps_of_no_examples_and_of_cbp(self, small_data):
+        tr, _ = small_data
+        cfg = TrainConfig(head="attention", seed=5, batch_size=4)
+        params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
+        scores, maps = eval_forward(params, cfg, tr.X[:0], classes=np.zeros(0, dtype=np.int64))
+        assert scores.shape == (0, SMALL_TASK.K)
+        assert all(maps[key].shape == (0, SMALL_TASK.n) for key in ("h", "t", "c"))
+        assert eval_forward(params, cfg, tr.X[:6])[1] is None
+        with pytest.raises(ShapeError):  # one class per example
+            eval_forward(params, cfg, tr.X[:6], classes=[0, 1])
+        cbp = TrainConfig(head="cbp", sketch_dim=8)
+        features = np.ones((6, 8))
+        assert eval_forward(init_head_params(cbp, SMALL_TASK.f, SMALL_TASK.K), cbp, tr.X[:6],
+                            features, classes=tr.labels[:6])[1] is None
+
+    def test_true_classes(self, small_data, multi_label_data):
+        tr, _ = small_data
+        np.testing.assert_array_equal(true_classes(tr), tr.labels)
+        ml = multi_label_data[0]
+        assert ml.labels.ndim == 2
+        np.testing.assert_array_equal(true_classes(ml),
+                                      [int(np.flatnonzero(row)[0]) for row in ml.labels])
 
 
 class TestTrainingTape:
@@ -227,7 +304,7 @@ class TestLocalization:
                      labels=np.array([0]), planted=np.array([0]))
         params = {"A0": np.eye(2), "b0": np.array([[1.0], [0.0]])}
         cfg = TrainConfig(head="attention")
-        _, maps = eval_forward(params, cfg, ds.X)
+        _, maps = eval_forward(params, cfg, ds.X, classes=[0])
         assert localization_rate(maps, ds) == 1.0
         ds_miss = Dataset(config=cfg_task, X=np.eye(2)[None, :, :],
                           labels=np.array([0]), planted=np.array([1]))
@@ -355,10 +432,10 @@ class TestEvaluateAndReports:
         report = train(cfg, tr, va)
         out = evaluate(report.params, cfg, va)
         assert set(out) == {"scores", "accuracy", "localization", "maps"}
-        scores, maps = eval_forward(report.params, cfg, va.X)
+        scores, maps = eval_forward(report.params, cfg, va.X, classes=va.labels)
         np.testing.assert_array_equal(out["scores"], scores)
         np.testing.assert_array_equal(out["maps"], maps["c"])
-        assert out["maps"].shape == (len(va), SMALL_TASK.n, SMALL_TASK.K)
+        assert out["maps"].shape == (len(va), SMALL_TASK.n)
         # the last epoch's validation is this same pass
         assert out["accuracy"] == metric_accuracy(scores, va.labels)
         assert out["accuracy"] == report.final_val_metric
