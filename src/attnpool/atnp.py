@@ -10,6 +10,7 @@ Layout (all little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -34,28 +35,30 @@ def write_atnp(path, array) -> None:
 
 
 def read_atnp(path) -> np.ndarray:
+    """Read an ATNP file into one array, checking its size before allocating."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise AtnpError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise AtnpError(f"{path}: truncated header")
-    version, ndim = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise AtnpError(f"{path}: unsupported version {version}")
-    off = 12
-    if len(blob) < off + 4 * ndim:
-        raise AtnpError(f"{path}: truncated dims")
-    dims = struct.unpack_from(f"<{ndim}I", blob, off)
-    off += 4 * ndim
-    count = 1
-    for d in dims:
-        if d < 1:
-            raise AtnpError(f"{path}: invalid dim {d}")
-        count *= d
-    if len(blob) != off + 8 * count:
-        raise AtnpError(
-            f"{path}: expected {off + 8 * count} bytes total, got {len(blob)}"
-        )
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-    return values.astype(np.float64).reshape(dims)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != MAGIC:
+            raise AtnpError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 12:
+            raise AtnpError(f"{path}: truncated header")
+        version, ndim = struct.unpack_from("<II", head, 4)
+        if version != VERSION:
+            raise AtnpError(f"{path}: unsupported version {version}")
+        off = 12 + 4 * ndim
+        if size < off:
+            raise AtnpError(f"{path}: truncated dims")
+        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        count = 1
+        for d in dims:
+            if d < 1:
+                raise AtnpError(f"{path}: invalid dim {d}")
+            count *= d
+        if size != off + 8 * count:
+            raise AtnpError(f"{path}: expected {off + 8 * count} bytes total, got {size}")
+        values = np.empty(count, dtype="<f8")
+        got = off + fh.readinto(memoryview(values).cast("B"))
+        if got != size:  # the file shrank after fstat
+            raise AtnpError(f"{path}: expected {size} bytes total, got {got}")
+    return values.astype(np.float64, copy=False).reshape(dims)

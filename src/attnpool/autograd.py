@@ -5,13 +5,14 @@ it checks its input shapes, computes its value and appends a node that
 carries its parent ids and its gradient function, a closure over the
 input values, so a single reverse sweep in id order computes gradients.
 Leaves (`Tape.leaf`, parameters) need a gradient; constants
-(`Tape.const`, data, selectors and targets) do not, and a node needs one
-when any of its parents does.  The sweep visits only nodes that need a
-gradient and computes a matmul's input gradient only for the inputs that
-need it, so a constant's grad stays None.  The op set is exactly what
-the pooling heads need; every array is float64 and shapes are strict:
-add, subtract and elementwise_mul take equal shapes, and no op
-broadcasts.
+(`Tape.const`, data and targets) do not, and a node needs one when any
+of its parents does.  The sweep visits only nodes that need a gradient
+and computes a matmul's input gradient only for the inputs that need
+it, so a constant's grad stays None.  The op set is exactly what the
+pooling heads need; every array is float64 and shapes are strict: add,
+subtract and elementwise_mul take equal shapes, add_row adds one (1, k)
+row to every row, cols takes a column slice, and no other op
+broadcasts or slices.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -62,7 +63,7 @@ class Tape:
         return self._push("leaf", value, needs=True)
 
     def const(self, value) -> Node:
-        """An input that needs no gradient (data, selectors, targets)."""
+        """An input that needs no gradient (data, targets)."""
         return self._push("const", value, needs=False)
 
     def matmul(self, a, b):
@@ -81,6 +82,29 @@ class Tape:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"subtract shape mismatch: {a.value.shape} vs {b.value.shape}")
         return self._push("subtract", a.value - b.value, (a, b), lambda g: (g, -g))
+
+    def add_row(self, a, row):
+        """a + row for every row of a: a (r, k), row (1, k) -> (r, k)."""
+        A, R = a.value, row.value
+        if A.ndim != 2 or R.shape != (1, A.shape[1]):
+            raise ShapeError(f"add_row shape mismatch: {A.shape} + row {R.shape}")
+        # the row's gradient sums g's rows as one BLAS product: faster than
+        # g.sum(axis=0), whose summation order also differs
+        return self._push("add_row", A + R, (a, row), lambda g: (
+            g, np.ones((1, g.shape[0])) @ g if row.needs else None))
+
+    def cols(self, a, start, stop):
+        """Columns start..stop-1 of a (r, k) node: (r, stop - start)."""
+        A, start, stop = a.value, int(start), int(stop)
+        if A.ndim != 2 or not 0 <= start < stop <= A.shape[1]:
+            raise ShapeError(f"cols [{start}, {stop}) out of range for {A.shape}")
+
+        def grad_fn(g):
+            ga = np.zeros_like(A)
+            ga[:, start:stop] = g
+            return (ga,)
+
+        return self._push("cols", A[:, start:stop], (a,), grad_fn)
 
     def scalar_mul(self, a, c):
         c = float(c)
@@ -195,8 +219,7 @@ class Tape:
             node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss.id + 1]):
-            if not node.needs or node.grad_fn is None or node.grad is None \
-                    or not np.any(node.grad):
+            if not node.needs or node.grad_fn is None or node.grad is None:
                 continue
             for i, pg in zip(node.parents, node.grad_fn(node.grad)):
                 parent = self.nodes[i]

@@ -108,13 +108,20 @@ class TrainReport:
 
 def sgd_step(params: dict, grads: dict, state: dict, lr: float,
              momentum: float, weight_decay: float) -> None:
-    """In-place heavy-ball update: v <- m*v + g + wd*p;  p <- p - lr*v."""
+    """In-place heavy-ball update: v <- m*v + g + wd*p;  p <- p - lr*v.
+
+    Overwrites the arrays of params and state, in the operation order of
+    the formula, so the result is bitwise that of the formula.
+    """
     for name in params:
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainDivergence(f"non-finite gradient for parameter {name!r}")
-        state[name] = momentum * state[name] + g + weight_decay * params[name]
-        params[name] = params[name] - lr * state[name]
+        v, p = state[name], params[name]
+        v *= momentum
+        v += g
+        v += weight_decay * p
+        p -= lr * v
 
 
 def head_shapes(config: TrainConfig, f: int, K: int) -> dict:
@@ -190,7 +197,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     own column for per_class), "t" (first rank component) and "c" (t h
     summed over rank components; avg_pool's is t).  maps always holds
     pose_reg's "out", the MLP's 17 channels, for its pose loss.  maps is
-    None for cbp.
+    None for cbp.  Biases (pose_reg's MLP, and `use_bias`) are added as
+    rows (`Tape.add_row`); pose_reg's h and its pose loss's keypoint
+    channels are column slices of "out" (`Tape.cols`).
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -232,14 +241,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
                 t, h = column("A"), column("B_pc")
                 maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
         elif config.head == "pose_reg":
-            ones_col = tape.const(np.ones((B * n, 1)))
-            hidden = tape.relu(tape.add(tape.matmul(Xs, nodes["W1"]),
-                                        tape.matmul(ones_col, nodes["bias1"])))
-            out = tape.add(tape.matmul(hidden, nodes["W2"]),
-                           tape.matmul(ones_col, nodes["bias2"]))
-            e_att = np.zeros((NUM_HEAD_CHANNELS, 1))
-            e_att[ATTENTION_CHANNEL, 0] = 1.0
-            h = tape.matmul(out, tape.const(e_att))
+            hidden = tape.relu(tape.add_row(tape.matmul(Xs, nodes["W1"]), nodes["bias1"]))
+            out = tape.add_row(tape.matmul(hidden, nodes["W2"]), nodes["bias2"])
+            h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
             scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
             maps["out"] = out
             if classes is not None:
@@ -249,8 +253,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)
     if "bias" in nodes:
-        ones_b = tape.const(np.ones((B, 1)))
-        scores = tape.add(scores, tape.matmul(ones_b, nodes["bias"]))
+        scores = tape.add_row(scores, nodes["bias"])
     return scores, maps
 
 
@@ -262,10 +265,8 @@ def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, extra):
         loss = tape.sigmoid_xent(scores, yb)
     if config.head == "pose_reg" and config.lambda_pose > 0:
         B, n, _ = Xb.shape
-        sel = np.zeros((NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS))
-        sel[:NUM_POSE_CHANNELS, :NUM_POSE_CHANNELS] = np.eye(NUM_POSE_CHANNELS)
-        p16 = tape.matmul(maps["out"], tape.const(sel))
-        diff = tape.subtract(p16, tape.const(extra["pose_targets"]))
+        keypoints = tape.cols(maps["out"], 0, NUM_POSE_CHANNELS)
+        diff = tape.subtract(keypoints, tape.const(extra["pose_targets"]))
         # per-example mask folded into sqrt weights so one sum_squares
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
         weighted = tape.elementwise_mul(diff, tape.const(extra["pose_weights"]))

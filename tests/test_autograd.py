@@ -105,6 +105,30 @@ class TestForward:
         with pytest.raises(ShapeError):
             tape.gather_cols(X, A, [0, 1, 2], 4)
 
+    def test_add_row_and_cols_hand_values(self):
+        tape = Tape()
+        a = tape.const([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        row = tape.const([[10.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(tape.add_row(a, row).value,
+                                      [[11.0, 2.0, 2.0], [14.0, 5.0, 5.0]])
+        np.testing.assert_array_equal(tape.cols(a, 2, 3).value, [[3.0], [6.0]])
+        np.testing.assert_array_equal(tape.cols(a, 0, 2).value, [[1.0, 2.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(tape.cols(a, 0, 3).value, a.value)
+
+    def test_add_row_and_cols_shape_errors(self):
+        tape = Tape()
+        a = tape.const(np.zeros((2, 3)))
+        for bad_row in (np.zeros((3,)), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((3, 1))):
+            with pytest.raises(ShapeError):  # the row must be (1, k)
+                tape.add_row(a, tape.const(bad_row))
+        with pytest.raises(ShapeError):
+            tape.add_row(tape.const(np.zeros(3)), tape.const(np.zeros((1, 3))))
+        for start, stop in ((0, 4), (-1, 2), (2, 2), (2, 1), (3, 4)):
+            with pytest.raises(ShapeError):  # an empty or out-of-range slice
+                tape.cols(a, start, stop)
+        with pytest.raises(ShapeError):
+            tape.cols(tape.const(np.zeros(3)), 0, 1)
+
 
 class TestBackward:
     def test_matmul_gradients_hand(self):
@@ -147,6 +171,48 @@ class TestBackward:
         tape.backward(tape.sum(y))
         assert x.grad is None and data_only.grad is None
         np.testing.assert_array_equal(a.grad, [[3.0, 4.0]])
+
+    def test_add_row_and_cols_gradients_hand(self):
+        tape = Tape()
+        a = tape.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        row = tape.leaf([[0.0, 0.0, 0.0]])
+        s = tape.add_row(a, row)
+        # two slices of one node, both in the loss: 2 * col 0 + sum of squares of cols 1..2
+        loss = tape.add(tape.scalar_mul(tape.sum(tape.cols(s, 0, 1)), 2.0),
+                        tape.sum_squares(tape.cols(s, 1, 3)))
+        tape.backward(loss)
+        g = [[2.0, 4.0, 6.0], [2.0, 10.0, 12.0]]
+        np.testing.assert_array_equal(a.grad, g)
+        np.testing.assert_array_equal(row.grad, [[4.0, 14.0, 18.0]])
+
+    def test_add_row_gradient_sums_rows_by_matmul(self):
+        rng = np.random.default_rng(3)
+        tape = Tape()
+        a = tape.const(rng.standard_normal((50, 4)))
+        row = tape.leaf(rng.standard_normal((1, 4)))
+        w = rng.standard_normal((50, 4))
+        tape.backward(tape.sum_squares(tape.elementwise_mul(tape.add_row(a, row),
+                                                            tape.const(w))))
+        g = 2.0 * (a.value + row.value) * w * w
+        np.testing.assert_array_equal(row.grad, np.ones((1, 50)) @ g)
+
+    def test_dead_relu_layer_gets_exact_zero_grads(self):
+        """Backward runs the dead layer's zero gradients through; no NaN appears."""
+        rng = np.random.default_rng(4)
+        X = np.abs(rng.standard_normal((6, 3)))
+        tape = Tape()
+        W = tape.leaf(-np.abs(rng.standard_normal((3, 4))))  # every pre-activation below 0
+        bias = tape.leaf(np.full((1, 4), -0.5))
+        W2 = tape.leaf(rng.standard_normal((4, 2)))
+        bias2 = tape.leaf(np.zeros((1, 2)))
+        pre = tape.add_row(tape.matmul(tape.const(X), W), bias)
+        assert np.all(pre.value < 0.0)
+        logits = tape.add_row(tape.matmul(tape.relu(pre), W2), bias2)
+        tape.backward(tape.softmax_xent(logits, [0, 1, 0, 0, 1, 0]))
+        for node in (W, bias, W2):
+            assert np.all(np.isfinite(node.grad))
+            np.testing.assert_array_equal(node.grad, np.zeros_like(node.value))
+        assert np.all(np.isfinite(bias2.grad)) and np.any(bias2.grad)
 
     def test_leaf_untouched_by_graph_has_zero_grad(self):
         tape = Tape()
@@ -238,3 +304,27 @@ class TestFiniteDifference:
             return float(loss.value), [nX.grad, nb.grad, nA.grad]
 
         self._check(build, [(B * n, f), (f, 1), (f, K)], seed=B * 10 + n)
+
+    @pytest.mark.parametrize("r", [1, 7])
+    def test_add_row_and_cols(self, r):
+        """A two-layer MLP with rows added by add_row and two column slices
+        of its output that both feed the loss, as pose_reg's "out" does."""
+        X = np.random.default_rng(r).standard_normal((r, 3))
+        target = np.random.default_rng(r + 1).standard_normal((r, 2))
+
+        def build(params):
+            W1, b1, W2, b2 = params
+            tape = Tape()
+            nW1, nb1, nW2, nb2 = (tape.leaf(p) for p in params)
+            hidden = tape.relu(tape.add_row(tape.matmul(tape.const(X), nW1), nb1))
+            out = tape.add_row(tape.matmul(hidden, nW2), nb2)               # (r, 3)
+            h = tape.cols(out, 2, 3)
+            logits = tape.matmul(tape.segment_sum(tape.elementwise_mul(
+                tape.const(X), tape.matmul(h, tape.const(np.ones((1, 3))))), r),
+                tape.const(np.eye(3)))                                      # (1, 3)
+            fit = tape.sum_squares(tape.subtract(tape.cols(out, 0, 2), tape.const(target)))
+            loss = tape.add(tape.softmax_xent(logits, [1]), tape.scalar_mul(fit, 0.1))
+            tape.backward(loss)
+            return float(loss.value), [nW1.grad, nb1.grad, nW2.grad, nb2.grad]
+
+        self._check(build, [(3, 5), (1, 5), (5, 3), (1, 3)], seed=20 + r)

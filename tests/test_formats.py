@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ class TestAtnp:
         write_atnp(p1, arr)
         write_atnp(p2, read_atnp(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_read_holds_one_copy(self, tmp_path):
+        arr = np.random.default_rng(1).standard_normal((200, 49, 32))
+        path = tmp_path / "big.atnp"
+        write_atnp(path, arr)
+        tracemalloc.start()
+        try:
+            out = read_atnp(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, arr)
+        assert peak < 1.25 * arr.nbytes
 
     def test_zero_d_written_as_length_one(self, tmp_path):
         path = tmp_path / "s.atnp"

@@ -75,6 +75,25 @@ class TestSgdStep:
                  weight_decay=0.0)
         np.testing.assert_array_equal(p["w"], [1.0, -2.0])
 
+    def test_in_place_update_matches_formula_bitwise(self):
+        rng = np.random.default_rng(8)
+        shapes = {"A": (5, 3), "b": (5, 1)}
+        params = {name: rng.standard_normal(s) for name, s in shapes.items()}
+        state = {name: np.zeros(s) for name, s in shapes.items()}
+        want_p = {name: p.copy() for name, p in params.items()}
+        want_v = {name: v.copy() for name, v in state.items()}
+        arrays = {name: (params[name], state[name]) for name in shapes}
+        for _ in range(6):
+            grads = {name: rng.standard_normal(s) for name, s in shapes.items()}
+            sgd_step(params, grads, state, lr=0.03, momentum=0.9, weight_decay=1e-4)
+            for name in shapes:
+                want_v[name] = 0.9 * want_v[name] + grads[name] + 1e-4 * want_p[name]
+                want_p[name] = want_p[name] - 0.03 * want_v[name]
+                assert np.array_equal(params[name], want_p[name])
+                assert np.array_equal(state[name], want_v[name])
+        for name in shapes:  # updated in place
+            assert params[name] is arrays[name][0] and state[name] is arrays[name][1]
+
     def test_non_finite_gradient_raises(self):
         p = {"w": np.zeros(1)}
         with pytest.raises(TrainDivergence):
