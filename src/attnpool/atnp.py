@@ -27,6 +27,8 @@ def write_atnp(path, array) -> None:
     a = np.ascontiguousarray(array, dtype=np.float64)
     if a.ndim == 0:
         a = a.reshape(1)
+    if a.size == 0:  # read_atnp rejects a dim of 0
+        raise AtnpError(f"{path}: cannot write shape {a.shape}, which has a dim of 0")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, a.ndim))

@@ -17,8 +17,6 @@ Derived values:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -54,14 +52,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError(f"next_below requires n >= 1, got {n}")
         return self.next_u64() % n
-
-    def next_normal(self) -> float:
-        """One standard normal; consumes exactly two u64 draws."""
-        u1 = self.next_u64()
-        u2 = self.next_u64()
-        r = math.sqrt(-2.0 * math.log(((u1 >> 11) + 1) / _TWO53))
-        theta = 2.0 * math.pi * (u2 >> 11) / _TWO53
-        return r * math.cos(theta)
 
 
 def u64_stream(seed: int, count: int) -> np.ndarray:

@@ -11,7 +11,11 @@ materializing the f x f statistic.
 The circular convolution is a product of spectra (numpy.fft.rfft), so a
 sketch costs O(d log d) (Pham & Pagh, KDD 2013).  cbp_pool count-sketches
 all rows of a feature map at once, sums their spectrum products over
-locations and inverts once per map (Gao et al., CVPR 2016).
+locations and inverts once per map (Gao et al., CVPR 2016).  A stack of
+maps goes through in chunks of whole maps of at most CHUNK_VALUES values
+(maps x locations x d): fewer numpy calls than one per map, and a
+working set of bounded size.  Its features are bitwise those of per-map
+calls.
 
 Hash and sign tables are pure functions of (seed, f, d) via SplitMix64,
 so sketches reproduce bit-exactly across implementations; serializing a
@@ -26,6 +30,9 @@ import numpy as np
 
 from .rng import u64_stream
 from .tensors import ShapeError
+
+# values (maps x locations x sketch bins) that cbp_pool sketches at once
+CHUNK_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -101,13 +108,29 @@ def tensor_sketch(x, params: SketchParams) -> np.ndarray:
 
 
 def cbp_pool(X, params: SketchParams) -> np.ndarray:
-    """Sum of per-location TensorSketches of the rows of X.
+    """Sum of per-location TensorSketches of the rows of one map (n, f)
+    -> (d,), or of each map of a stack (m, n, f) -> (m, d).
 
-    The FFT is linear, so the spectrum products are summed over rows and
-    inverted once.
+    The FFT is linear, so the spectrum products are summed over
+    locations and inverted once per map.  A stack is sketched in chunks
+    of whole maps, of at most CHUNK_VALUES values of n * d unless one map
+    alone has more.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.num_features:
+    if X.ndim not in (2, 3) or X.shape[-1] != params.num_features:
         raise ShapeError(f"X shape {X.shape} vs sketch f={params.num_features}")
-    f1, f2 = _spectra(X, params)
-    return np.fft.irfft((f1 * f2).sum(axis=0), n=params.d)
+    if X.ndim == 2:
+        return _pool_maps(X[None], params)[0]
+    m, n, _ = X.shape
+    step = max(1, CHUNK_VALUES // max(1, n * params.d))
+    out = np.empty((m, params.d))
+    for start in range(0, m, step):
+        out[start:start + step] = _pool_maps(X[start:start + step], params)
+    return out
+
+
+def _pool_maps(X, params: SketchParams) -> np.ndarray:
+    """cbp_pool of each map of a (c, n, f) stack, sketched all at once."""
+    c, n, f = X.shape
+    f1, f2 = _spectra(X.reshape(c * n, f), params)
+    return np.fft.irfft((f1 * f2).reshape(c, n, params.d // 2 + 1).sum(axis=1), n=params.d)

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0 or self.rank < 1:
             raise ValueError("batch_size/epochs/rank out of range")
+        if self.hdim < 1 or self.sketch_dim < 1:
+            raise ValueError("hdim/sketch_dim must be >= 1")
         if self.lambda_pose < 0:
             raise ValueError("lambda_pose must be nonnegative")
 
@@ -351,8 +353,8 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
     return idx
 
 
-def _cbp_features(config: TrainConfig, dataset: Dataset, sk: SketchParams) -> np.ndarray:
-    return np.stack([cbp_pool(dataset.X[i], sk) for i in range(len(dataset))])
+def _cbp_features(dataset: Dataset, sk: SketchParams) -> np.ndarray:
+    return cbp_pool(dataset.X, sk)
 
 
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
@@ -375,8 +377,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
     cbp_train = cbp_val = None
     if config.head == "cbp":
         sk = sketch_for(config, f)
-        cbp_train = _cbp_features(config, train_ds, sk)
-        cbp_val = _cbp_features(config, val_ds, sk)
+        cbp_train = _cbp_features(train_ds, sk)
+        cbp_val = _cbp_features(val_ds, sk)
 
     try:
         for epoch in range(config.epochs):
@@ -427,7 +429,7 @@ def evaluate(params: dict, config: TrainConfig, dataset: Dataset,
     cbp computes its sketch features from dataset.X unless given them.
     """
     if config.head == "cbp" and cbp_features is None:
-        cbp_features = _cbp_features(config, dataset, sketch_for(config, dataset.X.shape[2]))
+        cbp_features = _cbp_features(dataset, sketch_for(config, dataset.X.shape[2]))
     scores, maps = eval_forward(params, config, dataset.X, cbp_features, true_classes(dataset))
     out: dict = {"scores": scores, "maps": maps["c"] if maps else None,
                  "localization": localization_rate(maps, dataset)}

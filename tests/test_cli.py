@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from attnpool import cli
 from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
                           main)
@@ -117,6 +118,20 @@ class TestTrain:
         assert os.path.exists(os.path.join(run_dir, "checkpoint", "manifest.txt"))
         lines = open(os.path.join(run_dir, "report.tsv")).read().splitlines()
         assert len(lines) == 3  # one row per epoch
+
+    @pytest.mark.parametrize("setting", ["train.hdim=0", "train.hdim=-1",
+                                         "train.sketch_dim=0", "train.sketch_dim=-1"])
+    def test_size_below_one_exits_before_reading_data(self, data_dir, tmp_path,
+                                                       monkeypatch, setting):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+        monkeypatch.setattr(cli, "load_split", no_read)
+        head = "pose_reg" if "hdim" in setting else "cbp"
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data_dir, "--out", str(out), "--set", setting,
+                   "--set", f"train.head={head}"] + SMALL)
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_missing_data_dir_is_io_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "missing"),

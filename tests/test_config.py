@@ -138,3 +138,11 @@ class TestSchema:
         owner = {"task": "PlantedTaskConfig", "train": "TrainConfig"}[section]
         assert changed == {f"{owner}.{field}": cfg[key]}
         assert cfg[key] != DEFAULTS[key] and type(cfg[key]) is type(DEFAULTS[key])
+
+
+@pytest.mark.parametrize("key", ["train.hdim", "train.sketch_dim"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sizes_below_one_rejected(key, value):
+    cfg = resolve(overrides=(f"{key}={value}",), env={})
+    with pytest.raises(ValueError, match="hdim/sketch_dim"):
+        build(TrainConfig, cfg)

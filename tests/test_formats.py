@@ -51,6 +51,12 @@ class TestAtnp:
         out = read_atnp(path)
         assert out.shape == (1,) and out[0] == 7.0
 
+    def test_zero_size_array_rejected_before_open(self, tmp_path):
+        path = tmp_path / "empty.atnp"
+        with pytest.raises(AtnpError, match="dim of 0"):
+            write_atnp(path, np.zeros((3, 0)))
+        assert not path.exists()
+
     def test_exact_layout(self, tmp_path):
         path = tmp_path / "a.atnp"
         write_atnp(path, np.array([[1.0, 2.0]]))
@@ -213,6 +219,8 @@ class TestCheckpoint:
         ("head=attention", "head=rank_9"),         # not a head
         ("tensor.A0.dims=32x8", "tensor.A0.dims=32xeight"),
         ("format_version=1", "format_version=1\nno equals sign"),
+        ("hdim=128", "hdim=0"),                    # a TrainConfig check
+        ("sketch_dim=64", "sketch_dim=-1"),
     ])
     def test_bad_manifest_entry(self, tmp_path, old, new):
         ckpt = self._save(tmp_path)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from attnpool.rng import SplitMix64
-from attnpool.sketch import SketchParams, cbp_pool, count_sketch, tensor_sketch
+from attnpool.sketch import (CHUNK_VALUES, SketchParams, cbp_pool, count_sketch,
+                             tensor_sketch)
 from attnpool.tensors import ShapeError
 
 DIMS = (1, 2, 7, 64)  # odd and even irfft lengths
@@ -150,4 +151,32 @@ class TestCbpPool:
         p = SketchParams.from_seed(5, 8, seed=2)
         with pytest.raises(ShapeError):
             cbp_pool(np.zeros((3, 4)), p)
+        with pytest.raises(ShapeError):
+            cbp_pool(np.zeros((2, 3, 4)), p)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 3, 5)])
+    def test_rejects_1d_and_4d(self, shape):
+        with pytest.raises(ShapeError):
+            cbp_pool(np.zeros(shape), SketchParams.from_seed(5, 8, seed=2))
+
+    @pytest.mark.parametrize("d", (1, 2, 7, 64, 4096))  # n * d is over budget at 4096
+    def test_stack_equals_per_map_calls_bitwise(self, d):
+        n, f = 49, 6
+        p = SketchParams.from_seed(f, d, seed=11)
+        step = max(1, CHUNK_VALUES // (n * d))
+        rng = np.random.default_rng(d)
+        for m in sorted({1, max(1, step - 1), step, step + 1, 3 * step + 2}):
+            X = rng.standard_normal((m, n, f))
+            want = np.stack([cbp_pool(x, p) for x in X])
+            got = cbp_pool(X, p)
+            assert got.shape == (m, d)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_empty_maps_and_stacks(self):
+        p = SketchParams.from_seed(4, 8, seed=1)
+        out = cbp_pool(np.zeros((0, 4)), p)
+        assert out.shape == (8,) and not out.any()
+        out = cbp_pool(np.zeros((3, 0, 4)), p)
+        assert out.shape == (3, 8) and not out.any()
+        assert cbp_pool(np.zeros((0, 5, 4)), p).shape == (0, 8)
 

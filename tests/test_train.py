@@ -11,9 +11,10 @@ from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_ta
                             metric_accuracy)
 from attnpool.tensors import ShapeError
 from attnpool.selftest import head_gradient_error
+from attnpool.sketch import cbp_pool
 from attnpool.train import (HEAD_KINDS, TrainConfig, TrainDivergence, _batch_graph,
                             _batch_loss, _fisher_yates, eval_forward, eval_scores, evaluate,
-                            init_head_params, localization_rate, sgd_step,
+                            init_head_params, localization_rate, sgd_step, sketch_for,
                             train, true_classes, write_report, write_summary)
 
 SMALL_TASK = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=128,
@@ -460,6 +461,17 @@ class TestEvaluateAndReports:
         assert out["accuracy"] == report.final_val_metric
         assert out["localization"] == localization_rate(maps, va)
         assert out["localization"] == report.final_localization
+
+    def test_cbp_scores_equal_per_example_features_bitwise(self, small_data):
+        # evaluate() sketches the split as one stack (in chunks of 56 maps at d=64)
+        tr, va = small_data
+        cfg = TrainConfig(head="cbp", sketch_dim=64, use_bias=True, epochs=2, seed=4)
+        params = train(cfg, tr, va).params
+        sk = sketch_for(cfg, SMALL_TASK.f)
+        features = np.stack([cbp_pool(x, sk) for x in va.X])
+        want = eval_forward(params, cfg, va.X, features)[0]
+        got = evaluate(params, cfg, va)["scores"]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_write_report_round_trip(self, small_data, tmp_path):
         tr, va = small_data
