@@ -5,17 +5,20 @@ bins with a random sign; TensorSketch of x with itself is the circular
 convolution of two independent count sketches and is an unbiased
 estimator of the outer-product feature in the sense that
 E[<TS(x), TS(y)>] = <x, y>^2.  Summing TS over spatial locations gives
-the full-rank comparison point for attentional pooling without ever
-materializing the f x f statistic.
+the full-rank comparison point for attentional pooling as d values in
+place of the f x f statistic.
 
 The circular convolution is a product of spectra (numpy.fft.rfft), so a
-sketch costs O(d log d) (Pham & Pagh, KDD 2013).  cbp_pool count-sketches
-all rows of a feature map at once, sums their spectrum products over
-locations and inverts once per map (Gao et al., CVPR 2016).  A stack of
-maps goes through in chunks of whole maps of at most CHUNK_VALUES values
-(maps x locations x d): fewer numpy calls than one per map, and a
-working set of bounded size.  Its features are bitwise those of per-map
-calls.
+sketch costs O(d log d) (Pham & Pagh, KDD 2013).  TensorSketch is
+linear in the outer product x x^T, so a map's pooled sketch is a fixed
+projection of its Gram matrix G = X^T X:
+    sum_i TS(x_i)[k] = sum_{a,b} G_ab s1_a s2_b [(h1_a + h2_b) mod d = k].
+cbp_pool pools first: one batched matmul gives each map's G and one
+signed bincount projects it, so its cost grows with f * f per map and
+not with d.  A stack of maps goes through in chunks of whole maps of at
+most CHUNK_VALUES values (maps x f x f): fewer numpy calls than one per
+map, and a working set of bounded size.  Its features are bitwise those
+of per-map calls.  tensor_sketch is the per-location reference.
 
 Hash and sign tables are pure functions of (seed, f, d) via SplitMix64,
 so sketches reproduce bit-exactly across implementations; serializing a
@@ -31,7 +34,7 @@ import numpy as np
 from .rng import u64_stream
 from .tensors import ShapeError
 
-# values (maps x locations x sketch bins) that cbp_pool sketches at once
+# values (maps x f x f Gram entries) that cbp_pool projects at once
 CHUNK_VALUES = 2 ** 15
 
 
@@ -94,16 +97,11 @@ def count_sketch(x, h, s, d: int) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (d,)).astype(np.float64, copy=False)
 
 
-def _spectra(x, params: SketchParams):
-    """rfft of x's two count sketches (row by row for a stack of rows)."""
-    c1 = count_sketch(x, params.h1, params.s1, params.d)
-    c2 = count_sketch(x, params.h2, params.s2, params.d)
-    return np.fft.rfft(c1), np.fft.rfft(c2)
-
-
 def tensor_sketch(x, params: SketchParams) -> np.ndarray:
-    """TensorSketch of x with itself: circular conv of its two count sketches."""
-    f1, f2 = _spectra(x, params)
+    """TensorSketch of x with itself: circular conv of its two count sketches
+    (row by row for a stack of rows)."""
+    f1 = np.fft.rfft(count_sketch(x, params.h1, params.s1, params.d))
+    f2 = np.fft.rfft(count_sketch(x, params.h2, params.s2, params.d))
     return np.fft.irfft(f1 * f2, n=params.d)
 
 
@@ -111,26 +109,28 @@ def cbp_pool(X, params: SketchParams) -> np.ndarray:
     """Sum of per-location TensorSketches of the rows of one map (n, f)
     -> (d,), or of each map of a stack (m, n, f) -> (m, d).
 
-    The FFT is linear, so the spectrum products are summed over
-    locations and inverted once per map.  A stack is sketched in chunks
-    of whole maps, of at most CHUNK_VALUES values of n * d unless one map
-    alone has more.
+    Projects each map's Gram matrix X^T X onto the d bins.  A stack goes
+    through in chunks of whole maps, of at most CHUNK_VALUES Gram entries
+    unless one map alone has more.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim not in (2, 3) or X.shape[-1] != params.num_features:
         raise ShapeError(f"X shape {X.shape} vs sketch f={params.num_features}")
     if X.ndim == 2:
-        return _pool_maps(X[None], params)[0]
-    m, n, _ = X.shape
-    step = max(1, CHUNK_VALUES // max(1, n * params.d))
-    out = np.empty((m, params.d))
+        return cbp_pool(X[None], params)[0]
+    m, _, f = X.shape
+    d = params.d
+    # bin (h1_a + h2_b) mod d and sign s1_a s2_b of each entry (a, b) of X^T X
+    bins = ((params.h1[:, None] + params.h2) % d).ravel()
+    signs = (params.s1[:, None] * params.s2).ravel().astype(np.float64)
+    step = max(1, CHUNK_VALUES // max(1, f * f))
+    out = np.empty((m, d))
     for start in range(0, m, step):
-        out[start:start + step] = _pool_maps(X[start:start + step], params)
+        chunk = X[start:start + step]
+        c = len(chunk)
+        G = np.matmul(chunk.transpose(0, 2, 1), chunk).reshape(c, f * f)
+        # map r's bin k is flat bin r * d + k
+        out[start:start + c] = np.bincount((np.arange(c)[:, None] * d + bins).ravel(),
+                                           weights=(G * signs).ravel(),
+                                           minlength=c * d).reshape(c, d)
     return out
-
-
-def _pool_maps(X, params: SketchParams) -> np.ndarray:
-    """cbp_pool of each map of a (c, n, f) stack, sketched all at once."""
-    c, n, f = X.shape
-    f1, f2 = _spectra(X.reshape(c * n, f), params)
-    return np.fft.irfft((f1 * f2).reshape(c, n, params.d // 2 + 1).sum(axis=1), n=params.d)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .autograd import Tape
 from .pose import NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS, ATTENTION_CHANNEL
-from .rng import SplitMix64, float_stream, mix64
+from .rng import float_stream, mix64, u64_stream
 from .sketch import SketchParams, cbp_pool
 from .synth import Dataset, metric_accuracy, metric_map
 from .tensors import ShapeError
@@ -193,6 +193,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     (B*n, K) map; avg_pool pools X itself; per_class, with K bottom-up
     columns, sums its combined map.  logits is the (B, K) node.
 
+    cbp reads only extra["features"], its batch's mean-pooled sketches
+    (B, d); its Xb may be None.
+
     classes (one class index per example, or None) also records the maps
     of those classes only, as (B*n, 1) nodes (`Tape.gather_cols`): "h"
     (the first rank component for rank_p, ones for avg_pool, the class's
@@ -207,12 +210,11 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     matching average-style pooling; the 1/n factor only reparametrizes
     the sum-form scores and keeps SGD well conditioned across grid sizes.
     """
-    B, n, f = Xb.shape
     maps = None
     if config.head == "cbp":
-        F = tape.const(extra["features"] / n)  # mean-pooled sketches
-        scores = tape.matmul(F, nodes["W"])
+        scores = tape.matmul(tape.const(extra["features"]), nodes["W"])
     else:
+        B, n, f = Xb.shape
         Xs = tape.const(Xb.reshape(B * n, f))
         maps = {}
 
@@ -306,7 +308,7 @@ def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
     scores, chunk_maps = [], []
     for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
         stop = start + config.batch_size
-        extra = {} if cbp_features is None else {"features": cbp_features[start:stop]}
+        extra = {} if cbp_features is None else {"features": cbp_features[start:stop] / n}
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
         logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra,
@@ -345,12 +347,13 @@ def localization_rate(maps: dict | None, dataset: Dataset) -> float:
 
 
 def _fisher_yates(m: int, seed: int) -> np.ndarray:
-    rng = SplitMix64(seed)
-    idx = np.arange(m)
-    for i in range(m - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    """Fisher-Yates order of range(m): for i = m-1 down to 1, swap i with
+    j = SplitMix64(seed).next_below(i + 1), all m-1 draws taken at once."""
+    js = (u64_stream(seed, max(m - 1, 0)) % np.arange(m, 1, -1, dtype=np.uint64)).tolist()
+    idx = list(range(m))
+    for i, j in zip(range(m - 1, 0, -1), js):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 def _cbp_features(dataset: Dataset, sk: SketchParams) -> np.ndarray:
@@ -386,11 +389,11 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
             total_loss, total_seen = 0.0, 0
             for start in range(0, m, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                Xb = train_ds.X[idx]
                 yb = train_ds.labels[idx]
-                extra = {}
-                if config.head == "cbp":
-                    extra["features"] = cbp_train[idx]
+                if config.head == "cbp":  # its features alone; no copy of the batch's maps
+                    Xb, extra = None, {"features": cbp_train[idx] / n}
+                else:
+                    Xb, extra = train_ds.X[idx], {}
                 if config.head == "pose_reg" and config.lambda_pose > 0:
                     extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(
                         train_ds, idx, n)

@@ -138,13 +138,17 @@ class TestTensorSketch:
 
 class TestCbpPool:
     def test_sum_of_row_sketches(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((4, 6))
-        for d in DIMS:
-            p = SketchParams.from_seed(6, d, seed=9)
-            expected = sum(direct_circular_convolve(count_sketch(row, p.h1, p.s1, d),
-                                                    count_sketch(row, p.h2, p.s2, d))
-                           for row in X)
+        # (n, f, d) with a map's f * f Gram entries below, equal to and
+        # above its n * d per-location sketch values
+        shapes = [(4, 6, d) for d in DIMS] + [(49, 32, 64), (4, 6, 10), (4, 6, 9), (49, 56, 64),
+                                              (4, 6, 8), (49, 32, 16), (3, 7, 13)]
+        for n, f, d in shapes:
+            X = np.random.default_rng(n * f * d).standard_normal((2, n, f))
+            p = SketchParams.from_seed(f, d, seed=9)
+            expected = np.stack([sum(direct_circular_convolve(count_sketch(row, p.h1, p.s1, d),
+                                                              count_sketch(row, p.h2, p.s2, d))
+                                     for row in x) for x in X])
+            assert_rel_close(cbp_pool(X[0], p), expected[0])
             assert_rel_close(cbp_pool(X, p), expected)
 
     def test_rejects_feature_mismatch(self):
@@ -159,18 +163,20 @@ class TestCbpPool:
         with pytest.raises(ShapeError):
             cbp_pool(np.zeros(shape), SketchParams.from_seed(5, 8, seed=2))
 
-    @pytest.mark.parametrize("d", (1, 2, 7, 64, 4096))  # n * d is over budget at 4096
+    @pytest.mark.parametrize("d", (1, 2, 7, 64, 4096))
     def test_stack_equals_per_map_calls_bitwise(self, d):
-        n, f = 49, 6
-        p = SketchParams.from_seed(f, d, seed=11)
-        step = max(1, CHUNK_VALUES // (n * d))
-        rng = np.random.default_rng(d)
-        for m in sorted({1, max(1, step - 1), step, step + 1, 3 * step + 2}):
-            X = rng.standard_normal((m, n, f))
-            want = np.stack([cbp_pool(x, p) for x in X])
-            got = cbp_pool(X, p)
-            assert got.shape == (m, d)
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # f = 182 has more Gram entries than CHUNK_VALUES: one map per chunk
+        n = 49
+        for f in (6, 32, 182):
+            p = SketchParams.from_seed(f, d, seed=11)
+            step = max(1, CHUNK_VALUES // (f * f))
+            rng = np.random.default_rng(d * f)
+            for m in sorted({1, max(1, step - 1), step, step + 1, 3 * step + 2}):
+                X = rng.standard_normal((m, n, f))
+                want = np.stack([cbp_pool(x, p) for x in X])
+                got = cbp_pool(X, p)
+                assert got.shape == (m, d)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_maps_and_stacks(self):
         p = SketchParams.from_seed(4, 8, seed=1)
@@ -180,3 +186,8 @@ class TestCbpPool:
         assert out.shape == (3, 8) and not out.any()
         assert cbp_pool(np.zeros((0, 5, 4)), p).shape == (0, 8)
 
+    def test_no_features_gives_float_zeros(self):
+        p = SketchParams.from_seed(0, 8, seed=1)
+        for shape in ((5, 0), (3, 5, 0), (3, 0, 0), (0, 5, 0)):
+            out = cbp_pool(np.zeros(shape), p)
+            assert out.shape == shape[:-2] + (8,) and out.dtype == np.float64 and not out.any()

@@ -434,8 +434,35 @@ class TestTrainLoop:
                        tr, va)
         assert len(report.epochs) == 2 and not report.diverged
 
+    def test_cbp_first_loss_scores_mean_pooled_features(self, small_data):
+        # one batch of every example: epoch 0's loss is that of the initial W
+        tr, va = small_data
+        cfg = TrainConfig(head="cbp", sketch_dim=16, epochs=1, batch_size=len(tr), seed=3)
+        z = cbp_pool(tr.X, sketch_for(cfg, SMALL_TASK.f)) / SMALL_TASK.n
+        z = z @ init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)["W"]
+        lse = np.log(np.exp(z).sum(axis=1))
+        want = np.mean(lse - z[np.arange(len(tr)), tr.labels])
+        assert train(cfg, tr, va).epochs[0].train_loss == pytest.approx(want, rel=1e-12)
+
+
+def scalar_fisher_yates(m: int, seed: int) -> np.ndarray:
+    """Reference shuffle: one scalar SplitMix64 draw per swap, i = m-1 down to 1."""
+    rng = SplitMix64(seed)
+    idx = np.arange(m)
+    for i in range(m - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
 
 class TestShuffle:
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 64, 2000])
+    def test_matches_scalar_reference(self, m):
+        for seed in (0, 101, 2**63 + 5, 2**64 - 1):
+            got, want = _fisher_yates(m, seed), scalar_fisher_yates(m, seed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
     def test_fisher_yates_is_permutation(self):
         idx = _fisher_yates(100, seed=4)
         assert sorted(idx) == list(range(100))
@@ -472,6 +499,15 @@ class TestEvaluateAndReports:
         want = eval_forward(params, cfg, va.X, features)[0]
         got = evaluate(params, cfg, va)["scores"]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_cbp_scores_are_mean_pooled_features(self, small_data):
+        tr, va = small_data
+        cfg = TrainConfig(head="cbp", sketch_dim=16, use_bias=True, epochs=1, seed=5)
+        params = train(cfg, tr, va).params
+        features = cbp_pool(va.X, sketch_for(cfg, SMALL_TASK.f))
+        np.testing.assert_allclose(eval_scores(params, cfg, va.X, features),
+                                   features / SMALL_TASK.n @ params["W"] + params["bias"],
+                                   rtol=1e-12)
 
     def test_write_report_round_trip(self, small_data, tmp_path):
         tr, va = small_data
