@@ -9,7 +9,7 @@ Run:  python3 demos/sketch_baseline.py
 
 import numpy as np
 
-from attnpool.sketch import SketchParams, tensor_sketch
+from attnpool.sketch import SketchParams, cbp_pool
 from attnpool.synth import PlantedTaskConfig, gen_planted
 from attnpool.train import TrainConfig, train
 
@@ -18,8 +18,8 @@ f, d, trials = 16, 64, 2000
 x, y = rng.standard_normal(f), rng.standard_normal(f)
 target = float(np.dot(x, y)) ** 2
 vals = np.array([
-    float(np.dot(tensor_sketch(x, SketchParams.from_seed(f, d, seed)),
-                 tensor_sketch(y, SketchParams.from_seed(f, d, seed))))
+    float(np.dot(cbp_pool(x[None], SketchParams.from_seed(f, d, seed)),
+                 cbp_pool(y[None], SketchParams.from_seed(f, d, seed))))
     for seed in range(trials)
 ])
 se = vals.std(ddof=1) / np.sqrt(trials)

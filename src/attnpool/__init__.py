@@ -11,7 +11,7 @@ Training lives in the `attnpool.train` module
 
 from .autograd import Tape, finite_diff_check
 from .pooling import score_second_order
-from .sketch import SketchParams, cbp_pool, count_sketch, tensor_sketch
+from .sketch import SketchParams, cbp_pool
 from .synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                     metric_accuracy, metric_map)
 from .train import TrainConfig, TrainReport, evaluate, sgd_step
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "PlantedTaskConfig",
     "SketchParams", "Tape", "TrainConfig", "TrainReport", "cbp_pool",
-    "count_sketch", "evaluate", "finite_diff_check", "gen_planted",
-    "gen_pose_targets", "metric_accuracy", "metric_map",
-    "score_second_order", "sgd_step", "tensor_sketch",
+    "evaluate", "finite_diff_check", "gen_planted", "gen_pose_targets",
+    "metric_accuracy", "metric_map", "score_second_order", "sgd_step",
 ]

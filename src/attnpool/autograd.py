@@ -170,11 +170,6 @@ class Tape:
         A = a.value
         return self._push("relu", np.maximum(A, 0.0), (a,), lambda g: (g * (A > 0.0),))
 
-    def sum(self, a):
-        A = a.value
-        return self._push("sum", np.float64(A.sum()), (a,),
-                          lambda g: (np.full_like(A, float(g)),))
-
     def sum_squares(self, a):
         A = a.value
         return self._push("sum_squares", np.float64((A * A).sum()), (a,),

@@ -91,18 +91,10 @@ def full_scores_counted(X, W, K: int, counter: OpCounter) -> np.ndarray:
     return np.array([counter.dot_all(G, W) for _ in range(K)])
 
 
-def _rank1_plain(X, A, b):
-    return (A.T @ (X.T @ (X @ b))).ravel()
-
-
-def _full_plain(X, W, K):
-    G = X.T @ X
-    return np.array([float((G * W).sum()) for _ in range(K)])
-
-
 def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
                     repetitions: int = 50, seed: int = 0) -> dict:
-    """Median/IQR timing of one scoring call; warm-up iterations excluded.
+    """Median/IQR timing of one instrumented scoring call, with a fresh
+    OpCounter per call; warm-up iterations excluded.
 
     Repetitions double automatically while the median is too close to the
     timer resolution to trust.
@@ -114,16 +106,12 @@ def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
         b_p = [rng.standard_normal((f, 1)) for _ in range(P)]
 
         def call():
-            s = None
-            for A, b in zip(A_p, b_p):
-                sp = _rank1_plain(X, A, b)
-                s = sp if s is None else s + sp
-            return s
+            return rank_p_scores_counted(X, A_p, b_p, OpCounter())
     elif kind == "full":
         W = rng.standard_normal((f, f))
 
         def call():
-            return _full_plain(X, W, K)
+            return full_scores_counted(X, W, K, OpCounter())
     else:
         raise ValueError(f"unknown bench kind {kind!r}")
 

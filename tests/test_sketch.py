@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from attnpool.rng import SplitMix64
-from attnpool.sketch import (CHUNK_VALUES, SketchParams, cbp_pool, count_sketch,
-                             tensor_sketch)
+from attnpool.sketch import CHUNK_VALUES, SketchParams, cbp_pool
 from attnpool.tensors import ShapeError
 
 DIMS = (1, 2, 7, 64)  # odd and even irfft lengths
+
+
+def count_sketch(x, h, s, d):
+    """Reference count sketch of one vector: out[h[i]] += s[i] * x[i]."""
+    return np.bincount(h, weights=s * x, minlength=d)
 
 
 def direct_circular_convolve(u, v):
@@ -20,42 +24,50 @@ def assert_rel_close(got, want):
 
 
 class TestCountSketch:
+    """The count sketch inside cbp_pool, read through a second table that
+    sends every coordinate to bin 0 with sign +1: then the TensorSketch of
+    x is sum(x) times its first count sketch."""
+
+    @staticmethod
+    def first_sketch_times_sum(x, h, s, d):
+        p = SketchParams(d=d, h1=np.array(h), h2=np.zeros(len(h), dtype=np.int64),
+                         s1=np.array(s), s2=np.ones(len(h), dtype=np.int64))
+        return cbp_pool(np.array(x, dtype=np.float64)[None], p)
+
     def test_hand_example(self):
-        out = count_sketch(np.array([1.0, 2.0, 3.0]),
-                           np.array([0, 2, 0]), np.array([1, -1, 1]), d=4)
-        np.testing.assert_array_equal(out, [4.0, 0.0, -2.0, 0.0])
+        out = self.first_sketch_times_sum([1.0, 2.0, 3.0], [0, 2, 0], [1, -1, 1], d=4)
+        np.testing.assert_array_equal(out, 6.0 * np.array([4.0, 0.0, -2.0, 0.0]))
 
     def test_collisions_accumulate(self):
-        out = count_sketch(np.array([1.0, 1.0]), np.array([1, 1]),
-                           np.array([1, 1]), d=2)
-        np.testing.assert_array_equal(out, [0.0, 2.0])
+        out = self.first_sketch_times_sum([1.0, 1.0], [1, 1], [1, 1], d=2)
+        np.testing.assert_array_equal(out, 2.0 * np.array([0.0, 2.0]))
 
     def test_linear_in_x(self):
+        # linear in each location's x x^T: a map's sketch sums its rows' sketches
         rng = np.random.default_rng(0)
-        x, y = rng.standard_normal(6), rng.standard_normal(6)
-        h = rng.integers(0, 8, size=6)
-        s = rng.choice([-1, 1], size=6)
-        np.testing.assert_allclose(count_sketch(x + y, h, s, 8),
-                                   count_sketch(x, h, s, 8) + count_sketch(y, h, s, 8))
+        X, Y = rng.standard_normal((3, 6)), rng.standard_normal((4, 6))
+        p = SketchParams.from_seed(6, 8, seed=1)
+        np.testing.assert_allclose(cbp_pool(np.vstack((X, Y)), p),
+                                   cbp_pool(X, p) + cbp_pool(Y, p), rtol=1e-12, atol=1e-12)
 
     def test_rejects_out_of_range_hash(self):
-        with pytest.raises(ShapeError):
-            count_sketch(np.ones(2), np.array([0, 5]), np.array([1, 1]), d=4)
+        with pytest.raises(ShapeError):  # a hash equal to d is one past the last bin
+            SketchParams(d=4, h1=np.array([0, 4]), h2=np.array([0, 1]),
+                         s1=np.array([1, 1]), s2=np.array([1, 1]))
 
     def test_rejects_table_mismatch(self):
-        with pytest.raises(ShapeError):
-            count_sketch(np.ones(3), np.array([0, 1]), np.array([1, 1, 1]), d=4)
+        with pytest.raises(ShapeError):  # a sign table longer than its hash table
+            SketchParams(d=4, h1=np.array([0, 1]), h2=np.array([0, 1]),
+                         s1=np.array([1, 1, 1]), s2=np.array([1, 1]))
 
     def test_rows_equal_per_row_calls(self):
+        # a stack of one-location maps is sketched row by row
         rng = np.random.default_rng(8)
         X = rng.standard_normal((5, 9))
-        h = rng.integers(0, 4, size=9)
-        s = rng.choice([-1, 1], size=9)
-        np.testing.assert_array_equal(count_sketch(X, h, s, 4),
-                                      np.stack([count_sketch(x, h, s, 4) for x in X]))
-        assert count_sketch(X[:0], h, s, 4).shape == (0, 4)
-        np.testing.assert_array_equal(count_sketch(X[:, :0], h[:0], s[:0], 4), np.zeros((5, 4)))
-        assert count_sketch(X[:, :0], h[:0], s[:0], 4).dtype == np.float64
+        p = SketchParams.from_seed(9, 4, seed=3)
+        np.testing.assert_array_equal(cbp_pool(X[:, None], p),
+                                      np.stack([cbp_pool(x[None], p) for x in X]))
+        assert cbp_pool(X[:0, None], p).shape == (0, 4)
 
 
 class TestSketchParams:
@@ -93,33 +105,24 @@ class TestSketchParams:
     def test_rejects_bad_tables(self):
         with pytest.raises(ShapeError):
             SketchParams(d=4, h1=np.array([0, 9]), h2=np.array([0, 1]),
-                         s1=np.array([1, -1]), s2=np.array([1, 1]), seed=0)
+                         s1=np.array([1, -1]), s2=np.array([1, 1]))
         with pytest.raises(ValueError):
             SketchParams(d=4, h1=np.array([0, 1]), h2=np.array([0, 1]),
-                         s1=np.array([1, 2]), s2=np.array([1, 1]), seed=0)
+                         s1=np.array([1, 2]), s2=np.array([1, 1]))
         with pytest.raises(ShapeError):
             SketchParams(d=4, h1=np.array([0, 1, 2]), h2=np.array([0, 1]),
-                         s1=np.array([1, 1]), s2=np.array([1, 1]), seed=0)
+                         s1=np.array([1, 1]), s2=np.array([1, 1]))
         with pytest.raises(ShapeError):  # negative hash entry
             SketchParams(d=4, h1=np.array([0, 1]), h2=np.array([-1, 1]),
-                         s1=np.array([1, 1]), s2=np.array([1, 1]), seed=0)
+                         s1=np.array([1, 1]), s2=np.array([1, 1]))
 
 
 class TestTensorSketch:
-    def test_is_conv_of_count_sketches(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(10)
-        for d in DIMS:
-            p = SketchParams.from_seed(10, d, seed=4)
-            expected = direct_circular_convolve(count_sketch(x, p.h1, p.s1, d),
-                                                count_sketch(x, p.h2, p.s2, d))
-            assert_rel_close(tensor_sketch(x, p), expected)
-
     def test_one_hot_lands_at_hash_sum(self):
         # a convolution, not a correlation: bins h1 and h2 add modulo d
         p = SketchParams(d=5, h1=np.array([3, 0]), h2=np.array([4, 1]),
-                         s1=np.array([-1, 1]), s2=np.array([1, 1]), seed=0)
-        np.testing.assert_allclose(tensor_sketch(np.array([2.0, 0.0]), p),
+                         s1=np.array([-1, 1]), s2=np.array([1, 1]))
+        np.testing.assert_allclose(cbp_pool(np.array([2.0, 0.0])[None], p),
                                    [0.0, 0.0, -4.0, 0.0, 0.0], atol=1e-12)
 
     def test_unbiased_inner_product(self):
@@ -131,7 +134,7 @@ class TestTensorSketch:
         vals = np.empty(trials)
         for seed in range(trials):
             p = SketchParams.from_seed(8, 32, seed)
-            vals[seed] = float(np.dot(tensor_sketch(x, p), tensor_sketch(y, p)))
+            vals[seed] = float(np.dot(cbp_pool(x[None], p), cbp_pool(y[None], p)))
         se = vals.std(ddof=1) / np.sqrt(trials)
         assert abs(vals.mean() - target) <= 4 * se
 
@@ -139,9 +142,11 @@ class TestTensorSketch:
 class TestCbpPool:
     def test_sum_of_row_sketches(self):
         # (n, f, d) with a map's f * f Gram entries below, equal to and
-        # above its n * d per-location sketch values
-        shapes = [(4, 6, d) for d in DIMS] + [(49, 32, 64), (4, 6, 10), (4, 6, 9), (49, 56, 64),
-                                              (4, 6, 8), (49, 32, 16), (3, 7, 13)]
+        # above its n * d per-location sketch values; one-location maps
+        # are the TensorSketch of one vector
+        shapes = ([(1, 10, d) for d in DIMS] + [(4, 6, d) for d in DIMS]
+                  + [(49, 32, 64), (4, 6, 10), (4, 6, 9), (49, 56, 64), (4, 6, 8), (49, 32, 16),
+                     (3, 7, 13)])
         for n, f, d in shapes:
             X = np.random.default_rng(n * f * d).standard_normal((2, n, f))
             p = SketchParams.from_seed(f, d, seed=9)

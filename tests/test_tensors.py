@@ -1,7 +1,21 @@
+"""Matrix products of the tape ops, the ShapeError they raise, and the
+evaluation order that the low-rank identity relies on."""
+
 import numpy as np
 import pytest
 
-from attnpool.tensors import ShapeError, as_matrix, elementwise_mul, matmul
+from attnpool.autograd import Tape
+from attnpool.tensors import ShapeError
+
+
+def matmul(a, b):
+    tape = Tape()
+    return tape.matmul(tape.const(a), tape.const(b)).value
+
+
+def elementwise_mul(u, v):
+    tape = Tape()
+    return tape.elementwise_mul(tape.const(u), tape.const(v)).value
 
 
 class TestMatmul:
@@ -45,22 +59,6 @@ class TestElementwiseMul:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             elementwise_mul(np.zeros(2), np.zeros(3))
-
-
-class TestConstructionAndShapes:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_matrix([1.0, np.nan], shape=(2,))
-        with pytest.raises(ValueError, match="finite"):
-            as_matrix([np.inf])
-
-    def test_shape_count_must_match(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0, 3.0], shape=(2, 2))
-
-    def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ShapeError):
-            as_matrix([], shape=(0, 3))
 
 
 def test_evaluation_order_associativity():
