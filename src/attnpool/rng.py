@@ -35,30 +35,18 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Scalar SplitMix64 stream."""
+def u64_stream(seed, count: int) -> np.ndarray:
+    """Vectorized SplitMix64: the first `count` outputs from `seed`, (count,).
 
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError(f"next_below requires n >= 1, got {n}")
-        return self.next_u64() % n
-
-
-def u64_stream(seed: int, count: int) -> np.ndarray:
-    """Vectorized SplitMix64: the first `count` outputs of SplitMix64(seed)."""
+    A 1-D array of seeds gives one such row per seed, (len(seed), count).
+    """
     idx = np.arange(1, count + 1, dtype=np.uint64)
+    if np.ndim(seed) == 0:
+        start = np.uint64(int(seed) & MASK64)
+    else:
+        start = np.asarray(seed, dtype=np.uint64)[:, None]
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & MASK64) + np.uint64(GOLDEN) * idx
+        z = start + np.uint64(GOLDEN) * idx
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
@@ -66,7 +54,7 @@ def u64_stream(seed: int, count: int) -> np.ndarray:
 
 
 def float_stream(seed: int, count: int) -> np.ndarray:
-    """`count` floats in [0, 1), matching SplitMix64.next_float draw-for-draw."""
+    """`count` floats in [0, 1), one per u64 draw: (u64 >> 11) * 2**-53."""
     return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -80,15 +68,15 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
 
 
 def normals_from_u64(u: np.ndarray) -> np.ndarray:
-    """Box-Muller normals from an even-length u64 array (same pairing as normal_stream)."""
-    if len(u) % 2 != 0:
-        raise ValueError("normals_from_u64 needs an even-length input")
-    u1 = (u[0::2] >> np.uint64(11)).astype(np.float64)
-    u2 = (u[1::2] >> np.uint64(11)).astype(np.float64)
+    """Box-Muller normals from u64 values paired along the last axis, which
+    must be even (same pairing as normal_stream, row by row)."""
+    if u.shape[-1] % 2 != 0:
+        raise ValueError("normals_from_u64 needs an even-length last axis")
+    u1 = (u[..., 0::2] >> np.uint64(11)).astype(np.float64)
+    u2 = (u[..., 1::2] >> np.uint64(11)).astype(np.float64)
     r = np.sqrt(-2.0 * np.log((u1 + 1.0) / _TWO53))
     theta = 2.0 * np.pi * u2 / _TWO53
-    out = np.empty(len(u), dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    out = np.empty(u.shape, dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
     return out
-

@@ -20,7 +20,9 @@ signal_strength against unit background noise across n cells.
 Everything is a deterministic function of the config seed via SplitMix64
 with documented stream splitting: the master stream yields a prototype
 seed, a distractor seed, a marker seed, then one sub-seed per example
-(train split first, then val).
+(train split first, then val).  A split is generated in chunks of whole
+examples, one stream row per example and one Box-Muller pass per chunk;
+an example's values do not depend on which chunk it falls in.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ KEYPOINT_OFFSETS = (
     (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1),
     (-2, 0), (2, 0), (0, -2), (0, 2), (-2, -2), (-2, 2), (2, -2), (2, 2),
 )
+
+# background normals that _gen_split draws at once: chunks of whole
+# examples, one example per chunk once n * f is above it
+CHUNK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,9 @@ class PlantedTaskConfig:
                 raise ValueError(f"{name} must be positive")
         if self.clutter_classes < 0:
             raise ValueError("clutter_classes must be nonnegative")
+        if self.multi_label and self.n1 * self.n2 < 3:
+            raise ValueError(f"multi_label plants up to 3 distinct cells; a "
+                             f"{self.n1}x{self.n2} grid has {self.n1 * self.n2}")
         if self.K > self.f:
             raise ValueError(
                 f"K={self.K} classes need K <= f={self.f} for distinguishable prototypes"
@@ -116,62 +125,56 @@ def class_prototypes(config: PlantedTaskConfig):
     return protos, distractors, marker
 
 
-def _gen_example(sub_seed, config, protos, distractors, marker):
-    n, f, K, C = config.n, config.f, config.K, config.clutter_classes
-    # fixed per-example draw budget: 8 header u64s, 2 per clutter cell,
-    # then an even number for the background normals
-    n_norm = 2 * ((n * f + 1) // 2)
-    u = rng.u64_stream(int(sub_seed), 8 + 2 * C + n_norm)
-    head, rest = u[:8 + 2 * C], u[8 + 2 * C:]
-    X = rng.normals_from_u64(rest)[: n * f].reshape(n, f)
-
-    if config.multi_label:
-        num = 1 + int(head[0] % 3)
-        labels = np.zeros(K)
-        locs = []
-        for j in range(3):
-            cls = int(head[1 + 2 * j] % K)
-            loc = int(head[2 + 2 * j] % n)
-            if j < num:
-                while loc in locs:  # dedupe by linear probing
-                    loc = (loc + 1) % n
-                locs.append(loc)
-                labels[cls] = 1.0
-                X[loc] += config.signal_strength * (protos[cls] + marker)
-        label, primary = labels, locs[0]
-    else:
-        cls = int(head[0] % K)
-        primary = int(head[1] % n)
-        locs = [primary]
-        X[primary] += config.signal_strength * (protos[cls] + marker)
-        label = cls
-
-    for j in range(C):
-        if n > 1:
-            cell = (primary + 1 + int(head[8 + 2 * j] % (n - 1))) % n
-        else:
-            cell = primary  # degenerate single-cell grid
-        pattern = int(head[9 + 2 * j] % C)
-        X[cell] += config.signal_strength * distractors[pattern]
-    return X, label, primary, tuple(locs)
-
-
 def _gen_split(sub, config, protos, distractors, marker):
-    m = len(sub)
-    Xs = np.empty((m, config.n, config.f))
-    planted = np.empty(m, dtype=np.int64)
-    planted_all = []
+    """The split whose example i is drawn from SplitMix64(sub[i]).
+
+    Each example's stream holds 8 header u64s, 2 per clutter cell, then an
+    even number for its n*f background normals.  The header gives one
+    (class, cell) slot, or for multi-label data a count 1 + u % 3 and three
+    slots, a taken cell moving on to the next free one.  Examples go
+    through in chunks of at most CHUNK_VALUES normals, one stream row each.
+    """
+    m, n, f, K, C = len(sub), config.n, config.f, config.K, config.clutter_classes
+    first, slots = (1, 3) if config.multi_label else (0, 1)
+    width = 8 + 2 * C
+    X = np.empty((m, n, f))
+    classes = np.empty((m, slots), dtype=np.int64)
+    cells = np.empty((m, slots), dtype=np.int64)
+    counts = np.ones(m, dtype=np.int64)
+    step = max(1, CHUNK_VALUES // (n * f))
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        Xc, cls, cell, num = X[part], classes[part], cells[part], counts[part]
+        u = rng.u64_stream(sub[part], width + 2 * ((n * f + 1) // 2))
+        rows, head = np.arange(len(u)), u[:, :width]
+        Xc.reshape(len(u), n * f)[:] = rng.normals_from_u64(u[:, width:])[:, :n * f]
+        cls[:] = head[:, first:first + 2 * slots:2] % K
+        cell[:] = head[:, first + 1:first + 2 * slots:2] % n
+        if config.multi_label:
+            num[:] = 1 + head[:, 0] % 3
+        for j in range(slots):
+            on = rows[j < num]
+            loc = cell[on, j]
+            hit = (cell[on, :j] == loc[:, None]).any(axis=1)
+            while hit.any():  # n >= 3 cells, so at most j probes
+                loc = np.where(hit, (loc + 1) % n, loc)
+                hit = (cell[on, :j] == loc[:, None]).any(axis=1)
+            cell[on, j] = loc
+            Xc[on, loc] += config.signal_strength * (protos[cls[on, j]] + marker)
+        for j in range(C):
+            at = cell[:, 0]  # a 1-cell grid puts its clutter on the planted cell
+            if n > 1:
+                at = (at + 1 + (head[:, 8 + 2 * j] % (n - 1)).astype(np.int64)) % n
+            pattern = (head[:, 9 + 2 * j] % C).astype(np.int64)
+            Xc[rows, at] += config.signal_strength * distractors[pattern]
     if config.multi_label:
-        labels = np.zeros((m, config.K))
+        taken = np.arange(slots) < counts[:, None]  # the slots each example plants
+        labels = np.zeros((m, K))
+        labels[np.nonzero(taken)[0], classes[taken]] = 1.0
     else:
-        labels = np.empty(m, dtype=np.int64)
-    for i, s in enumerate(sub):
-        X, label, primary, locs = _gen_example(s, config, protos, distractors, marker)
-        Xs[i] = X
-        labels[i] = label
-        planted[i] = primary
-        planted_all.append(locs)
-    return Dataset(config=config, X=Xs, labels=labels, planted=planted,
+        labels = classes[:, 0]
+    planted_all = [tuple(c[:k]) for c, k in zip(cells.tolist(), counts.tolist())]
+    return Dataset(config=config, X=X, labels=labels, planted=cells[:, 0],
                    planted_all=planted_all, prototypes=protos)
 
 

@@ -348,7 +348,7 @@ def localization_rate(maps: dict | None, dataset: Dataset) -> float:
 
 def _fisher_yates(m: int, seed: int) -> np.ndarray:
     """Fisher-Yates order of range(m): for i = m-1 down to 1, swap i with
-    j = SplitMix64(seed).next_below(i + 1), all m-1 draws taken at once."""
+    j = u % (i + 1), u the next u64 of the seed's stream, all drawn at once."""
     js = (u64_stream(seed, max(m - 1, 0)) % np.arange(m, 1, -1, dtype=np.uint64)).tolist()
     idx = list(range(m))
     for i, j in zip(range(m - 1, 0, -1), js):

@@ -90,6 +90,14 @@ class TestGen:
             b = open(os.path.join(out2, split, "features.atnp"), "rb").read()
             assert a == b
 
+    def test_multi_label_grid_below_three_cells_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "tiny")
+        rc = main(["gen", "--out", out, "--set", "task.n1=1", "--set", "task.n2=1",
+                   "--set", "task.multi_label=true"])
+        assert rc == EXIT_VALIDATION
+        assert "multi_label" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_env_seed_changes_data(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTNPOOL_SEED", "314")
         out2 = str(tmp_path / "seeded")

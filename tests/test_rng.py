@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from attnpool.rng import (SplitMix64, float_stream, mix64, normal_stream,
-                          normals_from_u64, u64_stream)
+from attnpool.rng import (float_stream, mix64, normal_stream, normals_from_u64,
+                          u64_stream)
+from splitmix_reference import SplitMix64
 
 
 def scalar_normal(rng: SplitMix64) -> float:
@@ -85,6 +86,26 @@ class TestVectorizedStreams:
     def test_normals_from_u64_rejects_odd_length(self):
         with pytest.raises(ValueError):
             normals_from_u64(u64_stream(0, 3))
+        with pytest.raises(ValueError):
+            normals_from_u64(u64_stream(np.array([1, 2], dtype=np.uint64), 5))
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 1576])
+    def test_u64_stream_rows_are_per_seed_streams(self, count):
+        seeds = np.array([0, 1, 2**63 + 7, 2**64 - 1], dtype=np.uint64)
+        rows = u64_stream(seeds, count)
+        assert rows.shape == (len(seeds), count) and rows.dtype == np.uint64
+        for seed, row in zip(seeds.tolist(), rows):
+            assert row.tobytes() == u64_stream(seed, count).tobytes()
+
+    @pytest.mark.parametrize("count", [2, 10, 1576])
+    def test_normals_from_u64_rows_are_per_row_normals(self, count):
+        seeds = np.array([3, 2**64 - 1, 0], dtype=np.uint64)
+        u = u64_stream(seeds, 6 + count)[:, 6:]  # an offset, strided view
+        z = normals_from_u64(u)
+        assert z.shape == u.shape
+        for seed, row in zip(seeds.tolist(), z):
+            want = normals_from_u64(u64_stream(seed, 6 + count)[6:])
+            assert row.tobytes() == want.tobytes()
 
     def test_stream_prefix_property(self):
         np.testing.assert_array_equal(u64_stream(77, 5), u64_stream(77, 20)[:5])

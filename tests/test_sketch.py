@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from attnpool.rng import SplitMix64
 from attnpool.sketch import CHUNK_VALUES, SketchParams, cbp_pool
 from attnpool.tensors import ShapeError
+from splitmix_reference import SplitMix64
 
 DIMS = (1, 2, 7, 64)  # odd and even irfft lengths
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from attnpool.synth import (KEYPOINT_OFFSETS, Dataset, PlantedTaskConfig,
+from attnpool import rng
+from attnpool.synth import (CHUNK_VALUES, KEYPOINT_OFFSETS, Dataset, PlantedTaskConfig,
                             class_prototypes, gen_planted, gen_pose_targets,
                             metric_accuracy, metric_map,
                             nearest_prototype_accuracy, read_labels,
@@ -33,6 +34,119 @@ class TestPrototypes:
         b = class_prototypes(SMALL)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def reference_example(sub_seed, config, protos, distractors, marker):
+    """One example from its own stream, one numpy pipeline per example."""
+    n, f, K, C = config.n, config.f, config.K, config.clutter_classes
+    # fixed per-example draw budget: 8 header u64s, 2 per clutter cell,
+    # then an even number for the background normals
+    n_norm = 2 * ((n * f + 1) // 2)
+    u = rng.u64_stream(int(sub_seed), 8 + 2 * C + n_norm)
+    head, rest = u[:8 + 2 * C], u[8 + 2 * C:]
+    X = rng.normals_from_u64(rest)[: n * f].reshape(n, f)
+
+    if config.multi_label:
+        num = 1 + int(head[0] % 3)
+        labels = np.zeros(K)
+        locs = []
+        for j in range(3):
+            cls = int(head[1 + 2 * j] % K)
+            loc = int(head[2 + 2 * j] % n)
+            if j < num:
+                while loc in locs:  # dedupe by linear probing
+                    loc = (loc + 1) % n
+                locs.append(loc)
+                labels[cls] = 1.0
+                X[loc] += config.signal_strength * (protos[cls] + marker)
+        label, primary = labels, locs[0]
+    else:
+        cls = int(head[0] % K)
+        primary = int(head[1] % n)
+        locs = [primary]
+        X[primary] += config.signal_strength * (protos[cls] + marker)
+        label = cls
+
+    for j in range(C):
+        if n > 1:
+            cell = (primary + 1 + int(head[8 + 2 * j] % (n - 1))) % n
+        else:
+            cell = primary  # degenerate single-cell grid
+        pattern = int(head[9 + 2 * j] % C)
+        X[cell] += config.signal_strength * distractors[pattern]
+    return X, label, primary, tuple(locs)
+
+
+def reference_planted(config):
+    """(train, val) generated one example at a time, as gen_planted's reference."""
+    protos, distractors, marker = class_prototypes(config)
+    total = config.train_samples + config.val_samples
+    sub = rng.u64_stream(config.seed, 3 + total)[3:]
+    splits = []
+    for seeds in (sub[:config.train_samples], sub[config.train_samples:]):
+        m = len(seeds)
+        Xs = np.empty((m, config.n, config.f))
+        planted = np.empty(m, dtype=np.int64)
+        planted_all = []
+        if config.multi_label:
+            labels = np.zeros((m, config.K))
+        else:
+            labels = np.empty(m, dtype=np.int64)
+        for i, s in enumerate(seeds):
+            X, label, primary, locs = reference_example(s, config, protos, distractors,
+                                                        marker)
+            Xs[i] = X
+            labels[i] = label
+            planted[i] = primary
+            planted_all.append(locs)
+        splits.append(Dataset(config=config, X=Xs, labels=labels, planted=planted,
+                              planted_all=planted_all, prototypes=protos))
+    return splits
+
+
+# examples per chunk at the default 7x7 grid with f=32
+DEFAULT_STEP = CHUNK_VALUES // (49 * 32)
+
+
+class TestMatchesPerExampleReference:
+    @pytest.mark.parametrize("multi_label", [False, True])
+    @pytest.mark.parametrize("m", [DEFAULT_STEP - 1, DEFAULT_STEP, DEFAULT_STEP + 1,
+                                   3 * DEFAULT_STEP + 5])
+    def test_chunk_boundaries(self, m, multi_label):
+        assert 1 < DEFAULT_STEP < 100
+        self.check(PlantedTaskConfig(train_samples=m, val_samples=DEFAULT_STEP + 1,
+                                     multi_label=multi_label, seed=0))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n1=1, n2=1, f=8, K=2),                                   # one cell
+        dict(n1=1, n2=1, f=8, K=2, clutter_classes=0, seed=2**64 - 1),
+        dict(n1=3, n2=5, f=7, K=4, clutter_classes=0, seed=2**64 - 1),  # odd n*f
+        dict(n1=3, n2=5, f=7, K=4, clutter_classes=9, seed=0),
+        dict(n1=3, n2=5, f=7, K=5, clutter_classes=9, multi_label=True, seed=2**64 - 1),
+        dict(n1=1, n2=3, f=6, K=5, clutter_classes=0, multi_label=True, seed=0),
+        dict(n1=7, n2=7, f=32, K=8, clutter_classes=11, multi_label=True, seed=3),
+        dict(n1=7, n2=7, f=32, K=8, clutter_classes=0, seed=2**64 - 1),
+    ])
+    def test_grids_clutter_and_seeds(self, kwargs):
+        self.check(PlantedTaskConfig(train_samples=150, val_samples=50, **kwargs))
+
+    @pytest.mark.parametrize("multi_label", [False, True])
+    def test_one_example_per_chunk_above_budget(self, multi_label):
+        cfg = PlantedTaskConfig(n1=7, n2=7, f=1338, K=8, train_samples=3, val_samples=2,
+                                multi_label=multi_label, seed=2**64 - 1)
+        assert CHUNK_VALUES // (cfg.n * cfg.f) == 0
+        self.check(cfg)
+
+    @staticmethod
+    def check(config):
+        for got, want in zip(gen_planted(config), reference_planted(config)):
+            assert got.X.tobytes() == want.X.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.planted.dtype == want.planted.dtype
+            assert got.planted.tobytes() == want.planted.tobytes()
+            assert got.planted_all == want.planted_all
+            assert got.prototypes.tobytes() == want.prototypes.tobytes()
 
 
 class TestGeneration:
@@ -90,6 +204,14 @@ class TestGeneration:
             PlantedTaskConfig(n1=0)
         with pytest.raises(ValueError):
             PlantedTaskConfig(clutter_classes=-1)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1)])
+    def test_multi_label_needs_three_cells(self, n1, n2):
+        # up to 3 distinct planted cells: fewer cells would probe forever
+        with pytest.raises(ValueError, match="multi_label"):
+            PlantedTaskConfig(n1=n1, n2=n2, f=8, K=4, multi_label=True)
+        PlantedTaskConfig(n1=n1, n2=n2, f=8, K=4)  # single-label is fine
+        PlantedTaskConfig(n1=1, n2=3, f=8, K=4, multi_label=True)
 
 
 class TestOracleProperty:

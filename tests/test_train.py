@@ -6,7 +6,6 @@ import pytest
 from attnpool.autograd import Tape
 from attnpool.pooling import score_second_order
 from attnpool.pose import ATTENTION_CHANNEL
-from attnpool.rng import SplitMix64
 from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                             metric_accuracy)
 from attnpool.tensors import ShapeError
@@ -16,6 +15,7 @@ from attnpool.train import (HEAD_KINDS, TrainConfig, TrainDivergence, _batch_gra
                             _batch_loss, _fisher_yates, eval_forward, eval_scores, evaluate,
                             init_head_params, localization_rate, sgd_step, sketch_for,
                             train, true_classes, write_report, write_summary)
+from splitmix_reference import SplitMix64
 
 SMALL_TASK = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=128,
                                val_samples=64, seed=11)
