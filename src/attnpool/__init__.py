@@ -7,9 +7,42 @@ FLOP/wall-clock cost accounting.
 
 Training lives in the `attnpool.train` module
 (`from attnpool.train import TrainConfig, train`).
+
+Importing the package pins BLAS to one thread (unless the environment
+already sets the thread count) before numpy is first imported, so runs
+are byte-identical on any core count.  On glibc it also fixes malloc's
+mmap and trim thresholds, so a training step's arrays are reused from
+the heap rather than unmapped and faulted back in on every step.
 """
 
-from .autograd import Tape, finite_diff_check
+import ctypes
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+
+def _pin_malloc_thresholds() -> None:
+    """Set glibc's mmap and trim thresholds, which also turns off its
+    adaptive mmap threshold.  Does nothing off glibc, or when the
+    environment already sets either threshold or a glibc.malloc tunable."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if (not libc or not libc.startswith("glibc")
+            or "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, at most 32 MiB on 64-bit
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
+
+from .autograd import Tape, finite_diff_check  # after the pins above
 from .pooling import score_second_order
 from .sketch import SketchParams, cbp_pool
 from .synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,

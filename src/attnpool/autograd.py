@@ -168,7 +168,8 @@ class Tape:
 
     def relu(self, a):
         A = a.value
-        return self._push("relu", np.maximum(A, 0.0), (a,), lambda g: (g * (A > 0.0),))
+        mask = A > 0.0  # g * mask keeps the signed zeros of a negative g
+        return self._push("relu", np.maximum(A, 0.0), (a,), lambda g: (g * mask,))
 
     def sum_squares(self, a):
         A = a.value

@@ -17,12 +17,11 @@ from . import config as cfgmod
 from .atnp import AtnpError, read_atnp, write_atnp
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
-from .pose import NUM_POSE_CHANNELS
 from .selftest import run_all
 from .synth import Dataset, PlantedTaskConfig, gen_planted, read_labels, write_labels
 from .tensors import ShapeError
-from .train import (TrainConfig, eval_forward, eval_scores, evaluate, train,
-                    write_report, write_summary)
+from .train import (NUM_POSE_CHANNELS, TrainConfig, eval_forward, eval_scores, evaluate,
+                    train, write_report, write_summary)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -119,7 +118,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = load_split(args.data)
     params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
-    result = evaluate(params, tconf, ds)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_scores reports overflow
+        result = evaluate(params, tconf, ds)
     _check_scores(result["scores"], args.data)
     out = "".join(f"{key}={result[key]:.6f}\n"
                   for key in ("accuracy", "map", "localization") if key in result)
@@ -138,10 +138,11 @@ def cmd_heatmap(args) -> int:
     n1, n2 = ds.config.n1, ds.config.n2
     count = min(args.count, len(ds))
     X = ds.X[:count]
-    # the true class, or for multi-label data the top-scoring one
-    classes = (ds.labels[:count] if ds.labels.ndim == 1
-               else np.argmax(eval_scores(params, tconf, X), axis=1))
-    scores, maps = eval_forward(params, tconf, X, classes=classes)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_scores reports overflow
+        # the true class, or for multi-label data the top-scoring one
+        classes = (ds.labels[:count] if ds.labels.ndim == 1
+                   else np.argmax(eval_scores(params, tconf, X), axis=1))
+        scores, maps = eval_forward(params, tconf, X, classes=classes)
     _check_scores(scores, args.data)
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):

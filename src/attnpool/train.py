@@ -14,6 +14,13 @@ in the identity a^T (X^T (X b))) and record no map.  Validation,
 `evaluate`, localization, the heatmap command and the selftest oracle
 checks read its forward pass with the maps of one class per example
 (`eval_forward`).
+The pose_reg head is a two-layer MLP over the spatial features that
+predicts 17 channels per location: channels 0..15 are keypoint heatmaps
+supervised with a masked L2 loss, channel 16 is an unconstrained
+nonlinear bottom-up attention map that replaces the linear h = X b.  Its
+targets are (m, n, 16) heatmaps in [0, 1] with (m, 16) visibility masks
+in {0, 1} (`synth.gen_pose_targets`; `cli.load_split` checks them on
+load).
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -30,13 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tape
-from .pose import NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS, ATTENTION_CHANNEL
 from .rng import float_stream, mix64, u64_stream
 from .sketch import SketchParams, cbp_pool
 from .synth import Dataset, metric_accuracy, metric_map
 from .tensors import ShapeError
 
 HEAD_KINDS = ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp")
+NUM_POSE_CHANNELS = 16
+NUM_HEAD_CHANNELS = 17  # pose_reg: 16 keypoints + 1 attention channel
+ATTENTION_CHANNEL = 16
 
 
 class TrainDivergence(RuntimeError):

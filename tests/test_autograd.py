@@ -151,6 +151,17 @@ class TestBackward:
         tape.backward(tape.sum_squares(tape.add(tape.relu(x), tape.const(np.ones(3)))))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 8.0])
 
+    def test_relu_gradient_is_bitwise_g_times_mask(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((40, 8))
+        A[0, :3] = 0.0
+        g = rng.standard_normal((40, 8))
+        tape, x = _tape_with(A)
+        (grad,) = tape.relu(x).grad_fn(g)
+        assert np.array_equal(grad.view(np.uint64), (g * (A > 0.0)).view(np.uint64))
+        masked_negative = (A <= 0.0) & (g < 0.0)  # these entries hold -0.0
+        assert masked_negative.any() and np.all(np.signbit(grad[masked_negative]))
+
     def test_softmax_xent_gradient_hand(self):
         tape, z = _tape_with([[0.0, 0.0]])
         tape.backward(tape.softmax_xent(z, [0]))

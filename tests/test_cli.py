@@ -1,9 +1,15 @@
+import hashlib
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import attnpool
 from attnpool import cli
 from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
@@ -219,6 +225,20 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_overflowing_feature_exits_3_without_warnings(self, run_dir, data_dir, tmp_path,
+                                                           command):
+        split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+        path = os.path.join(split, "features.atnp")
+        X = read_atnp(path)
+        X[0, 0, 0] = 1e300
+        write_atnp(path, X)
+        argv = [command, "--checkpoint", os.path.join(run_dir, "checkpoint"), "--data", split]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
+        assert rc == EXIT_VALIDATION
+
     @pytest.mark.parametrize("bad", ["channels", "range"])
     def test_bad_pose_heatmaps_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
         split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
@@ -314,3 +334,29 @@ class TestBench:
         lines = open(out).read().splitlines()
         assert lines[0].startswith("kind,n,f,K,P")
         assert len(lines) > 30
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_thread_env(tmp_path):
+    """The package pins BLAS to one thread unless the environment sets a
+    count, so a run with the thread variables unset writes the bytes of
+    a run at OPENBLAS_NUM_THREADS=1.  On a 1-core machine BLAS uses one
+    thread either way, and this test shows nothing."""
+    data = str(tmp_path / "data")
+    assert main(["gen", "--out", data, "--set", "task.pose=true",
+                 "--set", "task.train_samples=400", "--set", "task.val_samples=100"]) == 0
+    src = os.path.dirname(os.path.dirname(attnpool.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("ATTNPOOL_SEED",)}
+    base["PYTHONPATH"] = src
+    checkpoints = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = str(tmp_path / f"run{len(checkpoints)}")
+        subprocess.run([sys.executable, "-m", "attnpool.cli", "train", "--data", data,
+                        "--out", out, "--set", "train.head=pose_reg", "--set", "train.epochs=3",
+                        "--set", "train.seed=101"], env={**base, **extra}, check=True,
+                       stdout=subprocess.DEVNULL)
+        checkpoints.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in sorted(pathlib.Path(out, "checkpoint").iterdir())})
+    assert checkpoints[0] == checkpoints[1]

@@ -10,12 +10,12 @@ import pytest
 from attnpool.autograd import Tape
 from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import load_split, main
-from attnpool.pose import ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS
 from attnpool.selftest import graph_scores
 from attnpool.synth import Dataset, PlantedTaskConfig
 from attnpool.tensors import ShapeError
-from attnpool.train import (TrainConfig, _batch_loss, _pose_batch_extra,
-                            eval_scores, init_head_params)
+from attnpool.train import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS,
+                            TrainConfig, _batch_loss, _pose_batch_extra, eval_scores,
+                            init_head_params)
 
 
 def _pose_params(W1, W2, A, bias1=None, bias2=None):

@@ -1,20 +1,20 @@
 import importlib
+import os
 
 import numpy as np
 import pytest
 
 from attnpool.autograd import Tape
 from attnpool.pooling import score_second_order
-from attnpool.pose import ATTENTION_CHANNEL
 from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                             metric_accuracy)
 from attnpool.tensors import ShapeError
 from attnpool.selftest import head_gradient_error
 from attnpool.sketch import cbp_pool
-from attnpool.train import (HEAD_KINDS, TrainConfig, TrainDivergence, _batch_graph,
-                            _batch_loss, _fisher_yates, eval_forward, eval_scores, evaluate,
-                            init_head_params, localization_rate, sgd_step, sketch_for,
-                            train, true_classes, write_report, write_summary)
+from attnpool.train import (ATTENTION_CHANNEL, HEAD_KINDS, TrainConfig, TrainDivergence,
+                            _batch_graph, _batch_loss, _fisher_yates, eval_forward, eval_scores,
+                            evaluate, init_head_params, localization_rate, sgd_step,
+                            sketch_for, train, true_classes, write_report, write_summary)
 from splitmix_reference import SplitMix64
 
 SMALL_TASK = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=128,
@@ -443,6 +443,32 @@ class TestTrainLoop:
         lse = np.log(np.exp(z).sum(axis=1))
         want = np.mean(lse - z[np.arange(len(tr)), tr.labels])
         assert train(cfg, tr, va).epochs[0].train_loss == pytest.approx(want, rel=1e-12)
+
+
+def _glibc_with_default_malloc_env() -> bool:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return False
+    return (bool(libc) and libc.startswith("glibc")
+            and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ)
+            and "glibc.malloc" not in os.environ.get("GLIBC_TUNABLES", ""))
+
+
+@pytest.mark.skipif(not _glibc_with_default_malloc_env(),
+                    reason="malloc thresholds are pinned on glibc without malloc settings only")
+def test_repeated_train_reuses_heap_pages():
+    """With the thresholds the package sets at import, a second identical
+    run faults in no fresh pages: its batch arrays come back from the heap
+    instead of being unmapped or trimmed and faulted in again."""
+    import resource  # Unix only
+    train_ds, val_ds = gen_planted(PlantedTaskConfig(f=256, K=16, train_samples=64,
+                                                     val_samples=32))
+    config = TrainConfig(head="attention", epochs=2)
+    train(config, train_ds, val_ds)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(config, train_ds, val_ds)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def scalar_fisher_yates(m: int, seed: int) -> np.ndarray:
