@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import ShapeError
+
+class ShapeError(ValueError):
+    """Raised, by every module, when operand shapes do not conform."""
 
 
 @dataclass

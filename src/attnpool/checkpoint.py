@@ -3,7 +3,8 @@
 A checkpoint is a directory containing manifest.txt (key=value lines:
 format_version, every `TrainConfig` field, and `tensor.<name>.dims =
 d1xd2`) and <name>.atnp files.  Field values are parsed as the `train.`
-keys of a config file; fields the manifest lacks take their defaults.
+keys of a config file; fields the manifest lacks take their defaults, and
+a `loss=` line (a setting before the labels chose the loss) is ignored.
 Loading checks the version, that the tensors are exactly the head's
 parameters at the scored split's f and K, and every blob's dims.
 """
@@ -53,6 +54,7 @@ def load_checkpoint(path, f: int, K: int):
     version = manifest.pop("format_version", None)
     if version != str(FORMAT_VERSION):
         raise CheckpointError(f"{manifest_path}: unsupported checkpoint version {version!r}")
+    manifest.pop("loss", None)
     dims, values = {}, {}
     for key, val in manifest.items():
         if key.startswith("tensor.") and key.endswith(".dims"):

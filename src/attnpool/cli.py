@@ -15,11 +15,11 @@ import numpy as np
 from . import bench as benchmod
 from . import config as cfgmod
 from .atnp import AtnpError, read_atnp, write_atnp
+from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
 from .synth import Dataset, PlantedTaskConfig, gen_planted, read_labels, write_labels
-from .tensors import ShapeError
 from .train import (NUM_POSE_CHANNELS, TrainConfig, eval_forward, eval_scores, evaluate,
                     train, write_report, write_summary)
 
@@ -131,6 +131,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be 0 or more, got {args.count}")
     ds = load_split(args.data)
     params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
     if tconf.head == "cbp":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import ShapeError
+from .autograd import ShapeError
 
 
 def normalize_map(grid) -> np.ndarray:

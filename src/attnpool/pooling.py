@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import ShapeError
+from .autograd import ShapeError
 
 
 def _as2d(x, name):

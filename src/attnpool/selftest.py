@@ -51,7 +51,7 @@ def graph_scores(head: str, params: dict, X, k: int = 0, **config):
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
     logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
-                                nodes, X[None], {}, classes=[k])
+                                nodes, X[None], classes=[k])
     return logits.value[0] * X.shape[0], maps
 
 
@@ -102,11 +102,11 @@ def check_rank_p_oracle(ranks=(1, 2, 5), count: int = 50) -> tuple:
     return worst <= 1e-9, f"rank-P graph vs explicit second order, worst rel err {worst:.3e}"
 
 
-def head_gradient_error(head: str, seed: int, **config) -> float:
+def head_gradient_error(head: str, seed: int, multi_label: bool = False, **config) -> float:
     """Finite-difference error of one head's batch loss at small dims.
 
-    `config` overrides TrainConfig fields, e.g. loss="sigmoid" (random
-    multi-label targets) or use_bias=True.
+    multi_label draws random (B, K) targets, so the loss is sigmoid
+    cross-entropy; `config` overrides TrainConfig fields, e.g. use_bias=True.
     """
     B, n1, n2, f, K = 3, 2, 2, 5, 3
     n = n1 * n2
@@ -114,23 +114,23 @@ def head_gradient_error(head: str, seed: int, **config) -> float:
                               lambda_pose=0.3, epochs=0), **config)
     rng = np.random.default_rng(seed)
     Xb = rng.standard_normal((B, n, f))
-    if cfg.loss == "sigmoid":
+    if multi_label:
         yb = (rng.uniform(size=(B, K)) < 0.5).astype(np.float64)
     else:
         yb = rng.integers(0, K, size=B)
-    extra = {}
-    if head == "cbp":
-        extra["features"] = rng.standard_normal((B, cfg.sketch_dim))
+    if head == "cbp":  # its inputs are sketch features
+        Xb = rng.standard_normal((B, cfg.sketch_dim))
+    pose = None
     if head == "pose_reg":
-        extra["pose_targets"] = rng.uniform(0, 1, size=(B * n, 16))
-        extra["pose_weights"] = np.sqrt(np.full((B * n, 16), 1.0 / (n * 16)))
+        pose = (rng.uniform(0, 1, size=(B * n, 16)),
+                np.sqrt(np.full((B * n, 16), 1.0 / (n * 16))))
     params0 = init_head_params(cfg, f, K)
     names = sorted(params0)
 
     def f_loss(plist):
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in zip(names, plist)}
-        loss = _batch_loss(tape, cfg, nodes, Xb, yb, dict(extra))
+        loss = _batch_loss(tape, cfg, nodes, Xb, yb, pose)
         tape.backward(loss)
         return float(loss.value), [nodes[name].grad for name in names]
 

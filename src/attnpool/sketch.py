@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import ShapeError
 from .rng import u64_stream
-from .tensors import ShapeError
 
 # values (maps x f x f Gram entries) that cbp_pool projects at once
 CHUNK_VALUES = 2 ** 15

@@ -1,6 +1,7 @@
 """Planted-attention synthetic task and evaluation metrics.
 
-Each example is an n1 x n2 grid of f-dimensional features.  Background
+Each example is an n1 x n2 grid of f-dimensional features, flattened to
+(n1*n2, f) with location index loc = row*n2 + col.  Background
 cells are i.i.d. standard normal; a handful of clutter cells carry
 class-agnostic distractor patterns; exactly one planted cell carries the
 class prototype plus a class-agnostic object-marker pattern, both scaled
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .tensors import ShapeError
+from .autograd import ShapeError
 
 # Fixed keypoint offsets (row, col) around the planted cell; keypoints
 # falling outside the grid are masked out.
@@ -86,7 +87,7 @@ class Dataset:
     config: PlantedTaskConfig
     X: np.ndarray                 # (m, n, f)
     labels: np.ndarray            # (m,) int or (m, K) binary
-    planted: np.ndarray           # (m,) primary planted cell
+    planted: np.ndarray           # (m,) the cell of the (lowest) true class
     planted_all: list = field(default_factory=list)  # per-example tuple of cells
     prototypes: np.ndarray | None = None             # (K, f), shared with the twin split
     pose_heatmaps: np.ndarray | None = None          # (m, n, 16)
@@ -131,8 +132,10 @@ def _gen_split(sub, config, protos, distractors, marker):
     Each example's stream holds 8 header u64s, 2 per clutter cell, then an
     even number for its n*f background normals.  The header gives one
     (class, cell) slot, or for multi-label data a count 1 + u % 3 and three
-    slots, a taken cell moving on to the next free one.  Examples go
-    through in chunks of at most CHUNK_VALUES normals, one stream row each.
+    slots, a taken cell moving on to the next free one; `planted` is the cell
+    of the first slot of the lowest class, the one `train.true_classes` takes.
+    Examples go through in chunks of at most CHUNK_VALUES normals, one
+    stream row each.
     """
     m, n, f, K, C = len(sub), config.n, config.f, config.K, config.clutter_classes
     first, slots = (1, 3) if config.multi_label else (0, 1)
@@ -167,14 +170,15 @@ def _gen_split(sub, config, protos, distractors, marker):
                 at = (at + 1 + (head[:, 8 + 2 * j] % (n - 1)).astype(np.int64)) % n
             pattern = (head[:, 9 + 2 * j] % C).astype(np.int64)
             Xc[rows, at] += config.signal_strength * distractors[pattern]
+    planted, labels = cells[:, 0], classes[:, 0]
     if config.multi_label:
         taken = np.arange(slots) < counts[:, None]  # the slots each example plants
         labels = np.zeros((m, K))
         labels[np.nonzero(taken)[0], classes[taken]] = 1.0
-    else:
-        labels = classes[:, 0]
+        lowest = np.argmin(np.where(taken, classes, K), axis=1)  # first slot of the lowest class
+        planted = cells[np.arange(m), lowest]
     planted_all = [tuple(c[:k]) for c, k in zip(cells.tolist(), counts.tolist())]
-    return Dataset(config=config, X=X, labels=labels, planted=cells[:, 0],
+    return Dataset(config=config, X=X, labels=labels, planted=planted,
                    planted_all=planted_all, prototypes=protos)
 
 

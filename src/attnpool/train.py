@@ -8,7 +8,9 @@ Every batch is one tape: the batch's examples are stacked into one
 (B*n, f) block, and per-example sums and pooling are the tape's segment
 ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter the tape
 as constants, so backward differentiates only the parameters.
-`_batch_graph` is the one definition of every head's scores and maps.
+`_batch_graph` is the one definition of every head's scores and maps,
+and `head_inputs` the one place that decides what a head scores.  The
+labels choose the loss: softmax for (m,) labels, sigmoid for (m, K).
 Training and `eval_scores` score by pooling first (X^T h per example, as
 in the identity a^T (X^T (X b))) and record no map.  Validation,
 `evaluate`, localization, the heatmap command and the selftest oracle
@@ -36,11 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tape
+from .autograd import ShapeError, Tape
 from .rng import float_stream, mix64, u64_stream
 from .sketch import SketchParams, cbp_pool
 from .synth import Dataset, metric_accuracy, metric_map
-from .tensors import ShapeError
 
 HEAD_KINDS = ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp")
 NUM_POSE_CHANNELS = 16
@@ -60,7 +61,6 @@ class TrainConfig:
     head: str = "attention"
     seed: int = 0
     rank: int = 1
-    loss: str = "softmax"        # or "sigmoid" for multi-label
     hdim: int = 128
     sketch_dim: int = 64
     use_bias: bool = False
@@ -74,8 +74,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.head not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {self.head!r}")
-        if self.loss not in ("softmax", "sigmoid"):
-            raise ValueError(f"unknown loss kind {self.loss!r}")
         if not self.lr > 0:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.momentum < 1:
@@ -185,12 +183,24 @@ def sketch_for(config: TrainConfig, f: int) -> SketchParams:
     return SketchParams.from_seed(f, config.sketch_dim, mix64(config.seed + 1))
 
 
+def _cbp_features(X: np.ndarray, sk: SketchParams) -> np.ndarray:
+    return cbp_pool(X, sk)
+
+
+def head_inputs(config: TrainConfig, X: np.ndarray) -> np.ndarray:
+    """What a head scores of a stack of feature maps X (m, n, f): the maps
+    themselves, or for cbp their mean-pooled sketch features (m, d)."""
+    if config.head != "cbp":
+        return X
+    return _cbp_features(X, sketch_for(config, X.shape[2])) / X.shape[1]
+
+
 def _rank_of(config: TrainConfig) -> int:
     return 1 if config.head == "attention" else config.rank
 
 
 def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
-                 extra: dict, classes=None):
+                 classes=None):
     """Record one batch's forward pass; returns (logits, maps).
 
     This is the only definition of each head's scores and maps: training
@@ -202,8 +212,8 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     (B*n, K) map; avg_pool pools X itself; per_class, with K bottom-up
     columns, sums its combined map.  logits is the (B, K) node.
 
-    cbp reads only extra["features"], its batch's mean-pooled sketches
-    (B, d); its Xb may be None.
+    Xb is the batch's `head_inputs`: its feature maps (B, n, f), or for
+    cbp its mean-pooled sketch features (B, d).
 
     classes (one class index per example, or None) also records the maps
     of those classes only, as (B*n, 1) nodes (`Tape.gather_cols`): "h"
@@ -221,7 +231,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     """
     maps = None
     if config.head == "cbp":
-        scores = tape.matmul(tape.const(extra["features"]), nodes["W"])
+        scores = tape.matmul(tape.const(Xb), nodes["W"])
     else:
         B, n, f = Xb.shape
         Xs = tape.const(Xb.reshape(B * n, f))
@@ -270,25 +280,27 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     return scores, maps
 
 
-def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, extra):
-    scores, maps = _batch_graph(tape, config, nodes, Xb, extra)
-    if config.loss == "softmax":
-        loss = tape.softmax_xent(scores, yb)
-    else:
-        loss = tape.sigmoid_xent(scores, yb)
+def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, pose=None):
+    """The batch's loss node: cross-entropy, softmax for (B,) labels yb and
+    sigmoid for (B, K), plus for pose_reg lambda_pose times the masked L2
+    loss of the keypoint (targets, weights) pose (`_pose_batch`)."""
+    scores, maps = _batch_graph(tape, config, nodes, Xb)
+    xent = tape.softmax_xent if np.ndim(yb) == 1 else tape.sigmoid_xent
+    loss = xent(scores, yb)
     if config.head == "pose_reg" and config.lambda_pose > 0:
-        B, n, _ = Xb.shape
+        targets, weights = pose
         keypoints = tape.cols(maps["out"], 0, NUM_POSE_CHANNELS)
-        diff = tape.subtract(keypoints, tape.const(extra["pose_targets"]))
+        diff = tape.subtract(keypoints, tape.const(targets))
         # per-example mask folded into sqrt weights so one sum_squares
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
-        weighted = tape.elementwise_mul(diff, tape.const(extra["pose_weights"]))
-        pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / B)
+        weighted = tape.elementwise_mul(diff, tape.const(weights))
+        pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / len(Xb))
         loss = tape.add(loss, tape.scalar_mul(pose_l, config.lambda_pose))
     return loss
 
 
-def _pose_batch_extra(dataset: Dataset, idx, n):
+def _pose_batch(dataset: Dataset, idx, n):
+    """pose_reg's keypoint (targets, weights) of examples idx, each (B*n, 16)."""
     hm = dataset.pose_heatmaps[idx]     # (B, n, 16)
     masks = dataset.pose_masks[idx]     # (B, 16)
     visible = masks.sum(axis=1)
@@ -296,31 +308,32 @@ def _pose_batch_extra(dataset: Dataset, idx, n):
     nz = visible > 0
     w[nz] = masks[nz] / (n * visible[nz, None])
     weights = np.sqrt(np.repeat(w, n, axis=0))
-    B = len(idx)
-    return hm.reshape(B * n, NUM_POSE_CHANNELS), weights
+    return hm.reshape(len(idx) * n, NUM_POSE_CHANNELS), weights
 
 
-def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
-                 cbp_features: np.ndarray | None = None, classes=None):
+def eval_forward(params: dict, config: TrainConfig, X: np.ndarray, classes=None):
     """Scores (m, K) of a stack of feature maps (m, n, f), and the maps of
     one class per example.
 
     Forward passes of `_batch_graph` over chunks of config.batch_size
     examples, with no backward pass.  classes holds one class index per
     example; maps is then {"h", "t", "c"}, each (m, n), for those classes
-    (see _batch_graph).  maps is None when classes is None and for cbp,
-    which needs its sketch features (m, d).
+    (see _batch_graph).  maps is None when classes is None and for cbp.
     """
-    m, n, _ = X.shape
+    return _forward(params, config, head_inputs(config, X), classes)
+
+
+def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
+    """eval_forward of a stack of head inputs (see head_inputs)."""
+    m = len(inputs)
     if classes is not None and len(classes) != m:
         raise ShapeError(f"{len(classes)} classes for {m} examples")
     scores, chunk_maps = [], []
     for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
         stop = start + config.batch_size
-        extra = {} if cbp_features is None else {"features": cbp_features[start:stop] / n}
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, config, nodes, X[start:stop], extra,
+        logits, maps = _batch_graph(tape, config, nodes, inputs[start:stop],
                                     None if classes is None else classes[start:stop])
         scores.append(logits.value)
         if classes is not None and maps is not None:
@@ -328,14 +341,13 @@ def eval_forward(params: dict, config: TrainConfig, X: np.ndarray,
     scores = np.concatenate(scores)
     if not chunk_maps:
         return scores, None
-    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps]).reshape(m, n)
-                    for key in ("h", "t", "c")}
+    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps])
+                    .reshape(inputs.shape[:2]) for key in ("h", "t", "c")}
 
 
-def eval_scores(params: dict, config: TrainConfig, X: np.ndarray,
-                cbp_features: np.ndarray | None = None) -> np.ndarray:
+def eval_scores(params: dict, config: TrainConfig, X: np.ndarray) -> np.ndarray:
     """Scores (m, K) for a stack of feature maps (m, n, f); see eval_forward."""
-    return eval_forward(params, config, X, cbp_features)[0]
+    return eval_forward(params, config, X)[0]
 
 
 def true_classes(dataset: Dataset) -> np.ndarray:
@@ -365,10 +377,6 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
-def _cbp_features(dataset: Dataset, sk: SketchParams) -> np.ndarray:
-    return cbp_pool(dataset.X, sk)
-
-
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
     """Train a head; deterministic given the config.  Aborts on divergence
     with the partial report (diverged=True)."""
@@ -378,19 +386,13 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
         raise ValueError("pose_reg head needs pose targets (gen_pose_targets)")
     m, n, f = train_ds.X.shape
     K = train_ds.config.K
-    if config.loss == "sigmoid" and train_ds.labels.ndim != 2:
-        raise ShapeError("sigmoid loss needs multi-label (m, K) labels")
 
     params = init_head_params(config, f, K)
     state = {name: np.zeros_like(p) for name, p in params.items()}
     report = TrainReport(config=config)
     t0 = time.perf_counter()
-
-    cbp_train = cbp_val = None
-    if config.head == "cbp":
-        sk = sketch_for(config, f)
-        cbp_train = _cbp_features(train_ds, sk)
-        cbp_val = _cbp_features(val_ds, sk)
+    inputs, val_inputs = head_inputs(config, train_ds.X), head_inputs(config, val_ds.X)
+    pose_loss = config.head == "pose_reg" and config.lambda_pose > 0
 
     try:
         for epoch in range(config.epochs):
@@ -398,17 +400,10 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
             total_loss, total_seen = 0.0, 0
             for start in range(0, m, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                yb = train_ds.labels[idx]
-                if config.head == "cbp":  # its features alone; no copy of the batch's maps
-                    Xb, extra = None, {"features": cbp_train[idx] / n}
-                else:
-                    Xb, extra = train_ds.X[idx], {}
-                if config.head == "pose_reg" and config.lambda_pose > 0:
-                    extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(
-                        train_ds, idx, n)
                 tape = Tape()
                 nodes = {name: tape.leaf(p) for name, p in params.items()}
-                loss = _batch_loss(tape, config, nodes, Xb, yb, extra)
+                loss = _batch_loss(tape, config, nodes, inputs[idx], train_ds.labels[idx],
+                                   _pose_batch(train_ds, idx, n) if pose_loss else None)
                 if not np.isfinite(loss.value):
                     raise TrainDivergence("non-finite training loss")
                 tape.backward(loss)
@@ -417,8 +412,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                          config.weight_decay)
                 total_loss += float(loss.value) * len(idx)
                 total_seen += len(idx)
-            del tape, nodes, loss, grads, Xb  # the last batch's tape, not needed by validation
-            val = evaluate(params, config, val_ds, cbp_val)
+            del tape, nodes, loss, grads  # the last batch's tape, not needed by validation
+            val = evaluate(params, config, val_ds, val_inputs)
             report.epochs.append(EpochRecord(
                 epoch=epoch,
                 train_loss=total_loss / total_seen,
@@ -434,15 +429,15 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
 
 
 def evaluate(params: dict, config: TrainConfig, dataset: Dataset,
-             cbp_features: np.ndarray | None = None) -> dict:
+             inputs: np.ndarray | None = None) -> dict:
     """Scores, accuracy (or mAP), localization and the true-class combined
     maps (m, n; None for cbp) from one forward pass.
 
-    cbp computes its sketch features from dataset.X unless given them.
+    inputs are dataset.X's `head_inputs`, computed here unless given.
     """
-    if config.head == "cbp" and cbp_features is None:
-        cbp_features = _cbp_features(dataset, sketch_for(config, dataset.X.shape[2]))
-    scores, maps = eval_forward(params, config, dataset.X, cbp_features, true_classes(dataset))
+    if inputs is None:
+        inputs = head_inputs(config, dataset.X)
+    scores, maps = _forward(params, config, inputs, true_classes(dataset))
     out: dict = {"scores": scores, "maps": maps["c"] if maps else None,
                  "localization": localization_rate(maps, dataset)}
     if dataset.labels.ndim == 1:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from attnpool.autograd import Tape, finite_diff_check
-from attnpool.tensors import ShapeError
+from attnpool.autograd import ShapeError, Tape, finite_diff_check
 
 
 def _tape_with(value):

@@ -147,6 +147,23 @@ class TestTrain:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_multi_label_labels_choose_the_loss(self, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert main(["gen", "--out", data] + SMALL + ["--set", "task.multi_label=true"]) == 0
+        assert main(["train", "--data", data, "--out", run, "--set", "train.epochs=2"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
+                     "--data", os.path.join(data, "val")]) == 0
+        assert capsys.readouterr().out.startswith("map=")
+
+    def test_loss_setting_is_unknown(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data_dir, "--out", str(out),
+                   "--set", "train.loss=sigmoid"])
+        assert rc == EXIT_VALIDATION
+        assert "train.loss" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_is_io_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "out")])
@@ -314,6 +331,15 @@ class TestHeatmap:
                    "--data", os.path.join(data_dir, "val"),
                    "--out", out, "--count", "0"])
         assert rc == 0 and os.listdir(out) == []
+
+    def test_negative_count_rejected(self, run_dir, data_dir, tmp_path, capsys):
+        out = tmp_path / "maps"
+        rc = main(["heatmap", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", os.path.join(data_dir, "val"), "--out", str(out),
+                   "--count", "-3"])
+        assert rc == EXIT_VALIDATION
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cbp_head_has_no_heatmaps(self, data_dir, tmp_path):
         run = str(tmp_path / "cbp_run")

@@ -16,7 +16,7 @@ NON_DEFAULT = {
     "train.head": "rank_p", "train.rank": "4", "train.lr": "0.5",
     "train.momentum": "0.0", "train.weight_decay": "0.0", "train.batch_size": "9",
     "train.epochs": "0", "train.seed": "12", "train.lambda_pose": "2.0",
-    "train.loss": "sigmoid", "train.hdim": "7", "train.sketch_dim": "8",
+    "train.hdim": "7", "train.sketch_dim": "8",
     "train.use_bias": "on",
 }
 

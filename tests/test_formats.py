@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from attnpool.atnp import AtnpError, read_atnp, write_atnp
+from attnpool.autograd import ShapeError
 from attnpool.checkpoint import (CheckpointError, load_checkpoint,
                                  save_checkpoint)
 from attnpool.images import export_pgm, montage, normalize_map, read_pgm
-from attnpool.tensors import ShapeError
 from attnpool.train import TrainConfig, init_head_params
 
 
@@ -164,33 +164,33 @@ class TestCheckpoint:
     def test_manifest_records_every_field(self, tmp_path):
         config = TrainConfig(head="rank_p", rank=2, lr=0.5, momentum=0.25,
                              weight_decay=0.0, batch_size=7, epochs=3, seed=2**63 + 7,
-                             lambda_pose=0.0, loss="sigmoid", hdim=3, sketch_dim=5,
-                             use_bias=True)
+                             lambda_pose=0.0, hdim=3, sketch_dim=5, use_bias=True)
         ckpt = self._save(tmp_path, init_head_params(config, 6, 4), config)
         lines = (ckpt / "manifest.txt").read_text().splitlines()
         assert lines[0] == "format_version=1"
-        assert lines[1:14] == [f"{fld.name}={getattr(config, fld.name)}"
+        assert lines[1:13] == [f"{fld.name}={getattr(config, fld.name)}"
                                for fld in dataclasses.fields(TrainConfig)]
-        assert lines[14:] == ["tensor.A0.dims=6x4", "tensor.A1.dims=6x4",
+        assert lines[13:] == ["tensor.A0.dims=6x4", "tensor.A1.dims=6x4",
                               "tensor.b0.dims=6x1", "tensor.b1.dims=6x1",
                               "tensor.bias.dims=1x4"]
         assert load_checkpoint(ckpt, 6, 4)[1] == config
 
     @pytest.mark.parametrize("config", [
         TrainConfig(head="attention", seed=4),
-        TrainConfig(head="rank_p", seed=9, rank=3, loss="sigmoid", use_bias=True),
+        TrainConfig(head="rank_p", seed=9, rank=3, use_bias=True),
         TrainConfig(head="pose_reg", seed=1, hdim=16, lambda_pose=0.5),
         TrainConfig(head="cbp", sketch_dim=32, use_bias=True),
     ])
     def test_earlier_manifest_format_loads(self, tmp_path, config):
         # checkpoints written before the manifest held every TrainConfig
-        # field: training-only fields were left out and take their defaults
+        # field: training-only fields were left out and take their defaults;
+        # the loss was a setting then, and its line is ignored
         params = init_head_params(config, 32, 8)
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        lines = ["format_version=1"] + [
-            f"{key}={getattr(config, key)}" for key in
-            ("head", "seed", "rank", "loss", "hdim", "sketch_dim", "use_bias", "lambda_pose")]
+        fields = [f"{key}={getattr(config, key)}" for key in
+                  ("head", "seed", "rank", "hdim", "sketch_dim", "use_bias", "lambda_pose")]
+        lines = ["format_version=1"] + fields[:3] + ["loss=sigmoid"] + fields[3:]
         for name in sorted(params):
             lines.append(f"tensor.{name}.dims={'x'.join(map(str, params[name].shape))}")
             write_atnp(str(ckpt / f"{name}.atnp"), params[name])
@@ -213,7 +213,7 @@ class TestCheckpoint:
             load_checkpoint(ckpt, 32, 8)
 
     @pytest.mark.parametrize("old, new", [
-        ("loss=softmax", "loss=softmax\nbogus=1"),   # unknown key
+        ("hdim=128", "hdim=128\nbogus=1"),         # unknown key
         ("rank=1", "rank=one"),                    # unparsable value
         ("use_bias=False", "use_bias=maybe"),
         ("head=attention", "head=rank_9"),         # not a head

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from attnpool.autograd import ShapeError
 from attnpool.pooling import score_second_order
 from attnpool.selftest import graph_scores
-from attnpool.tensors import ShapeError
 from attnpool.train import TrainConfig, eval_forward, init_head_params
 
 

@@ -7,14 +7,13 @@ pose loss is the term `train._batch_loss` adds to the class loss.
 import numpy as np
 import pytest
 
-from attnpool.autograd import Tape
+from attnpool.autograd import ShapeError, Tape
 from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import load_split, main
 from attnpool.selftest import graph_scores
 from attnpool.synth import Dataset, PlantedTaskConfig
-from attnpool.tensors import ShapeError
 from attnpool.train import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS,
-                            TrainConfig, _batch_loss, _pose_batch_extra, eval_scores,
+                            TrainConfig, _batch_loss, _pose_batch, eval_scores,
                             init_head_params)
 
 
@@ -46,12 +45,11 @@ def _losses(params, X, heatmaps, masks, lambda_pose):
     ds = Dataset(config=task, X=X, labels=np.zeros(B, dtype=np.int64),
                  planted=np.zeros(B, dtype=np.int64),
                  pose_heatmaps=heatmaps, pose_masks=masks)
-    extra = {}
-    extra["pose_targets"], extra["pose_weights"] = _pose_batch_extra(ds, np.arange(B), n)
     cfg = TrainConfig(head="pose_reg", lambda_pose=lambda_pose, hdim=params["W1"].shape[1])
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
-    return float(_batch_loss(tape, cfg, nodes, X, ds.labels, extra).value)
+    pose = _pose_batch(ds, np.arange(B), n)
+    return float(_batch_loss(tape, cfg, nodes, X, ds.labels, pose).value)
 
 
 def _pose_term(params, X, heatmaps, masks):
@@ -149,11 +147,10 @@ class TestPoseLoss:
         tape = Tape()
         params = _zero_head()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        extra = {"pose_targets": np.zeros((2, NUM_POSE_CHANNELS)),
-                 "pose_weights": np.ones((2, NUM_POSE_CHANNELS))}
+        pose = (np.zeros((2, NUM_POSE_CHANNELS)), np.ones((2, NUM_POSE_CHANNELS)))
         with pytest.raises(ShapeError):
             _batch_loss(tape, TrainConfig(head="pose_reg", hdim=2), nodes, X,
-                        np.zeros(1, dtype=np.int64), extra)
+                        np.zeros(1, dtype=np.int64), pose)
 
 
 class TestValidation:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from attnpool.autograd import ShapeError
 from attnpool.sketch import CHUNK_VALUES, SketchParams, cbp_pool
-from attnpool.tensors import ShapeError
 from splitmix_reference import SplitMix64
 
 DIMS = (1, 2, 7, 64)  # odd and even irfft lengths

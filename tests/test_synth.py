@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from attnpool import rng
+from attnpool.autograd import ShapeError
 from attnpool.synth import (CHUNK_VALUES, KEYPOINT_OFFSETS, Dataset, PlantedTaskConfig,
                             class_prototypes, gen_planted, gen_pose_targets,
                             metric_accuracy, metric_map,
                             nearest_prototype_accuracy, read_labels,
                             write_labels)
-from attnpool.tensors import ShapeError
+from attnpool.train import true_classes
 
 SMALL = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=64,
                           val_samples=32, seed=11)
@@ -37,7 +38,8 @@ class TestPrototypes:
 
 
 def reference_example(sub_seed, config, protos, distractors, marker):
-    """One example from its own stream, one numpy pipeline per example."""
+    """One example from its own stream, one numpy pipeline per example:
+    (X, label, planted cell, its (class, cell) slots)."""
     n, f, K, C = config.n, config.f, config.K, config.clutter_classes
     # fixed per-example draw budget: 8 header u64s, 2 per clutter cell,
     # then an even number for the background normals
@@ -49,21 +51,22 @@ def reference_example(sub_seed, config, protos, distractors, marker):
     if config.multi_label:
         num = 1 + int(head[0] % 3)
         labels = np.zeros(K)
-        locs = []
+        slots = []
         for j in range(3):
             cls = int(head[1 + 2 * j] % K)
             loc = int(head[2 + 2 * j] % n)
             if j < num:
-                while loc in locs:  # dedupe by linear probing
+                while loc in [cell for _, cell in slots]:  # dedupe by linear probing
                     loc = (loc + 1) % n
-                locs.append(loc)
+                slots.append((cls, loc))
                 labels[cls] = 1.0
                 X[loc] += config.signal_strength * (protos[cls] + marker)
-        label, primary = labels, locs[0]
+        label, primary = labels, slots[0][1]
+        planted = min(slots, key=lambda slot: slot[0])[1]  # the first slot of the lowest class
     else:
         cls = int(head[0] % K)
-        primary = int(head[1] % n)
-        locs = [primary]
+        primary = planted = int(head[1] % n)
+        slots = [(cls, primary)]
         X[primary] += config.signal_strength * (protos[cls] + marker)
         label = cls
 
@@ -74,7 +77,7 @@ def reference_example(sub_seed, config, protos, distractors, marker):
             cell = primary  # degenerate single-cell grid
         pattern = int(head[9 + 2 * j] % C)
         X[cell] += config.signal_strength * distractors[pattern]
-    return X, label, primary, tuple(locs)
+    return X, label, planted, tuple(slots)
 
 
 def reference_planted(config):
@@ -93,12 +96,11 @@ def reference_planted(config):
         else:
             labels = np.empty(m, dtype=np.int64)
         for i, s in enumerate(seeds):
-            X, label, primary, locs = reference_example(s, config, protos, distractors,
-                                                        marker)
+            X, label, planted[i], slots = reference_example(s, config, protos, distractors,
+                                                            marker)
             Xs[i] = X
             labels[i] = label
-            planted[i] = primary
-            planted_all.append(locs)
+            planted_all.append(tuple(cell for _, cell in slots))
         splits.append(Dataset(config=config, X=Xs, labels=labels, planted=planted,
                               planted_all=planted_all, prototypes=protos))
     return splits
@@ -149,6 +151,21 @@ class TestMatchesPerExampleReference:
             assert got.prototypes.tobytes() == want.prototypes.tobytes()
 
 
+def test_multi_label_planted_slot_carries_the_true_class():
+    # the default multi-label val split: slot 0 holds another class than
+    # the lowest in about a third of the examples
+    config = PlantedTaskConfig(multi_label=True)
+    val = gen_planted(config)[1]
+    tables, classes = class_prototypes(config), true_classes(val)
+    sub = rng.u64_stream(config.seed, 3 + config.train_samples + config.val_samples)
+    others = 0
+    for i, s in enumerate(sub[3 + config.train_samples:]):
+        slots = reference_example(s, config, *tables)[3]
+        assert dict((cell, cls) for cls, cell in slots)[val.planted[i]] == classes[i]
+        others += slots[0][0] != classes[i]
+    assert others == 172
+
+
 class TestGeneration:
     def test_byte_identical_across_runs(self):
         tr1, va1 = gen_planted(SMALL)
@@ -195,7 +212,7 @@ class TestGeneration:
         for i in range(len(tr)):
             locs = tr.planted_all[i]
             assert len(set(locs)) == len(locs)  # planted cells are distinct
-            assert tr.planted[i] == locs[0]
+            assert tr.planted[i] in locs  # the cell of the lowest class, not always slot 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,7 @@ evaluation order that the low-rank identity relies on."""
 import numpy as np
 import pytest
 
-from attnpool.autograd import Tape
-from attnpool.tensors import ShapeError
+from attnpool.autograd import ShapeError, Tape
 
 
 def matmul(a, b):

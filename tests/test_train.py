@@ -4,16 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from attnpool.autograd import Tape
+from attnpool.autograd import ShapeError, Tape
 from attnpool.pooling import score_second_order
 from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
                             metric_accuracy)
-from attnpool.tensors import ShapeError
 from attnpool.selftest import head_gradient_error
 from attnpool.sketch import cbp_pool
 from attnpool.train import (ATTENTION_CHANNEL, HEAD_KINDS, TrainConfig, TrainDivergence,
                             _batch_graph, _batch_loss, _fisher_yates, eval_forward, eval_scores,
-                            evaluate, init_head_params, localization_rate, sgd_step,
+                            evaluate, head_inputs, init_head_params, localization_rate, sgd_step,
                             sketch_for, train, true_classes, write_report, write_summary)
 from splitmix_reference import SplitMix64
 
@@ -133,8 +132,6 @@ class TestInit:
         with pytest.raises(ValueError):
             TrainConfig(head="bogus")
         with pytest.raises(ValueError):
-            TrainConfig(loss="hinge")
-        with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
@@ -211,7 +208,7 @@ class TestScores:
         Xb, classes = tr.X[:6], tr.labels[:6]
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, cfg, nodes, Xb, {}, classes)
+        logits, maps = _batch_graph(tape, cfg, nodes, Xb, classes)
         scores, chunked = eval_forward(params, cfg, Xb, classes=classes)
         np.testing.assert_allclose(logits.value, scores, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(maps["c"].value.reshape(chunked["c"].shape), chunked["c"],
@@ -253,7 +250,7 @@ class TestScores:
         # the maps are of the chosen columns only: no (B*n, K) node
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        _batch_graph(tape, cfg, nodes, X[:4], {}, classes[:4])
+        _batch_graph(tape, cfg, nodes, X[:4], classes[:4])
         if head != "per_class":  # per_class scores through its K bottom-up maps
             assert (4 * n, K) not in {node.value.shape for node in tape.nodes}
 
@@ -268,9 +265,8 @@ class TestScores:
         with pytest.raises(ShapeError):  # one class per example
             eval_forward(params, cfg, tr.X[:6], classes=[0, 1])
         cbp = TrainConfig(head="cbp", sketch_dim=8)
-        features = np.ones((6, 8))
         assert eval_forward(init_head_params(cbp, SMALL_TASK.f, SMALL_TASK.K), cbp, tr.X[:6],
-                            features, classes=tr.labels[:6])[1] is None
+                            classes=tr.labels[:6])[1] is None
 
     def test_true_classes(self, small_data, multi_label_data):
         tr, _ = small_data
@@ -290,15 +286,14 @@ class TestTrainingTape:
         cfg = TrainConfig(head=head, rank=2, hdim=hdim, sketch_dim=d, seed=1)
         rng = np.random.default_rng(0)
         Xb = rng.standard_normal((B, n, f))
-        extra = {}
-        if head == "cbp":
-            extra["features"] = rng.standard_normal((B, d))
+        if head == "cbp":  # its inputs are sketch features
+            Xb = rng.standard_normal((B, d))
+        pose = None
         if head == "pose_reg":
-            extra["pose_targets"] = rng.uniform(size=(B * n, 16))
-            extra["pose_weights"] = np.full((B * n, 16), 0.1)
+            pose = (rng.uniform(size=(B * n, 16)), np.full((B * n, 16), 0.1))
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in init_head_params(cfg, f, K).items()}
-        loss = _batch_loss(tape, cfg, nodes, Xb, np.arange(B) % K, extra)
+        loss = _batch_loss(tape, cfg, nodes, Xb, np.arange(B) % K, pose)
         tape.backward(loss)
         if head not in ("per_class", "cbp"):  # per_class has K bottom-up maps
             assert (B * n, K) not in {node.value.shape for node in tape.nodes}
@@ -308,8 +303,8 @@ class TestTrainingTape:
         assert all(node.grad is not None for node in nodes.values())
 
     @pytest.mark.parametrize("head", ["avg_pool", "attention", "rank_p", "pose_reg"])
-    @pytest.mark.parametrize("config", [{"loss": "sigmoid"}, {"use_bias": True},
-                                        {"loss": "sigmoid", "use_bias": True}])
+    @pytest.mark.parametrize("config", [{"multi_label": True}, {"use_bias": True},
+                                        {"multi_label": True, "use_bias": True}])
     def test_pool_first_gradients(self, head, config):
         worst = max(head_gradient_error(head, seed, **config) for seed in range(3))
         assert worst <= 1e-6
@@ -406,19 +401,22 @@ class TestTrainLoop:
         report = train(cfg, tr, va)
         assert len(report.epochs) == 2 and not report.diverged
 
-    def test_sigmoid_loss_needs_multilabel(self, small_data):
-        tr, va = small_data
-        with pytest.raises(ShapeError):
-            train(TrainConfig(head="attention", loss="sigmoid", epochs=1), tr, va)
-
     def test_multilabel_training(self):
         cfg_task = PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=64,
                                      val_samples=32, seed=6, multi_label=True)
         tr, va = gen_planted(cfg_task)
-        report = train(TrainConfig(head="attention", loss="sigmoid", epochs=2),
-                       tr, va)
+        report = train(TrainConfig(head="attention", epochs=2), tr, va)
         assert len(report.epochs) == 2
         assert 0.0 <= report.final_val_metric <= 1.0  # mAP
+
+    def test_labels_choose_the_loss(self, multi_label_data):
+        # one batch of every example: epoch 0's loss is the sigmoid
+        # cross-entropy of the initial scores, averaged over all m*K entries
+        tr, va = multi_label_data
+        cfg = TrainConfig(head="attention", epochs=1, batch_size=len(tr), seed=3)
+        z = eval_scores(init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K), cfg, tr.X)
+        want = np.mean(np.logaddexp(0.0, z) - tr.labels * z)
+        assert train(cfg, tr, va).epochs[0].train_loss == pytest.approx(want, rel=1e-12)
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(config=SMALL_TASK,
@@ -521,8 +519,9 @@ class TestEvaluateAndReports:
         cfg = TrainConfig(head="cbp", sketch_dim=64, use_bias=True, epochs=2, seed=4)
         params = train(cfg, tr, va).params
         sk = sketch_for(cfg, SMALL_TASK.f)
-        features = np.stack([cbp_pool(x, sk) for x in va.X])
-        want = eval_forward(params, cfg, va.X, features)[0]
+        features = np.stack([cbp_pool(x, sk) for x in va.X]) / SMALL_TASK.n
+        np.testing.assert_array_equal(head_inputs(cfg, va.X), features)
+        want = evaluate(params, cfg, va, features)["scores"]
         got = evaluate(params, cfg, va)["scores"]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -531,7 +530,7 @@ class TestEvaluateAndReports:
         cfg = TrainConfig(head="cbp", sketch_dim=16, use_bias=True, epochs=1, seed=5)
         params = train(cfg, tr, va).params
         features = cbp_pool(va.X, sketch_for(cfg, SMALL_TASK.f))
-        np.testing.assert_allclose(eval_scores(params, cfg, va.X, features),
+        np.testing.assert_allclose(eval_scores(params, cfg, va.X),
                                    features / SMALL_TASK.n @ params["W"] + params["bias"],
                                    rtol=1e-12)
 
