@@ -12,7 +12,11 @@ it, so a constant's grad stays None.  The op set is exactly what the
 pooling heads need; every array is float64 and shapes are strict: add,
 subtract and elementwise_mul take equal shapes, add_row adds one (1, k)
 row to every row, cols takes a column slice, and no other op
-broadcasts or slices.
+broadcasts or slices.  One op reads data that are not on the tape:
+`attend(X, rows, bs)` takes a split's feature maps X (m, n, f) and the
+batch's row indices, and records, for each bottom-up vector b, the map
+X_r b and the pooled features X_r^T (X_r b) as children of b alone,
+reading X in place one cache-sized block of examples at a time.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -27,6 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Tape.attend reads a split's examples in blocks of at most this many values
+# (512 KiB): a batch of 32 at 7 x 7 x 32, so desk-size steps make the same
+# BLAS calls as one stacked batch, and one example at 7 x 7 x 2048 (784 KiB),
+# which stays in a 2 MiB L2 cache between the two products that read it.
+BLOCK_VALUES = 2 ** 16
 
 
 class ShapeError(ValueError):
@@ -142,6 +153,56 @@ class Tape:
         return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
                           (X, h), grad_fn)
 
+    def attend(self, X, rows, bs):
+        """Bottom-up maps and pooled features of examples `rows` of a split,
+        read in place: X (m, n, f), rows a slice or 1-D index array of B
+        examples, bs a sequence of (f, 1) nodes.  Returns one (h, pooled)
+        pair per b: h = X_r b (B*n, 1) and pooled, per example,
+        X_r^T h_r (B, f); both have b as their only parent (X is data).
+
+        Examples go through in blocks of at most BLOCK_VALUES values, each
+        read by both products of a pass while it is in cache (forward X_r b
+        then X_r^T h_r; backward X_r g then X_r^T dh).  A block of
+        consecutive rows, such as a single example, is a view of X; only a
+        block of several shuffled rows is copied.  When one block holds the
+        batch, values and gradients are bitwise those of
+        pool(matmul(X[rows], b)).
+        """
+        if X.ndim != 3:
+            raise ShapeError(f"attend needs (m, n, f) feature maps, got {X.shape}")
+        m, n, f = X.shape
+        if isinstance(rows, slice):  # in range, and with step 1 one run of rows
+            run, rows = rows.step in (None, 1), np.arange(m)[rows]
+        else:
+            run, rows = False, np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or len(rows) and (rows.min() < 0 or rows.max() >= m):
+                raise ShapeError(f"attend rows must be a 1-D array of indices in [0, {m})")
+        for b in bs:
+            if b.value.shape != (f, 1):
+                raise ShapeError(f"attend shape mismatch: maps {X.shape} x {b.value.shape}")
+        B, step = len(rows), max(1, BLOCK_VALUES // max(1, n * f))
+        spans = [(s, min(s + step, B)) for s in range(0, B, step)]
+        blocks = [_take(X, rows[s:e], run).reshape((e - s) * n, f) for s, e in spans]
+
+        def h_grad(g):  # db = X_r^T g
+            return (_total([Xs.T @ g[s * n:e * n] for (s, e), Xs in zip(spans, blocks)], f),)
+
+        def pooled_grad(g):  # per example dh = X_b g_b; db = X_r^T dh
+            return (_total([Xs.T @ (Xs.reshape(e - s, n, f) @ g[s:e].reshape(e - s, f, 1))
+                            .reshape((e - s) * n, 1)
+                            for (s, e), Xs in zip(spans, blocks)], f),)
+
+        pairs = []
+        for b in bs:
+            h, pooled = np.empty((B * n, 1)), np.empty((B, f))
+            for (s, e), Xs in zip(spans, blocks):
+                np.matmul(Xs, b.value, out=h[s * n:e * n])
+                np.matmul(h[s * n:e * n].reshape(e - s, 1, n), Xs.reshape(e - s, n, f),
+                          out=pooled[s:e].reshape(e - s, 1, f))
+            pairs.append((self._push("attend_h", h, (b,), h_grad),
+                          self._push("attend_pool", pooled, (b,), pooled_grad)))
+        return pairs
+
     def gather_cols(self, X, A, cols, n):
         """Per block of n rows, X_b A[:, cols[b]]: X (B*n, f), A (f, K) -> (B*n, 1).
 
@@ -226,6 +287,20 @@ class Tape:
         for node in self.nodes:
             if node.needs and node.grad is None:
                 node.grad = np.zeros_like(node.value)
+
+
+def _take(X, rows, run=False):
+    """X[rows] of a nonempty 1-D index array: a view when rows are one
+    ascending run (known to be one when run is true)."""
+    start, B = rows[0], len(rows)
+    if run or B == 1 or rows[-1] - start == B - 1 and (np.diff(rows) == 1).all():
+        return X[start:start + B]
+    return X[rows]
+
+
+def _total(parts, f):
+    """Sum of a list of (f, 1) gradient parts, in order; zeros for none."""
+    return sum(parts[1:], parts[0]) if parts else np.zeros((f, 1))
 
 
 def finite_diff_check(f, params, step=1e-5) -> float:

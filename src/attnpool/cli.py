@@ -100,6 +100,7 @@ def cmd_train(args) -> int:
     tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
     val_ds = load_split(os.path.join(args.data, "val"))
+    cfg.update(cfgmod.keys_of(train_ds.config))  # record the task trained on, not defaults
     report = train(tconf, train_ds, val_ds)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "resolved_config.txt"), "w") as fh:

@@ -61,6 +61,12 @@ def build(cls, cfg: dict):
                   if owner is cls and key in cfg})
 
 
+def keys_of(obj) -> dict:
+    """The `section.key` values of a run dataclass: the inverse of build."""
+    return {key: getattr(obj, fld.name) for key, (owner, fld) in _FIELDS.items()
+            if owner is type(obj)}
+
+
 def parse_config_text(text: str) -> dict:
     out = {}
     section = ""

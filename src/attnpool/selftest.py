@@ -51,7 +51,7 @@ def graph_scores(head: str, params: dict, X, k: int = 0, **config):
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
     logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
-                                nodes, X[None], classes=[k])
+                                nodes, X[None], slice(None), classes=[k])
     return logits.value[0] * X.shape[0], maps
 
 
@@ -130,7 +130,7 @@ def head_gradient_error(head: str, seed: int, multi_label: bool = False, **confi
     def f_loss(plist):
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in zip(names, plist)}
-        loss = _batch_loss(tape, cfg, nodes, Xb, yb, pose)
+        loss = _batch_loss(tape, cfg, nodes, Xb, slice(None), yb, pose)
         tape.backward(loss)
         return float(loss.value), [nodes[name].grad for name in names]
 

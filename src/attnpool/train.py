@@ -4,10 +4,14 @@ Heads: avg_pool (top-down only), attention (rank-1, shared bottom-up),
 rank_p, per_class, pose_reg (MLP bottom-up channel with keypoint
 supervision), cbp (linear classifier on TensorSketch features).
 
-Every batch is one tape: the batch's examples are stacked into one
-(B*n, f) block, and per-example sums and pooling are the tape's segment
-ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter the tape
-as constants, so backward differentiates only the parameters.
+Every batch is one tape over the split's inputs and the batch's row
+indices.  attention and rank_p read the split in place (`Tape.attend`,
+one cache-sized block of examples at a time, so at the paper's width no
+batch is copied); the other heads stack the batch's examples into one
+(B*n, f) block, and their per-example sums and pooling are the tape's
+segment ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter
+the tape as constants or are read by `attend`, so backward
+differentiates only the parameters.
 `_batch_graph` is the one definition of every head's scores and maps,
 and `head_inputs` the one place that decides what a head scores.  The
 labels choose the loss: softmax for (m,) labels, sigmoid for (m, K).
@@ -47,6 +51,12 @@ HEAD_KINDS = ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp")
 NUM_POSE_CHANNELS = 16
 NUM_HEAD_CHANNELS = 17  # pose_reg: 16 keypoints + 1 attention channel
 ATTENTION_CHANNEL = 16
+
+
+# sgd_step updates each parameter in blocks of about this many values, so a
+# block of p, v, g and a temporary (4 x 256 KiB) stays in L2 cache across
+# the update's passes.
+SGD_BLOCK_VALUES = 2 ** 15
 
 
 class TrainDivergence(RuntimeError):
@@ -119,18 +129,24 @@ def sgd_step(params: dict, grads: dict, state: dict, lr: float,
              momentum: float, weight_decay: float) -> None:
     """In-place heavy-ball update: v <- m*v + g + wd*p;  p <- p - lr*v.
 
-    Overwrites the arrays of params and state, in the operation order of
-    the formula, so the result is bitwise that of the formula.
+    Overwrites the arrays of params and state (each of one or more
+    dimensions), in the operation order of the formula, so the result is
+    bitwise that of the formula.  Each parameter goes through in blocks of
+    whole rows of about SGD_BLOCK_VALUES values, so its temporaries are one
+    block each; its whole gradient is checked before any of its blocks is
+    written.
     """
     for name in params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        g, v, p = grads[name], state[name], params[name]
+        if not np.isfinite(g).all():
             raise TrainDivergence(f"non-finite gradient for parameter {name!r}")
-        v, p = state[name], params[name]
-        v *= momentum
-        v += g
-        v += weight_decay * p
-        p -= lr * v
+        step = max(1, SGD_BLOCK_VALUES // max(1, p[:1].size))
+        for i in range(0, len(p), step):
+            pb, vb = p[i:i + step], v[i:i + step]
+            vb *= momentum
+            vb += g[i:i + step]
+            vb += weight_decay * pb
+            pb -= lr * vb
 
 
 def head_shapes(config: TrainConfig, f: int, K: int) -> dict:
@@ -199,7 +215,7 @@ def _rank_of(config: TrainConfig) -> int:
     return 1 if config.head == "attention" else config.rank
 
 
-def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
+def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarray, rows,
                  classes=None):
     """Record one batch's forward pass; returns (logits, maps).
 
@@ -212,8 +228,12 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     (B*n, K) map; avg_pool pools X itself; per_class, with K bottom-up
     columns, sums its combined map.  logits is the (B, K) node.
 
-    Xb is the batch's `head_inputs`: its feature maps (B, n, f), or for
-    cbp its mean-pooled sketch features (B, d).
+    The batch is examples `rows` (a slice, or a 1-D array of indices) of
+    a split's `head_inputs`: its feature maps (m, n, f), or for cbp its
+    mean-pooled sketch features (m, d).  attention and rank_p read their
+    scores from the maps in place (`Tape.attend`); every other head, and
+    the maps of `classes`, take the batch as inputs[rows], a view for a
+    slice and a copy for an index array.
 
     classes (one class index per example, or None) also records the maps
     of those classes only, as (B*n, 1) nodes (`Tape.gather_cols`): "h"
@@ -231,11 +251,13 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     """
     maps = None
     if config.head == "cbp":
-        scores = tape.matmul(tape.const(Xb), nodes["W"])
+        scores = tape.matmul(tape.const(inputs[rows]), nodes["W"])
     else:
-        B, n, f = Xb.shape
-        Xs = tape.const(Xb.reshape(B * n, f))
+        n, f = inputs.shape[1:]
         maps = {}
+        if classes is not None or config.head not in ("attention", "rank_p"):
+            Xb = inputs[rows]
+            Xs = tape.const(Xb.reshape(len(Xb) * n, f))
 
         def column(name):  # each example's map for its own class column of a parameter
             return tape.gather_cols(Xs, nodes[name], classes, n)
@@ -244,11 +266,11 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
             scores = tape.matmul(tape.segment_sum(Xs, n), nodes["W"])
             if classes is not None:
                 t = column("W")
-                maps.update(h=tape.const(np.ones((B * n, 1))), t=t, c=t)
+                maps.update(h=tape.const(np.ones((len(classes) * n, 1))), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
-            for p in range(_rank_of(config)):
-                h = tape.matmul(Xs, nodes[f"b{p}"])              # (Bn, 1)
-                sp = tape.matmul(tape.pool(Xs, h, n), nodes[f"A{p}"])
+            bs = [nodes[f"b{p}"] for p in range(_rank_of(config))]
+            for p, (h, pooled) in enumerate(tape.attend(inputs, rows, bs)):
+                sp = tape.matmul(pooled, nodes[f"A{p}"])
                 scores = sp if p == 0 else tape.add(scores, sp)
                 if classes is not None:
                     t = column(f"A{p}")
@@ -280,11 +302,12 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, Xb: np.ndarray,
     return scores, maps
 
 
-def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, pose=None):
-    """The batch's loss node: cross-entropy, softmax for (B,) labels yb and
-    sigmoid for (B, K), plus for pose_reg lambda_pose times the masked L2
-    loss of the keypoint (targets, weights) pose (`_pose_batch`)."""
-    scores, maps = _batch_graph(tape, config, nodes, Xb)
+def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, inputs, rows, yb, pose=None):
+    """The loss node of examples `rows` of a split's inputs (see
+    _batch_graph): cross-entropy, softmax for (B,) labels yb and sigmoid
+    for (B, K), plus for pose_reg lambda_pose times the masked L2 loss of
+    the keypoint (targets, weights) pose (`_pose_batch`)."""
+    scores, maps = _batch_graph(tape, config, nodes, inputs, rows)
     xent = tape.softmax_xent if np.ndim(yb) == 1 else tape.sigmoid_xent
     loss = xent(scores, yb)
     if config.head == "pose_reg" and config.lambda_pose > 0:
@@ -294,7 +317,7 @@ def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, Xb, yb, pose=None)
         # per-example mask folded into sqrt weights so one sum_squares
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
         weighted = tape.elementwise_mul(diff, tape.const(weights))
-        pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / len(Xb))
+        pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / len(yb))
         loss = tape.add(loss, tape.scalar_mul(pose_l, config.lambda_pose))
     return loss
 
@@ -333,7 +356,7 @@ def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
         stop = start + config.batch_size
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, config, nodes, inputs[start:stop],
+        logits, maps = _batch_graph(tape, config, nodes, inputs, slice(start, stop),
                                     None if classes is None else classes[start:stop])
         scores.append(logits.value)
         if classes is not None and maps is not None:
@@ -402,7 +425,7 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 idx = order[start:start + config.batch_size]
                 tape = Tape()
                 nodes = {name: tape.leaf(p) for name, p in params.items()}
-                loss = _batch_loss(tape, config, nodes, inputs[idx], train_ds.labels[idx],
+                loss = _batch_loss(tape, config, nodes, inputs, idx, train_ds.labels[idx],
                                    _pose_batch(train_ds, idx, n) if pose_loss else None)
                 if not np.isfinite(loss.value):
                     raise TrainDivergence("non-finite training loss")

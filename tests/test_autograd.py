@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attnpool import autograd
 from attnpool.autograd import ShapeError, Tape, finite_diff_check
 
 
@@ -340,3 +341,112 @@ class TestFiniteDifference:
             return float(loss.value), [nW1.grad, nb1.grad, nW2.grad, nb2.grad]
 
         self._check(build, [(3, 5), (1, 5), (5, 3), (1, 3)], seed=20 + r)
+
+
+class TestAttend:
+    """Tape.attend: X_r b and X_r^T (X_r b) read from a split in place."""
+
+    M, N, F, K = 9, 4, 6, 3
+    ROWS = [7, 2, 2, 8, 0]  # shuffled, with a repeat
+
+    def _data(self):
+        rng = np.random.default_rng(21)
+        return (rng.standard_normal((self.M, self.N, self.F)), rng.standard_normal((self.F, 1)),
+                rng.standard_normal((self.F, self.K)))
+
+    def _loss(self, tape, h, pooled, A, labels):
+        """Class loss on the pooled features plus one on h, so both nodes send gradients."""
+        xent = tape.softmax_xent(tape.matmul(pooled, tape.const(A)), labels)
+        return tape.add(xent, tape.sum_squares(h))
+
+    def _attend(self, X, rows, b, A, with_h=False):
+        tape = Tape()
+        bn = tape.leaf(b)
+        [(h, pooled)] = tape.attend(X, rows, [bn])
+        labels = np.arange(len(pooled.value)) % A.shape[1]
+        if with_h:
+            tape.backward(self._loss(tape, h, pooled, A, labels))
+        else:
+            tape.backward(tape.softmax_xent(tape.matmul(pooled, tape.const(A)), labels))
+        return h.value, pooled.value, bn.grad
+
+    def _reference(self, X, rows, b, A, with_h=False):
+        """pool(matmul(Xs, b)) on the stacked batch X[rows]."""
+        tape = Tape()
+        bn = tape.leaf(b)
+        Xb = X[rows]
+        Xs = tape.const(Xb.reshape(-1, self.F))
+        h = tape.matmul(Xs, bn)
+        pooled = tape.pool(Xs, h, self.N)
+        labels = np.arange(len(Xb)) % A.shape[1]
+        if with_h:
+            tape.backward(self._loss(tape, h, pooled, A, labels))
+        else:
+            tape.backward(tape.softmax_xent(tape.matmul(pooled, tape.const(A)), labels))
+        return h.value, pooled.value, bn.grad
+
+    def test_one_block_is_bitwise_pool_of_matmul(self):
+        X, b, A = self._data()
+        assert len(self.ROWS) * self.N * self.F <= autograd.BLOCK_VALUES
+        for rows in (np.array(self.ROWS), np.arange(2, 6)):  # a copy, and a view
+            for got, want in zip(self._attend(X, rows, b, A), self._reference(X, rows, b, A)):
+                assert np.array_equal(got, want)
+        for got, want in zip(self._attend(X, slice(1, 4), b, A),
+                             self._reference(X, np.arange(1, 4), b, A)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("examples_per_block", [1, 2])
+    def test_blocks_of_examples_match_pool_of_matmul(self, monkeypatch, examples_per_block):
+        # n*f above BLOCK_VALUES gives one example per block; two leave a ragged last block
+        monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
+        X, b, A = self._data()
+        for with_h in (False, True):
+            for got, want in zip(self._attend(X, np.array(self.ROWS), b, A, with_h),
+                                 self._reference(X, np.array(self.ROWS), b, A, with_h)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("examples_per_block", [1, 64])
+    def test_finite_difference_on_b(self, monkeypatch, examples_per_block):
+        monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
+        X, b, A = self._data()
+        rows = np.array(self.ROWS)
+
+        def f(params):
+            tape = Tape()
+            bn = tape.leaf(params[0])
+            [(h, pooled)] = tape.attend(X, rows, [bn])
+            loss = self._loss(tape, h, pooled, A, np.arange(len(rows)) % self.K)
+            tape.backward(loss)
+            return float(loss.value), [bn.grad]
+
+        assert finite_diff_check(f, [b]) < 1e-6
+
+    def test_one_pair_per_bottom_up_vector(self):
+        X, b, _ = self._data()
+        tape = Tape()
+        bs = [tape.leaf(b), tape.leaf(2.0 * b)]
+        (h0, p0), (h1, p1) = tape.attend(X, np.array(self.ROWS), bs)
+        assert [n.parents for n in (h0, p0, h1, p1)] == [(bs[0].id,)] * 2 + [(bs[1].id,)] * 2
+        np.testing.assert_array_equal(h1.value, 2.0 * h0.value)
+        np.testing.assert_array_equal(p1.value, 2.0 * p0.value)
+
+    def test_shape_errors(self):
+        X, b, _ = self._data()
+        tape = Tape()
+        for bad_b in (np.zeros((self.F + 1, 1)), np.zeros(self.F), np.zeros((self.F, 2))):
+            with pytest.raises(ShapeError):
+                tape.attend(X, [0, 1], [tape.leaf(bad_b)])
+        for bad_rows in ([0, self.M], [-1], [[0, 1]]):
+            with pytest.raises(ShapeError):
+                tape.attend(X, bad_rows, [tape.leaf(b)])
+        with pytest.raises(ShapeError):  # X must be a stack of (n, f) maps
+            tape.attend(X[0], [0], [tape.leaf(b)])
+
+    def test_no_rows(self):
+        X, b, _ = self._data()
+        tape = Tape()
+        bn = tape.leaf(b)
+        [(h, pooled)] = tape.attend(X, np.zeros(0, dtype=np.int64), [bn])
+        assert h.value.shape == (0, 1) and pooled.value.shape == (0, self.F)
+        tape.backward(tape.sum_squares(pooled))
+        np.testing.assert_array_equal(bn.grad, np.zeros((self.F, 1)))

@@ -152,6 +152,9 @@ class TestTrain:
         assert main(["gen", "--out", data] + SMALL + ["--set", "task.multi_label=true"]) == 0
         assert main(["train", "--data", data, "--out", run, "--set", "train.epochs=2"]) == 0
         capsys.readouterr()
+        # the run records the trained split's task keys (its meta.txt), not the defaults
+        resolved = open(os.path.join(run, "resolved_config.txt")).read().splitlines()
+        assert "task.multi_label = True" in resolved and "task.f = 16" in resolved
         assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
                      "--data", os.path.join(data, "val")]) == 0
         assert capsys.readouterr().out.startswith("map=")

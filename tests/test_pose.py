@@ -49,7 +49,7 @@ def _losses(params, X, heatmaps, masks, lambda_pose):
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
     pose = _pose_batch(ds, np.arange(B), n)
-    return float(_batch_loss(tape, cfg, nodes, X, ds.labels, pose).value)
+    return float(_batch_loss(tape, cfg, nodes, X, np.arange(B), ds.labels, pose).value)
 
 
 def _pose_term(params, X, heatmaps, masks):
@@ -149,7 +149,7 @@ class TestPoseLoss:
         nodes = {name: tape.leaf(p) for name, p in params.items()}
         pose = (np.zeros((2, NUM_POSE_CHANNELS)), np.ones((2, NUM_POSE_CHANNELS)))
         with pytest.raises(ShapeError):
-            _batch_loss(tape, TrainConfig(head="pose_reg", hdim=2), nodes, X,
+            _batch_loss(tape, TrainConfig(head="pose_reg", hdim=2), nodes, X, np.arange(1),
                         np.zeros(1, dtype=np.int64), pose)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_ta
                             metric_accuracy)
 from attnpool.selftest import head_gradient_error
 from attnpool.sketch import cbp_pool
-from attnpool.train import (ATTENTION_CHANNEL, HEAD_KINDS, TrainConfig, TrainDivergence,
+from attnpool.train import (ATTENTION_CHANNEL, HEAD_KINDS, SGD_BLOCK_VALUES, TrainConfig,
+                            TrainDivergence,
                             _batch_graph, _batch_loss, _fisher_yates, eval_forward, eval_scores,
                             evaluate, head_inputs, init_head_params, localization_rate, sgd_step,
                             sketch_for, train, true_classes, write_report, write_summary)
@@ -76,8 +78,16 @@ class TestSgdStep:
         np.testing.assert_array_equal(p["w"], [1.0, -2.0])
 
     def test_in_place_update_matches_formula_bitwise(self):
+        self._check_formula_bitwise({"A": (5, 3), "b": (5, 1)})
+
+    def test_blocked_update_matches_formula_bitwise(self):
+        # larger than one block of SGD_BLOCK_VALUES, each with a ragged last block
+        self._check_formula_bitwise({"A": (2 * (SGD_BLOCK_VALUES // 100) + 37, 100),
+                                     "v": (SGD_BLOCK_VALUES + 5,)})
+
+    @staticmethod
+    def _check_formula_bitwise(shapes):
         rng = np.random.default_rng(8)
-        shapes = {"A": (5, 3), "b": (5, 1)}
         params = {name: rng.standard_normal(s) for name, s in shapes.items()}
         state = {name: np.zeros(s) for name, s in shapes.items()}
         want_p = {name: p.copy() for name, p in params.items()}
@@ -99,6 +109,18 @@ class TestSgdStep:
         with pytest.raises(TrainDivergence):
             sgd_step(p, {"w": np.array([np.nan])}, {"w": np.zeros(1)},
                      lr=0.1, momentum=0.9, weight_decay=0.0)
+
+    def test_non_finite_gradient_in_last_block_writes_nothing(self):
+        # the whole gradient is checked before any block of the parameter is written
+        rng = np.random.default_rng(9)
+        shape = (2 * (SGD_BLOCK_VALUES // 100) + 37, 100)
+        params, state = {"A": rng.standard_normal(shape)}, {"A": rng.standard_normal(shape)}
+        grads = {"A": rng.standard_normal(shape)}
+        grads["A"][-1, -1] = np.nan
+        want_p, want_v = params["A"].copy(), state["A"].copy()
+        with pytest.raises(TrainDivergence, match="'A'"):
+            sgd_step(params, grads, state, lr=0.03, momentum=0.9, weight_decay=1e-4)
+        assert np.array_equal(params["A"], want_p) and np.array_equal(state["A"], want_v)
 
 
 class TestInit:
@@ -208,7 +230,7 @@ class TestScores:
         Xb, classes = tr.X[:6], tr.labels[:6]
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, cfg, nodes, Xb, classes)
+        logits, maps = _batch_graph(tape, cfg, nodes, Xb, slice(None), classes)
         scores, chunked = eval_forward(params, cfg, Xb, classes=classes)
         np.testing.assert_allclose(logits.value, scores, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(maps["c"].value.reshape(chunked["c"].shape), chunked["c"],
@@ -250,7 +272,7 @@ class TestScores:
         # the maps are of the chosen columns only: no (B*n, K) node
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        _batch_graph(tape, cfg, nodes, X[:4], classes[:4])
+        _batch_graph(tape, cfg, nodes, X, slice(0, 4), classes[:4])
         if head != "per_class":  # per_class scores through its K bottom-up maps
             assert (4 * n, K) not in {node.value.shape for node in tape.nodes}
 
@@ -293,12 +315,15 @@ class TestTrainingTape:
             pose = (rng.uniform(size=(B * n, 16)), np.full((B * n, 16), 0.1))
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in init_head_params(cfg, f, K).items()}
-        loss = _batch_loss(tape, cfg, nodes, Xb, np.arange(B) % K, pose)
+        loss = _batch_loss(tape, cfg, nodes, Xb, np.arange(B), np.arange(B) % K, pose)
         tape.backward(loss)
         if head not in ("per_class", "cbp"):  # per_class has K bottom-up maps
             assert (B * n, K) not in {node.value.shape for node in tape.nodes}
         data = [node for node in tape.nodes if not node.needs]
-        assert any(node.op == "const" for node in data)
+        if head in ("attention", "rank_p"):  # Tape.attend reads X in place: no data node
+            assert not data and {"attend_h", "attend_pool"} <= {node.op for node in tape.nodes}
+        else:
+            assert any(node.op == "const" for node in data)
         assert all(node.grad is None for node in data)
         assert all(node.grad is not None for node in nodes.values())
 
@@ -343,6 +368,20 @@ class TestTrainLoop:
         assert [e.train_loss for e in r1.epochs] == [e.train_loss for e in r2.epochs]
         for name in r1.params:
             assert r1.params[name].tobytes() == r2.params[name].tobytes()
+
+    def test_attention_reads_the_split_without_copying_a_batch(self):
+        # at n*f = 49*2048 each Tape.attend block is one example, a view of the split
+        B, n, f = 8, 49, 2048
+        tr, va = gen_planted(PlantedTaskConfig(n1=7, n2=7, f=f, K=16, train_samples=16,
+                                               val_samples=8, seed=3))
+        cfg = TrainConfig(head="attention", epochs=1, batch_size=B, seed=3)
+        tracemalloc.start()
+        try:
+            train(cfg, tr, va)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * n * f * 8 / 2
 
     def test_zero_epochs(self, small_data):
         tr, va = small_data
