@@ -13,10 +13,12 @@ pooling heads need; every array is float64 and shapes are strict: add,
 subtract and elementwise_mul take equal shapes, add_row adds one (1, k)
 row to every row, cols takes a column slice, and no other op
 broadcasts or slices.  One op reads data that are not on the tape:
-`attend(X, rows, bs)` takes a split's feature maps X (m, n, f) and the
-batch's row indices, and records, for each bottom-up vector b, the map
-X_r b and the pooled features X_r^T (X_r b) as children of b alone,
-reading X in place one cache-sized block of examples at a time.
+`attend(X, rows, bs, As, classes)` takes a split's feature maps
+X (m, n, f) and the batch's row indices, and records, for each
+bottom-up vector b, the map X_r b and the pooled features X_r^T (X_r b)
+as children of b alone and, given the examples' classes, each example's
+top-down map X_e A[:, class_e] as a child of b's A alone, reading X in
+place one cache-sized block of examples at a time.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -36,7 +38,7 @@ import numpy as np
 # Tape.attend reads a split's examples in blocks of at most this many values
 # (512 KiB): a batch of 32 at 7 x 7 x 32, so desk-size steps make the same
 # BLAS calls as one stacked batch, and one example at 7 x 7 x 2048 (784 KiB),
-# which stays in a 2 MiB L2 cache between the two products that read it.
+# which stays in a 2 MiB L2 cache between the products that read it.
 BLOCK_VALUES = 2 ** 16
 
 
@@ -153,20 +155,26 @@ class Tape:
         return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
                           (X, h), grad_fn)
 
-    def attend(self, X, rows, bs):
+    def attend(self, X, rows, bs, As=(), classes=None):
         """Bottom-up maps and pooled features of examples `rows` of a split,
         read in place: X (m, n, f), rows a slice or 1-D index array of B
         examples, bs a sequence of (f, 1) nodes.  Returns one (h, pooled)
         pair per b: h = X_r b (B*n, 1) and pooled, per example,
         X_r^T h_r (B, f); both have b as their only parent (X is data).
 
+        With classes (one class index per example) and As (one (f, K) node
+        per b), each entry is a triple (h, pooled, t): t is, per example e,
+        the top-down map X_e A[:, classes_e] (B*n, 1) of the example's own
+        class, with A as its only parent; its gradient adds X_e^T g_e to
+        column classes_e of dA.
+
         Examples go through in blocks of at most BLOCK_VALUES values, each
-        read by both products of a pass while it is in cache (forward X_r b
-        then X_r^T h_r; backward X_r g then X_r^T dh).  A block of
-        consecutive rows, such as a single example, is a view of X; only a
-        block of several shuffled rows is copied.  When one block holds the
-        batch, values and gradients are bitwise those of
-        pool(matmul(X[rows], b)).
+        read by every product of a pass while it is in cache (forward X_r b,
+        X_r^T h_r and, with classes, X_r a; backward X_r g then X_r^T dh).
+        A block of consecutive rows, such as a single example, is a view of
+        X; only a block of several shuffled rows is copied.  When one block
+        holds the batch, values and gradients are bitwise those of
+        pool(matmul(X[rows], b)) and gather_cols(X[rows], A, classes).
         """
         if X.ndim != 3:
             raise ShapeError(f"attend needs (m, n, f) feature maps, got {X.shape}")
@@ -181,6 +189,13 @@ class Tape:
             if b.value.shape != (f, 1):
                 raise ShapeError(f"attend shape mismatch: maps {X.shape} x {b.value.shape}")
         B, step = len(rows), max(1, BLOCK_VALUES // max(1, n * f))
+        if classes is not None:
+            classes = np.asarray(classes, dtype=np.int64)
+            if len(As) != len(bs) or classes.shape != (B,) or any(
+                    A.value.ndim != 2 or A.value.shape[0] != f
+                    or np.any((classes < 0) | (classes >= A.value.shape[1])) for A in As):
+                raise ShapeError(f"attend classes {classes.shape} do not match {B} examples "
+                                 f"and one (f={f}, K) top-down node per bottom-up vector")
         spans = [(s, min(s + step, B)) for s in range(0, B, step)]
         blocks = [_take(X, rows[s:e], run).reshape((e - s) * n, f) for s, e in spans]
 
@@ -192,16 +207,34 @@ class Tape:
                             .reshape((e - s) * n, 1)
                             for (s, e), Xs in zip(spans, blocks)], f),)
 
-        pairs = []
-        for b in bs:
+        def t_grad(g, K):  # dA[:, k] = sum over e with classes[e] = k of X_e^T g_e
+            dA = np.zeros((f, K))
+            for (s, e), Xs in zip(spans, blocks):
+                np.add.at(dA.T, classes[s:e],
+                          (g[s * n:e * n].reshape(e - s, 1, n) @ Xs.reshape(e - s, n, f))
+                          .reshape(e - s, f))
+            return (dA,)
+
+        out = []
+        for p, b in enumerate(bs):
             h, pooled = np.empty((B * n, 1)), np.empty((B, f))
+            if classes is not None:
+                A = As[p]
+                t, a = np.empty((B * n, 1)), A.value[:, classes].T.reshape(B, f, 1)
             for (s, e), Xs in zip(spans, blocks):
                 np.matmul(Xs, b.value, out=h[s * n:e * n])
                 np.matmul(h[s * n:e * n].reshape(e - s, 1, n), Xs.reshape(e - s, n, f),
                           out=pooled[s:e].reshape(e - s, 1, f))
-            pairs.append((self._push("attend_h", h, (b,), h_grad),
-                          self._push("attend_pool", pooled, (b,), pooled_grad)))
-        return pairs
+                if classes is not None:
+                    np.matmul(Xs.reshape(e - s, n, f), a[s:e],
+                              out=t[s * n:e * n].reshape(e - s, n, 1))
+            nodes = (self._push("attend_h", h, (b,), h_grad),
+                     self._push("attend_pool", pooled, (b,), pooled_grad))
+            if classes is not None:
+                nodes += (self._push("attend_t", t, (A,),
+                                     lambda g, K=A.value.shape[1]: t_grad(g, K)),)
+            out.append(nodes)
+        return out
 
     def gather_cols(self, X, A, cols, n):
         """Per block of n rows, X_b A[:, cols[b]]: X (B*n, f), A (f, K) -> (B*n, 1).

@@ -28,7 +28,7 @@ an example's values do not depend on which chunk it falls in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class Dataset:
     X: np.ndarray                 # (m, n, f)
     labels: np.ndarray            # (m,) int or (m, K) binary
     planted: np.ndarray           # (m,) the cell of the (lowest) true class
-    planted_all: list = field(default_factory=list)  # per-example tuple of cells
     prototypes: np.ndarray | None = None             # (K, f), shared with the twin split
     pose_heatmaps: np.ndarray | None = None          # (m, n, 16)
     pose_masks: np.ndarray | None = None             # (m, 16)
@@ -177,9 +176,7 @@ def _gen_split(sub, config, protos, distractors, marker):
         labels[np.nonzero(taken)[0], classes[taken]] = 1.0
         lowest = np.argmin(np.where(taken, classes, K), axis=1)  # first slot of the lowest class
         planted = cells[np.arange(m), lowest]
-    planted_all = [tuple(c[:k]) for c, k in zip(cells.tolist(), counts.tolist())]
-    return Dataset(config=config, X=X, labels=labels, planted=planted,
-                   planted_all=planted_all, prototypes=protos)
+    return Dataset(config=config, X=X, labels=labels, planted=planted, prototypes=protos)
 
 
 def gen_planted(config: PlantedTaskConfig):

@@ -7,9 +7,10 @@ supervision), cbp (linear classifier on TensorSketch features).
 Every batch is one tape over the split's inputs and the batch's row
 indices.  attention and rank_p read the split in place (`Tape.attend`,
 one cache-sized block of examples at a time, so at the paper's width no
-batch is copied); the other heads stack the batch's examples into one
-(B*n, f) block, and their per-example sums and pooling are the tape's
-segment ops (`segment_sum`, `pool`), with blocks of n rows.  Data enter
+batch is copied), and take their class maps from the same read; the
+other heads stack the batch's examples into one (B*n, f) block, and
+their per-example sums and pooling are the tape's segment ops
+(`segment_sum`, `pool`), with blocks of n rows.  Data enter
 the tape as constants or are read by `attend`, so backward
 differentiates only the parameters.
 `_batch_graph` is the one definition of every head's scores and maps,
@@ -231,12 +232,13 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     The batch is examples `rows` (a slice, or a 1-D array of indices) of
     a split's `head_inputs`: its feature maps (m, n, f), or for cbp its
     mean-pooled sketch features (m, d).  attention and rank_p read their
-    scores from the maps in place (`Tape.attend`); every other head, and
-    the maps of `classes`, take the batch as inputs[rows], a view for a
-    slice and a copy for an index array.
+    scores, and the maps of `classes`, from the split in place, one pass
+    over each example (`Tape.attend`); every other head takes the batch
+    as inputs[rows], a view for a slice and a copy for an index array.
 
     classes (one class index per example, or None) also records the maps
-    of those classes only, as (B*n, 1) nodes (`Tape.gather_cols`): "h"
+    of those classes only, as (B*n, 1) nodes (`Tape.attend`'s, or
+    `Tape.gather_cols` for the other heads): "h"
     (the first rank component for rank_p, ones for avg_pool, the class's
     own column for per_class), "t" (first rank component) and "c" (t h
     summed over rank components; avg_pool's is t).  maps always holds
@@ -255,7 +257,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     else:
         n, f = inputs.shape[1:]
         maps = {}
-        if classes is not None or config.head not in ("attention", "rank_p"):
+        if config.head not in ("attention", "rank_p"):
             Xb = inputs[rows]
             Xs = tape.const(Xb.reshape(len(Xb) * n, f))
 
@@ -268,15 +270,16 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
                 t = column("W")
                 maps.update(h=tape.const(np.ones((len(classes) * n, 1))), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
-            bs = [nodes[f"b{p}"] for p in range(_rank_of(config))]
-            for p, (h, pooled) in enumerate(tape.attend(inputs, rows, bs)):
+            ranks = range(_rank_of(config))
+            parts = tape.attend(inputs, rows, [nodes[f"b{p}"] for p in ranks],
+                                [nodes[f"A{p}"] for p in ranks], classes)
+            for p, (h, pooled, *t) in enumerate(parts):
                 sp = tape.matmul(pooled, nodes[f"A{p}"])
                 scores = sp if p == 0 else tape.add(scores, sp)
                 if classes is not None:
-                    t = column(f"A{p}")
-                    c = tape.elementwise_mul(t, h)
+                    c = tape.elementwise_mul(t[0], h)
                     if p == 0:
-                        maps.update(h=h, t=t, c=c)
+                        maps.update(h=h, t=t[0], c=c)
                     else:
                         maps["c"] = tape.add(maps["c"], c)
         elif config.head == "per_class":

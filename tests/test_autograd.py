@@ -450,3 +450,105 @@ class TestAttend:
         assert h.value.shape == (0, 1) and pooled.value.shape == (0, self.F)
         tape.backward(tape.sum_squares(pooled))
         np.testing.assert_array_equal(bn.grad, np.zeros((self.F, 1)))
+
+
+class TestAttendClassMaps:
+    """Tape.attend with classes: each component's top-down map X_e A[:, class_e],
+    from the same pass over the split as its bottom-up map and pooled features."""
+
+    M, N, F, K = 9, 4, 6, 3
+    ROWS = [7, 2, 2, 8, 0]  # shuffled, with a repeat
+    CLASSES = [2, 0, 2, 1, 1]  # classes 1 and 2 twice each
+
+    def _components(self, P):
+        rng = np.random.default_rng(30 + P)
+        return [(rng.standard_normal((self.F, 1)), rng.standard_normal((self.F, self.K)))
+                for _ in range(P)]
+
+    def _maps_and_scores(self, X, rows, comps, classes, reference):
+        """Every component's (h, t), then c = sum_p t_p h_p and the scores
+        sum_p pooled_p A_p; the reference takes the stacked batch X[rows]
+        through matmul, pool and gather_cols."""
+        tape = Tape()
+        bs, As = [tape.const(b) for b, _ in comps], [tape.const(A) for _, A in comps]
+        if reference:
+            Xs = tape.const(X[rows].reshape(-1, self.F))
+            parts = []
+            for b, A in zip(bs, As):
+                h = tape.matmul(Xs, b)
+                parts.append((h, tape.pool(Xs, h, self.N),
+                              tape.gather_cols(Xs, A, classes, self.N)))
+        else:
+            parts = tape.attend(X, rows, bs, As, classes)
+        c = scores = None
+        for (h, pooled, t), A in zip(parts, As):
+            cp, sp = tape.elementwise_mul(t, h), tape.matmul(pooled, A)
+            c = cp if c is None else tape.add(c, cp)
+            scores = sp if scores is None else tape.add(scores, sp)
+        return [node.value for h, _, t in parts for node in (h, t)] + [c.value, scores.value]
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("examples_per_block", [1, 2, 64])
+    def test_bitwise_gather_cols_of_the_stacked_batch(self, monkeypatch, P, examples_per_block):
+        # 1 and 2 examples per block split the batch of 5 (2: a ragged last block)
+        monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
+        X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
+        comps = self._components(P)
+        for rows in (np.array(self.ROWS), slice(2, 7)):
+            got = self._maps_and_scores(X, rows, comps, self.CLASSES, reference=False)
+            want = self._maps_and_scores(X, rows, comps, self.CLASSES, reference=True)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_no_rows(self):
+        X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
+        tape = Tape()
+        (b, A), = self._components(1)
+        [(h, pooled, t)] = tape.attend(X, np.zeros(0, dtype=np.int64), [tape.leaf(b)],
+                                       [tape.leaf(A)], np.zeros(0, dtype=np.int64))
+        assert h.value.shape == t.value.shape == (0, 1) and pooled.value.shape == (0, self.F)
+
+    def test_t_has_its_top_down_node_as_only_parent(self):
+        X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
+        tape = Tape()
+        comps = self._components(2)
+        bs, As = [tape.leaf(b) for b, _ in comps], [tape.const(A) for _, A in comps]
+        parts = tape.attend(X, np.array(self.ROWS), bs, As, self.CLASSES)
+        assert [t.parents for _, _, t in parts] == [(As[0].id,), (As[1].id,)]
+        assert not any(t.needs for _, _, t in parts)  # constant A: no gradient to t
+
+    def test_class_shape_errors(self):
+        X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
+        (b, A), = self._components(1)
+        tape = Tape()
+        bn, An = tape.leaf(b), tape.leaf(A)
+        rows = np.array(self.ROWS)
+        for As, classes in (([An], self.CLASSES[:4]),            # one class per example
+                            ([An], [0, 0, 0, 0, self.K]),         # a class A has no column for
+                            ([An], [0, 0, 0, 0, -1]),
+                            ([], self.CLASSES),                   # one A per b
+                            ([tape.leaf(A[1:])], self.CLASSES),   # A must have f rows
+                            ([tape.leaf(A[:, 0])], self.CLASSES)):
+            with pytest.raises(ShapeError):
+                tape.attend(X, rows, [bn], As, classes)
+
+    @pytest.mark.parametrize("examples_per_block", [1, 64])
+    def test_finite_difference_through_class_maps(self, monkeypatch, examples_per_block):
+        """c = t h with leaf b and leaf A: A's gradient adds the scores' and
+        t's, and b's adds h's and pooled's."""
+        monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
+        X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
+        rows = np.array(self.ROWS)
+        (b, A), = self._components(1)
+
+        def f(params):
+            tape = Tape()
+            bn, An = tape.leaf(params[0]), tape.leaf(params[1])
+            [(h, pooled, t)] = tape.attend(X, rows, [bn], [An], self.CLASSES)
+            c = tape.elementwise_mul(t, h)
+            loss = tape.add(tape.softmax_xent(tape.matmul(pooled, An), self.CLASSES),
+                            tape.scalar_mul(tape.sum_squares(c), 0.01))
+            tape.backward(loss)
+            return float(loss.value), [bn.grad, An.grad]
+
+        assert finite_diff_check(f, [b, A]) < 1e-6

@@ -81,7 +81,8 @@ def reference_example(sub_seed, config, protos, distractors, marker):
 
 
 def reference_planted(config):
-    """(train, val) generated one example at a time, as gen_planted's reference."""
+    """(train, val) generated one example at a time, as gen_planted's reference;
+    each split comes with its examples' planted cells, one tuple per example."""
     protos, distractors, marker = class_prototypes(config)
     total = config.train_samples + config.val_samples
     sub = rng.u64_stream(config.seed, 3 + total)[3:]
@@ -90,7 +91,7 @@ def reference_planted(config):
         m = len(seeds)
         Xs = np.empty((m, config.n, config.f))
         planted = np.empty(m, dtype=np.int64)
-        planted_all = []
+        cells = []
         if config.multi_label:
             labels = np.zeros((m, config.K))
         else:
@@ -100,9 +101,9 @@ def reference_planted(config):
                                                             marker)
             Xs[i] = X
             labels[i] = label
-            planted_all.append(tuple(cell for _, cell in slots))
-        splits.append(Dataset(config=config, X=Xs, labels=labels, planted=planted,
-                              planted_all=planted_all, prototypes=protos))
+            cells.append(tuple(cell for _, cell in slots))
+        splits.append((Dataset(config=config, X=Xs, labels=labels, planted=planted,
+                               prototypes=protos), cells))
     return splits
 
 
@@ -141,13 +142,12 @@ class TestMatchesPerExampleReference:
 
     @staticmethod
     def check(config):
-        for got, want in zip(gen_planted(config), reference_planted(config)):
+        for got, (want, _) in zip(gen_planted(config), reference_planted(config)):
             assert got.X.tobytes() == want.X.tobytes()
             assert got.labels.dtype == want.labels.dtype
             assert got.labels.tobytes() == want.labels.tobytes()
             assert got.planted.dtype == want.planted.dtype
             assert got.planted.tobytes() == want.planted.tobytes()
-            assert got.planted_all == want.planted_all
             assert got.prototypes.tobytes() == want.prototypes.tobytes()
 
 
@@ -206,11 +206,11 @@ class TestGeneration:
         cfg = PlantedTaskConfig(n1=4, n2=4, f=16, K=6, train_samples=64,
                                 val_samples=16, seed=4, multi_label=True)
         tr, _ = gen_planted(cfg)
-        assert tr.labels.shape == (64, 6)
+        (_, cells), _ = reference_planted(cfg)  # each example's planted cells
+        assert tr.labels.shape == (64, 6) and len(cells) == len(tr)
         counts = tr.labels.sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
-        for i in range(len(tr)):
-            locs = tr.planted_all[i]
+        for i, locs in enumerate(cells):
             assert len(set(locs)) == len(locs)  # planted cells are distinct
             assert tr.planted[i] in locs  # the cell of the lowest class, not always slot 0
 

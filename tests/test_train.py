@@ -290,6 +290,30 @@ class TestScores:
         assert eval_forward(init_head_params(cbp, SMALL_TASK.f, SMALL_TASK.K), cbp, tr.X[:6],
                             classes=tr.labels[:6])[1] is None
 
+    @pytest.mark.parametrize("head,kw", [("attention", {}), ("rank_p", {"rank": 3})])
+    def test_class_maps_read_each_example_once(self, small_data, monkeypatch, head, kw):
+        # Tape.attend gives scores and class maps from one read of the split:
+        # no gather_cols pass and no constant copy of the batch's feature maps
+        tapes = []
+
+        class RecordedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(importlib.import_module("attnpool.train"), "Tape", RecordedTape)
+        tr, _ = small_data
+        cfg = TrainConfig(head=head, seed=5, batch_size=6, **kw)
+        params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
+        _, maps = eval_forward(params, cfg, tr.X[:6], classes=tr.labels[:6])
+        [tape] = tapes  # one chunk
+        ops = [node.op for node in tape.nodes]
+        assert "gather_cols" not in ops and ops.count("attend_t") == cfg.rank
+        consts = [node.value for node in tape.nodes if node.op == "const"]
+        assert len(consts) == len(params)  # the parameters, and no data
+        assert all(any(value is p for p in params.values()) for value in consts)
+        assert maps["c"].shape == (6, SMALL_TASK.n)
+
     def test_true_classes(self, small_data, multi_label_data):
         tr, _ = small_data
         np.testing.assert_array_equal(true_classes(tr), tr.labels)
