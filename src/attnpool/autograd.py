@@ -11,8 +11,10 @@ and computes a matmul's input gradient only for the inputs that need
 it, so a constant's grad stays None.  The op set is exactly what the
 pooling heads need; every array is float64 and shapes are strict: add,
 subtract and elementwise_mul take equal shapes, add_row adds one (1, k)
-row to every row, cols takes a column slice, and no other op
-broadcasts or slices.  One op reads data that are not on the tape:
+row to every row, cols takes a column slice, mlp records a two-layer
+perceptron relu(X W1 + b1) W2 + b2 as one node (adding its biases as
+rows), and no other op broadcasts or slices.  One op reads data that are
+not on the tape:
 `attend(X, rows, bs, As, classes)` takes a split's feature maps
 X (m, n, f) and the batch's row indices, and records, for each
 bottom-up vector b, the map X_r b and the pooled features X_r^T (X_r b)
@@ -23,7 +25,7 @@ place one cache-sized block of examples at a time.
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
   - scalar-valued nodes (losses) have shape ();
-  - relu uses subgradient 0 at 0;
+  - mlp's relu uses subgradient 0 at 0;
   - both cross-entropy losses are fused, numerically stable, and
     averaged over their leading (example) dimension.
 """
@@ -262,10 +264,42 @@ class Tape:
         return self._push("gather_cols", (Xv.reshape(B, n, f) @ a).reshape(B * n, 1), (X, A),
                           grad_fn)
 
-    def relu(self, a):
-        A = a.value
-        mask = A > 0.0  # g * mask keeps the signed zeros of a negative g
-        return self._push("relu", np.maximum(A, 0.0), (a,), lambda g: (g * mask,))
+    def mlp(self, X, W1, b1, W2, b2):
+        """relu(X W1 + b1) W2 + b2 as one node: X (r, f), W1 (f, k), b1 (1, k),
+        W2 (k, c), b2 (1, c) -> (r, c); values and gradients are bitwise
+        those of matmul, add_row and relu recorded as separate nodes.
+
+        The biases and relu go in place onto the products.  The hidden
+        layer and relu's mask are kept, for backward, which masks the hidden
+        gradient in place, only when an input needs a gradient.
+        """
+        Xv, W1v, b1v, W2v, b2v = X.value, W1.value, b1.value, W2.value, b2.value
+        if (Xv.ndim != 2 or W1v.ndim != 2 or W2v.ndim != 2 or Xv.shape[1] != W1v.shape[0]
+                or W1v.shape[1] != W2v.shape[0] or b1v.shape != (1, W1v.shape[1])
+                or b2v.shape != (1, W2v.shape[1])):
+            raise ShapeError(f"mlp shape mismatch: {Xv.shape} x {W1v.shape} + row {b1v.shape}"
+                             f", then x {W2v.shape} + row {b2v.shape}")
+        parents = (X, W1, b1, W2, b2)
+        needs = any(p.needs for p in parents)
+        H = Xv @ W1v
+        H += b1v
+        mask = H > 0.0 if needs else None  # dH * mask keeps the signed zeros of a negative dH
+        np.maximum(H, 0.0, out=H)
+        out = H @ W2v
+        out += b2v
+
+        def grad_fn(g):
+            dH = None
+            if X.needs or W1.needs or b1.needs:
+                dH = g @ W2v.T
+                dH *= mask
+            return (dH @ W1v.T if X.needs else None,
+                    Xv.T @ dH if W1.needs else None,
+                    np.ones((1, g.shape[0])) @ dH if b1.needs else None,
+                    H.T @ g if W2.needs else None,
+                    np.ones((1, g.shape[0])) @ g if b2.needs else None)
+
+        return self._push("mlp", out, parents, grad_fn if needs else None)
 
     def sum_squares(self, a):
         A = a.value

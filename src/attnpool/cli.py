@@ -19,7 +19,8 @@ from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
-from .synth import Dataset, PlantedTaskConfig, gen_planted, read_labels, write_labels
+from .synth import (Dataset, PlantedTaskConfig, gen_planted, read_labels, read_text,
+                    write_labels)
 from .train import (NUM_POSE_CHANNELS, TrainConfig, eval_forward, eval_scores, evaluate,
                     train, write_report, write_summary)
 
@@ -44,10 +45,15 @@ def _write_split(path: str, ds: Dataset, cfg: dict) -> None:
 
 
 def load_split(path: str) -> Dataset:
-    """A split directory written by `gen`; ValueError, naming the file,
-    for data that do not fit its meta.txt."""
-    with open(os.path.join(path, "meta.txt")) as fh:
-        task = cfgmod.build(PlantedTaskConfig, cfgmod.parse_config_text(fh.read()))
+    """A split directory written by `gen`; ValueError, naming the file
+    (and the line or example where there is one), for a bad meta.txt or
+    labels.tsv, and for data that do not fit its meta.txt."""
+    meta_path = os.path.join(path, "meta.txt")
+    text = read_text(meta_path)
+    try:
+        task = cfgmod.build(PlantedTaskConfig, cfgmod.parse_config_text(text))
+    except ValueError as exc:  # a bad line (ConfigError names it), or a task out of range
+        raise ValueError(f"{meta_path}: {exc}") from None
     features_path = os.path.join(path, "features.atnp")
     X = read_atnp(features_path)
     if X.shape[1:] != (task.n, task.f):
@@ -59,8 +65,10 @@ def load_split(path: str) -> Dataset:
     labels, planted = read_labels(labels_path, task.K, task.multi_label)
     if len(labels) != m:
         raise ValueError(f"{labels_path}: {len(labels)} rows for {m} feature maps")
-    if np.any((planted < 0) | (planted >= task.n)):
-        raise ValueError(f"{labels_path}: planted cell out of range [0, {task.n})")
+    bad = np.flatnonzero((planted < 0) | (planted >= task.n))
+    if len(bad):
+        raise ValueError(f"{labels_path}: example {bad[0]}'s planted cell {planted[bad[0]]} "
+                         f"is out of range [0, {task.n})")
     ds = Dataset(config=task, X=X, labels=labels, planted=planted)
     pose_path = os.path.join(path, "pose.atnp")
     if os.path.exists(pose_path):

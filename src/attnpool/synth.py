@@ -270,38 +270,53 @@ def write_labels(path, dataset: Dataset) -> None:
             fh.write(f"{i}\t{lab}\t{int(dataset.planted[i])}\n")
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; ValueError, naming the file and the
+    line, if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
+
+
 def read_labels(path, num_classes: int, multi_label: bool):
     """Inverse of write_labels; returns (labels, planted).
 
-    Raises ValueError, naming the file, unless every example index in
-    [0, m) appears exactly once (m rows) and every class id is in
+    Raises ValueError, naming the file and the line, unless every line
+    is three tab-separated integer fields, every example index in [0, m)
+    appears exactly once (m rows) and every class id is in
     [0, num_classes).
     """
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split("\t"))
-    m = len(rows)
+    lines = [line.strip() for line in read_text(path).split("\n")]
+    m = sum(map(bool, lines))
     planted = np.empty(m, dtype=np.int64)
     if multi_label:
         labels = np.zeros((m, num_classes))
     else:
         labels = np.empty(m, dtype=np.int64)
     seen = np.zeros(m, dtype=bool)
-    for idx, lab, loc in rows:
-        i = int(idx)
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            idx, lab, loc = line.split("\t")
+            i, classes, planted_i = int(idx), [int(k) for k in lab.split(",")], int(loc)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} ({line!r}) is not "
+                             "example_index<TAB>label[,label...]<TAB>planted_loc, "
+                             "all integers") from None
         if not 0 <= i < m or seen[i]:
-            raise ValueError(f"{path}: example index {i} is out of range [0, {m}) "
-                             "or repeated")
+            raise ValueError(f"{path}: line {lineno}: example index {i} is out of "
+                             f"range [0, {m}) or repeated")
         seen[i] = True
-        classes = [int(k) for k in lab.split(",")]
         if not all(0 <= k < num_classes for k in classes) or (
                 not multi_label and len(classes) != 1):
-            raise ValueError(f"{path}: example {i} has label {lab!r}, "
+            raise ValueError(f"{path}: line {lineno}: example {i} has label {lab!r}, "
                              f"not a class id in [0, {num_classes})")
-        planted[i] = int(loc)
+        planted[i] = planted_i
         if multi_label:
             labels[i, classes] = 1.0
         else:

@@ -21,13 +21,13 @@ in the identity a^T (X^T (X b))) and record no map.  Validation,
 `evaluate`, localization, the heatmap command and the selftest oracle
 checks read its forward pass with the maps of one class per example
 (`eval_forward`).
-The pose_reg head is a two-layer MLP over the spatial features that
-predicts 17 channels per location: channels 0..15 are keypoint heatmaps
-supervised with a masked L2 loss, channel 16 is an unconstrained
-nonlinear bottom-up attention map that replaces the linear h = X b.  Its
-targets are (m, n, 16) heatmaps in [0, 1] with (m, 16) visibility masks
-in {0, 1} (`synth.gen_pose_targets`; `cli.load_split` checks them on
-load).
+The pose_reg head is a two-layer MLP over the spatial features, recorded
+as one tape node (`Tape.mlp`), that predicts 17 channels per location:
+channels 0..15 are keypoint heatmaps supervised with a masked L2 loss,
+channel 16 is an unconstrained nonlinear bottom-up attention map that
+replaces the linear h = X b.  Its targets are (m, n, 16) heatmaps in
+[0, 1] with (m, 16) visibility masks in {0, 1}
+(`synth.gen_pose_targets`; `cli.load_split` checks them on load).
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -243,9 +243,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     own column for per_class), "t" (first rank component) and "c" (t h
     summed over rank components; avg_pool's is t).  maps always holds
     pose_reg's "out", the MLP's 17 channels, for its pose loss.  maps is
-    None for cbp.  Biases (pose_reg's MLP, and `use_bias`) are added as
-    rows (`Tape.add_row`); pose_reg's h and its pose loss's keypoint
-    channels are column slices of "out" (`Tape.cols`).
+    None for cbp.  pose_reg's MLP is one `Tape.mlp` node, "out"; its h
+    and its pose loss's keypoint channels are column slices of "out"
+    (`Tape.cols`).  `use_bias` adds its bias as a row (`Tape.add_row`).
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -289,8 +289,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
                 t, h = column("A"), column("B_pc")
                 maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
         elif config.head == "pose_reg":
-            hidden = tape.relu(tape.add_row(tape.matmul(Xs, nodes["W1"]), nodes["bias1"]))
-            out = tape.add_row(tape.matmul(hidden, nodes["W2"]), nodes["bias2"])
+            out = tape.mlp(Xs, nodes["W1"], nodes["bias1"], nodes["W2"], nodes["bias2"])
             h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
             scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
             maps["out"] = out
@@ -354,21 +353,22 @@ def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
     m = len(inputs)
     if classes is not None and len(classes) != m:
         raise ShapeError(f"{len(classes)} classes for {m} examples")
-    scores, chunk_maps = [], []
+    scores, maps = [], None
     for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
         stop = start + config.batch_size
         tape = Tape()
         nodes = {name: tape.const(p) for name, p in params.items()}
-        logits, maps = _batch_graph(tape, config, nodes, inputs, slice(start, stop),
-                                    None if classes is None else classes[start:stop])
+        logits, chunk = _batch_graph(tape, config, nodes, inputs, slice(start, stop),
+                                     None if classes is None else classes[start:stop])
         scores.append(logits.value)
-        if classes is not None and maps is not None:
-            chunk_maps.append(maps)
-    scores = np.concatenate(scores)
-    if not chunk_maps:
-        return scores, None
-    return scores, {key: np.concatenate([maps[key].value for maps in chunk_maps])
-                    .reshape(inputs.shape[:2]) for key in ("h", "t", "c")}
+        if classes is not None and chunk is not None:
+            # copy out the map values only: a chunk's nodes would keep pose_reg's "out"
+            if maps is None:
+                maps = {key: np.empty(inputs.shape[:2]) for key in ("h", "t", "c")}
+            for key, values in maps.items():
+                values[start:stop] = chunk[key].value.reshape(-1, inputs.shape[1])
+        del tape, nodes, logits, chunk  # freed before the next chunk's graph is built
+    return np.concatenate(scores), maps
 
 
 def eval_scores(params: dict, config: TrainConfig, X: np.ndarray) -> np.ndarray:

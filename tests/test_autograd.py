@@ -41,9 +41,37 @@ class TestForward:
                 op(a, b)
 
     def test_relu_and_scalar_mul(self):
-        tape, a = _tape_with([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(tape.relu(a).value, [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(tape.scalar_mul(a, -2.0).value, [2.0, 0.0, -4.0])
+        tape, a = _tape_with([[-1.0], [0.0], [2.0]])
+        one, zero = tape.const([[1.0]]), tape.const([[0.0]])
+        # mlp with unit weights and zero biases is relu itself
+        np.testing.assert_array_equal(tape.mlp(a, one, zero, one, zero).value,
+                                      [[0.0], [0.0], [2.0]])
+        np.testing.assert_array_equal(tape.scalar_mul(a, -2.0).value, [[2.0], [0.0], [-4.0]])
+
+    def test_mlp_hand_values(self):
+        tape = Tape()
+        X = tape.const([[1.0, 2.0], [-1.0, 0.0]])
+        W1 = tape.const([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])  # X W1 = [[1, 1, 2], [-1, 1, 0]]
+        b1 = tape.const([[-1.0, 0.5, 0.0]])                   # relu: [[0, 1.5, 2], [0, 1.5, 0]]
+        W2 = tape.const([[5.0, 1.0], [2.0, 0.0], [1.0, -1.0]])
+        b2 = tape.const([[0.25, 0.0]])
+        out = tape.mlp(X, W1, b1, W2, b2)
+        np.testing.assert_array_equal(out.value, [[5.25, -2.0], [3.25, 0.0]])
+        assert not out.needs and out.grad_fn is None  # no input needs a gradient
+
+    def test_mlp_shape_errors(self):
+        tape = Tape()
+        X, W1, b1, W2, b2 = (tape.const(np.zeros(shape))
+                             for shape in ((4, 3), (3, 5), (1, 5), (5, 2), (1, 2)))
+        tape.mlp(X, W1, b1, W2, b2)
+        for bad in ((tape.const(np.zeros((4, 2))), W1, b1, W2, b2),  # X's width is not W1's rows
+                    (tape.const(np.zeros(3)), W1, b1, W2, b2),
+                    (X, W1, tape.const(np.zeros((5,))), W2, b2),      # each bias is one (1, k) row
+                    (X, W1, tape.const(np.zeros((4, 5))), W2, b2),
+                    (X, W1, b1, tape.const(np.zeros((4, 2))), b2),   # W2's rows are W1's columns
+                    (X, W1, b1, W2, tape.const(np.zeros((1, 3))))):
+            with pytest.raises(ShapeError, match="mlp shape mismatch"):
+                tape.mlp(*bad)
 
     def test_sum_and_sum_squares(self):
         tape, a = _tape_with([[1.0, -2.0], [3.0, 4.0]])
@@ -146,21 +174,32 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [8.0, 16.0])
 
     def test_relu_subgradient_zero_at_zero(self):
-        tape, x = _tape_with([-1.0, 0.0, 3.0])
-        # relu(x) + 1 keeps the gradient at the zero entry nonzero: g = [2, 2, 8]
-        tape.backward(tape.sum_squares(tape.add(tape.relu(x), tape.const(np.ones(3)))))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 8.0])
+        tape, x = _tape_with([[-1.0], [0.0], [3.0]])
+        one = tape.const([[1.0]])
+        # mlp's relu(x) + 1 keeps the gradient at the zero entry nonzero: g = [2, 2, 8]
+        tape.backward(tape.sum_squares(tape.mlp(x, one, tape.const([[0.0]]), one, one)))
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [8.0]])
 
     def test_relu_gradient_is_bitwise_g_times_mask(self):
+        """mlp's hidden gradient is dH * mask, dH = g W2^T, with the signed
+        zeros of a negative dH kept.  It is no node's value, so this pins the
+        three products that read it: each is bitwise that product of the
+        masked array."""
         rng = np.random.default_rng(5)
-        A = rng.standard_normal((40, 8))
-        A[0, :3] = 0.0
-        g = rng.standard_normal((40, 8))
-        tape, x = _tape_with(A)
-        (grad,) = tape.relu(x).grad_fn(g)
-        assert np.array_equal(grad.view(np.uint64), (g * (A > 0.0)).view(np.uint64))
-        masked_negative = (A <= 0.0) & (g < 0.0)  # these entries hold -0.0
-        assert masked_negative.any() and np.all(np.signbit(grad[masked_negative]))
+        X, W1 = rng.standard_normal((40, 6)), rng.standard_normal((6, 8))
+        b1, W2, b2 = rng.standard_normal((1, 8)), rng.standard_normal((8, 5)), np.zeros((1, 5))
+        X[0], b1[0, :3] = 0.0, 0.0  # pre-activations exactly 0 in row 0, columns 0..2
+        g = rng.standard_normal((40, 5))
+        pre = X @ W1 + b1
+        dH = (g @ W2.T) * (pre > 0.0)
+        masked_negative = (pre <= 0.0) & (g @ W2.T < 0.0)  # these entries hold -0.0
+        assert np.all(pre[0, :3] == 0.0) and masked_negative.any()
+        assert np.all(np.signbit(dH[masked_negative]))
+        tape = Tape()
+        nodes = [tape.leaf(p) for p in (X, W1, b1, W2, b2)]
+        gX, gW1, gb1, _, _ = tape.mlp(*nodes).grad_fn(g)
+        for got, want in ((gX, dH @ W1.T), (gW1, X.T @ dH), (gb1, np.ones((1, 40)) @ dH)):
+            assert got.tobytes() == want.tobytes()
 
     def test_softmax_xent_gradient_hand(self):
         tape, z = _tape_with([[0.0, 0.0]])
@@ -208,8 +247,26 @@ class TestBackward:
         g = 2.0 * (a.value + row.value) * w * w
         np.testing.assert_array_equal(row.grad, np.ones((1, 50)) @ g)
 
+    def test_mlp_is_bitwise_the_numpy_composition(self):
+        """At the desk shape (a batch of 32 examples of 7x7 locations, f=32,
+        hdim 128, 17 channels), mlp's value and all five gradients are
+        bitwise those of the separate products, row additions and relu."""
+        rng = np.random.default_rng(12)
+        X, W1, b1 = (rng.standard_normal(s) for s in ((1568, 32), (32, 128), (1, 128)))
+        W2, b2, g = (rng.standard_normal(s) for s in ((128, 17), (1, 17), (1568, 17)))
+        pre = X @ W1 + b1
+        H = np.maximum(pre, 0.0)
+        dH = (g @ W2.T) * (pre > 0.0)
+        ones = np.ones((1, 1568))
+        want = [H @ W2 + b2, dH @ W1.T, X.T @ dH, ones @ dH, H.T @ g, ones @ g]
+        tape = Tape()
+        out = tape.mlp(*(tape.leaf(p) for p in (X, W1, b1, W2, b2)))
+        for got, w in zip([out.value, *out.grad_fn(g)], want):
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
     def test_dead_relu_layer_gets_exact_zero_grads(self):
-        """Backward runs the dead layer's zero gradients through; no NaN appears."""
+        """Backward runs mlp's dead hidden layer's zero gradients through;
+        no NaN appears."""
         rng = np.random.default_rng(4)
         X = np.abs(rng.standard_normal((6, 3)))
         tape = Tape()
@@ -217,9 +274,8 @@ class TestBackward:
         bias = tape.leaf(np.full((1, 4), -0.5))
         W2 = tape.leaf(rng.standard_normal((4, 2)))
         bias2 = tape.leaf(np.zeros((1, 2)))
-        pre = tape.add_row(tape.matmul(tape.const(X), W), bias)
-        assert np.all(pre.value < 0.0)
-        logits = tape.add_row(tape.matmul(tape.relu(pre), W2), bias2)
+        assert np.all(X @ W.value + bias.value < 0.0)
+        logits = tape.mlp(tape.const(X), W, bias, W2, bias2)
         tape.backward(tape.softmax_xent(logits, [0, 1, 0, 0, 1, 0]))
         for node in (W, bias, W2):
             assert np.all(np.isfinite(node.grad))
@@ -259,7 +315,8 @@ class TestFiniteDifference:
             A, b, c = params
             tape = Tape()
             na, nb, nc = tape.leaf(A), tape.leaf(b), tape.leaf(c)
-            h = tape.relu(tape.matmul(tape.leaf(X), nb))         # (4, 1)
+            one, zero = tape.const([[1.0]]), tape.const([[0.0]])
+            h = tape.mlp(tape.leaf(X), nb, zero, one, zero)      # relu(X b), (4, 1)
             t = tape.matmul(tape.leaf(X), na)                    # (4, 2)
             ones = tape.leaf(np.ones((1, 2)))
             comb = tape.elementwise_mul(t, tape.matmul(h, ones))
@@ -320,27 +377,37 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("r", [1, 7])
     def test_add_row_and_cols(self, r):
-        """A two-layer MLP with rows added by add_row and two column slices
-        of its output that both feed the loss, as pose_reg's "out" does."""
+        """A two-layer MLP as one mlp node with two column slices of its
+        output that both feed the loss, as pose_reg's "out" does, and logits
+        with a bias row added by add_row."""
         X = np.random.default_rng(r).standard_normal((r, 3))
         target = np.random.default_rng(r + 1).standard_normal((r, 2))
 
         def build(params):
-            W1, b1, W2, b2 = params
             tape = Tape()
-            nW1, nb1, nW2, nb2 = (tape.leaf(p) for p in params)
-            hidden = tape.relu(tape.add_row(tape.matmul(tape.const(X), nW1), nb1))
-            out = tape.add_row(tape.matmul(hidden, nW2), nb2)               # (r, 3)
+            nW1, nb1, nW2, nb2, nc = (tape.leaf(p) for p in params)
+            out = tape.mlp(tape.const(X), nW1, nb1, nW2, nb2)               # (r, 3)
             h = tape.cols(out, 2, 3)
-            logits = tape.matmul(tape.segment_sum(tape.elementwise_mul(
+            logits = tape.add_row(tape.matmul(tape.segment_sum(tape.elementwise_mul(
                 tape.const(X), tape.matmul(h, tape.const(np.ones((1, 3))))), r),
-                tape.const(np.eye(3)))                                      # (1, 3)
+                tape.const(np.eye(3))), nc)                                 # (1, 3)
             fit = tape.sum_squares(tape.subtract(tape.cols(out, 0, 2), tape.const(target)))
             loss = tape.add(tape.softmax_xent(logits, [1]), tape.scalar_mul(fit, 0.1))
             tape.backward(loss)
-            return float(loss.value), [nW1.grad, nb1.grad, nW2.grad, nb2.grad]
+            return float(loss.value), [nW1.grad, nb1.grad, nW2.grad, nb2.grad, nc.grad]
 
-        self._check(build, [(3, 5), (1, 5), (5, 3), (1, 3)], seed=20 + r)
+        self._check(build, [(3, 5), (1, 5), (5, 3), (1, 3), (1, 3)], seed=20 + r)
+
+    def test_mlp_all_inputs(self):
+        """mlp's gradients to all five inputs, X included."""
+        def build(params):
+            tape = Tape()
+            nodes = [tape.leaf(p) for p in params]
+            loss = tape.sum_squares(tape.mlp(*nodes))
+            tape.backward(loss)
+            return float(loss.value), [node.grad for node in nodes]
+
+        self._check(build, [(4, 3), (3, 5), (1, 5), (5, 2), (1, 2)], seed=8)
 
 
 class TestAttend:

@@ -218,6 +218,34 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert lpath in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,new,names_line", [
+        ("labels.tsv", "1\t\t6", True),          # an empty label
+        ("labels.tsv", "1\t3", True),            # two fields
+        ("labels.tsv", "1\t3\t6\t0", True),      # four fields
+        ("labels.tsv", "x1\t3\t6", True),        # a non-integer index
+        ("labels.tsv", "1\t3\t6.5", True),       # a non-integer planted cell
+        ("labels.tsv", "1\t\xe9\t6", True),      # not UTF-8 (the file is written as Latin-1)
+        ("meta.txt", "bogus = 1", True),         # an unknown key
+        ("meta.txt", "classes = x", True),       # a value that does not parse
+        ("meta.txt", "classes = 17", False),     # K = 17 > f = 16, no one line at fault
+    ], ids=["empty-label", "two-fields", "four-fields", "index", "planted", "latin-1",
+            "unknown-key", "bad-value", "K-above-f"])
+    def test_bad_split_text_names_file_and_line(self, run_dir, data_dir, tmp_path,
+                                                name, new, names_line, capsys):
+        """Line 2 of a split's text file (example 1's row, or meta's classes
+        key) replaced: exit 3 with the file, and the line, on stderr."""
+        split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+        path = os.path.join(split, name)
+        lines = open(path).read().splitlines()
+        lines[1] = new
+        with open(path, "w", encoding="latin-1") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert path in err
+        assert ("line 2" in err) == names_line
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, run_dir, data_dir, tmp_path, value, capsys):

@@ -4,7 +4,8 @@ Every file of a split (features, labels, meta and the pose blobs) and every
 checkpoint file (manifest and tensor blobs) is truncated at a random offset,
 given a duplicated random span, or has one random bit flipped.  `attnpool
 eval` and `attnpool heatmap` must then either run (exit 0) or reject the
-input (exit 3); they must never raise.
+input (exit 3); they must never raise, and a rejected split's message
+names one of its files.
 """
 
 import os
@@ -51,7 +52,7 @@ def tiny_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("target", ["split", "checkpoint"])
-def test_corrupt_inputs_exit_0_or_3(tiny_run, target):
+def test_corrupt_inputs_exit_0_or_3(tiny_run, target, capsys):
     split, ckpt, maps = tiny_run
     commands = [["eval", "--checkpoint", ckpt, "--data", split],
                 ["heatmap", "--checkpoint", ckpt, "--data", split,
@@ -79,6 +80,9 @@ def test_corrupt_inputs_exit_0_or_3(tiny_run, target):
                         except Exception as exc:
                             pytest.fail(f"{label}: raised {exc!r}")
                         assert rc in (0, EXIT_VALIDATION), f"{label}: exit {rc}"
+                        err = capsys.readouterr().err
+                        if rc and target == "split":  # the rejection names a file of the split
+                            assert split in err, f"{label}: {err!r}"
         finally:
             with open(path, "wb") as fh:
                 fh.write(blob)

@@ -576,6 +576,30 @@ class TestEvaluateAndReports:
         assert out["localization"] == localization_rate(maps, va)
         assert out["localization"] == report.final_localization
 
+    def test_pose_reg_evaluate_keeps_only_map_values(self):
+        """Over 16 chunks, evaluate holds no more memory above one chunk's
+        peak than what grows with m: its (m, n) maps, its (m, K) scores (the
+        chunks' and their concatenation) and (m,) metric arrays.  No chunk's
+        MLP output outlives the chunk."""
+        m, n, K, B = 512, 49, 8, 32
+        _, va = gen_planted(PlantedTaskConfig(K=K, train_samples=1, val_samples=m, seed=3))
+        first = Dataset(config=va.config, X=va.X[:B], labels=va.labels[:B],
+                        planted=va.planted[:B])
+        cfg = TrainConfig(head="pose_reg", batch_size=B, seed=3)
+        params = init_head_params(cfg, va.config.f, K)
+
+        def peak(ds):
+            tracemalloc.start()
+            try:
+                evaluate(params, cfg, ds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        evaluate(params, cfg, first)  # one-time allocations stay out of the peaks
+        grows_with_m = (3 * n + 2 * K + 4) * m * 8
+        assert peak(va) - peak(first) <= grows_with_m
+
     def test_cbp_scores_equal_per_example_features_bitwise(self, small_data):
         # evaluate() sketches the split as one stack (in chunks of 56 maps at d=64)
         tr, va = small_data
