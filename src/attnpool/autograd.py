@@ -5,22 +5,23 @@ it checks its input shapes, computes its value and appends a node that
 carries its parent ids and its gradient function, a closure over the
 input values, so a single reverse sweep in id order computes gradients.
 Leaves (`Tape.leaf`, parameters) need a gradient; constants
-(`Tape.const`, data and targets) do not, and a node needs one when any
-of its parents does.  The sweep visits only nodes that need a gradient
-and computes a matmul's input gradient only for the inputs that need
-it, so a constant's grad stays None.  The op set is exactly what the
-pooling heads need; every array is float64 and shapes are strict: add,
-subtract and elementwise_mul take equal shapes, add_row adds one (1, k)
-row to every row, cols takes a column slice, mlp records a two-layer
-perceptron relu(X W1 + b1) W2 + b2 as one node (adding its biases as
-rows), and no other op broadcasts or slices.  One op reads data that are
-not on the tape:
-`attend(X, rows, bs, As, classes)` takes a split's feature maps
-X (m, n, f) and the batch's row indices, and records, for each
-bottom-up vector b, the map X_r b and the pooled features X_r^T (X_r b)
-as children of b alone and, given the examples' classes, each example's
-top-down map X_e A[:, class_e] as a child of b's A alone, reading X in
-place one cache-sized block of examples at a time.
+(`Tape.const`: data, targets, and the attention maps that evaluation
+reads out) do not, and a node needs one when any of its parents does.
+The sweep visits only nodes that need a gradient and computes a matmul's
+input gradient only for the inputs that need it, so a constant's grad
+stays None.  Data take no gradient: pool and mlp refuse an X that needs
+one, and backward refuses a loss that needs none.  The op set is exactly
+what training the pooling heads needs; every array is float64 and shapes
+are strict: add, subtract and elementwise_mul take equal shapes, add_row
+adds one (1, k) row to every row, cols takes a column slice, mlp records
+a two-layer perceptron relu(X W1 + b1) W2 + b2 as one node (adding its
+biases as rows), and no other op broadcasts or slices.  One op reads
+data that are not on the tape: `attend(X, rows, bs, As, classes)` takes
+a split's feature maps X (m, n, f) and the batch's row indices, and
+records, for each bottom-up vector b, the pooled features X_r^T (X_r b)
+as a child of b alone, with the map X_r b and, given the examples'
+classes, each example's top-down map X_e A[:, class_e] as constants,
+reading X in place one cache-sized block of examples at a time.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -45,7 +46,8 @@ BLOCK_VALUES = 2 ** 16
 
 
 class ShapeError(ValueError):
-    """Raised, by every module, when operand shapes do not conform."""
+    """Raised, by every module, when operand shapes do not conform, and by
+    the tape when data or maps would take a gradient."""
 
 
 @dataclass
@@ -142,17 +144,17 @@ class Tape:
                           (a,), lambda g: (np.repeat(g, n, axis=0),))
 
     def pool(self, X, h, n):
-        """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f)."""
+        """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f).
+        X is data: it takes no gradient."""
         Xv, hv, n = X.value, h.value, int(n)
         if Xv.ndim != 2 or hv.shape != (Xv.shape[0], 1) or n < 1 or Xv.shape[0] % n:
             raise ShapeError(f"pool shape mismatch: {Xv.shape}, {hv.shape}, segments of {n}")
+        if X.needs:
+            raise ShapeError("pool's X is data and takes no gradient")
         B, f = Xv.shape[0] // n, Xv.shape[1]
 
-        def grad_fn(g):  # dX_b = h_b g_b^T, dh_b = X_b g_b
-            return ((hv.reshape(B, n, 1) * g.reshape(B, 1, f)).reshape(B * n, f)
-                    if X.needs else None,
-                    (Xv.reshape(B, n, f) @ g.reshape(B, f, 1)).reshape(B * n, 1)
-                    if h.needs else None)
+        def grad_fn(g):  # dh_b = X_b g_b
+            return None, (Xv.reshape(B, n, f) @ g.reshape(B, f, 1)).reshape(B * n, 1)
 
         return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
                           (X, h), grad_fn)
@@ -161,14 +163,13 @@ class Tape:
         """Bottom-up maps and pooled features of examples `rows` of a split,
         read in place: X (m, n, f), rows a slice or 1-D index array of B
         examples, bs a sequence of (f, 1) nodes.  Returns one (h, pooled)
-        pair per b: h = X_r b (B*n, 1) and pooled, per example,
-        X_r^T h_r (B, f); both have b as their only parent (X is data).
+        pair per b: h = X_r b (B*n, 1), a constant, and pooled, per example,
+        X_r^T h_r (B, f), with b as its only parent (X is data).
 
         With classes (one class index per example) and As (one (f, K) node
         per b), each entry is a triple (h, pooled, t): t is, per example e,
         the top-down map X_e A[:, classes_e] (B*n, 1) of the example's own
-        class, with A as its only parent; its gradient adds X_e^T g_e to
-        column classes_e of dA.
+        class, a constant.  Maps are read out, never differentiated.
 
         Examples go through in blocks of at most BLOCK_VALUES values, each
         read by every product of a pass while it is in cache (forward X_r b,
@@ -176,7 +177,7 @@ class Tape:
         A block of consecutive rows, such as a single example, is a view of
         X; only a block of several shuffled rows is copied.  When one block
         holds the batch, values and gradients are bitwise those of
-        pool(matmul(X[rows], b)) and gather_cols(X[rows], A, classes).
+        pool(matmul(X[rows], b)), and t is bitwise X[rows] @ a per example.
         """
         if X.ndim != 3:
             raise ShapeError(f"attend needs (m, n, f) feature maps, got {X.shape}")
@@ -201,28 +202,16 @@ class Tape:
         spans = [(s, min(s + step, B)) for s in range(0, B, step)]
         blocks = [_take(X, rows[s:e], run).reshape((e - s) * n, f) for s, e in spans]
 
-        def h_grad(g):  # db = X_r^T g
-            return (_total([Xs.T @ g[s * n:e * n] for (s, e), Xs in zip(spans, blocks)], f),)
-
         def pooled_grad(g):  # per example dh = X_b g_b; db = X_r^T dh
             return (_total([Xs.T @ (Xs.reshape(e - s, n, f) @ g[s:e].reshape(e - s, f, 1))
                             .reshape((e - s) * n, 1)
                             for (s, e), Xs in zip(spans, blocks)], f),)
 
-        def t_grad(g, K):  # dA[:, k] = sum over e with classes[e] = k of X_e^T g_e
-            dA = np.zeros((f, K))
-            for (s, e), Xs in zip(spans, blocks):
-                np.add.at(dA.T, classes[s:e],
-                          (g[s * n:e * n].reshape(e - s, 1, n) @ Xs.reshape(e - s, n, f))
-                          .reshape(e - s, f))
-            return (dA,)
-
         out = []
         for p, b in enumerate(bs):
             h, pooled = np.empty((B * n, 1)), np.empty((B, f))
             if classes is not None:
-                A = As[p]
-                t, a = np.empty((B * n, 1)), A.value[:, classes].T.reshape(B, f, 1)
+                t, a = np.empty((B * n, 1)), As[p].value[:, classes].T.reshape(B, f, 1)
             for (s, e), Xs in zip(spans, blocks):
                 np.matmul(Xs, b.value, out=h[s * n:e * n])
                 np.matmul(h[s * n:e * n].reshape(e - s, 1, n), Xs.reshape(e - s, n, f),
@@ -230,44 +219,17 @@ class Tape:
                 if classes is not None:
                     np.matmul(Xs.reshape(e - s, n, f), a[s:e],
                               out=t[s * n:e * n].reshape(e - s, n, 1))
-            nodes = (self._push("attend_h", h, (b,), h_grad),
-                     self._push("attend_pool", pooled, (b,), pooled_grad))
+            entry = (self.const(h), self._push("attend_pool", pooled, (b,), pooled_grad))
             if classes is not None:
-                nodes += (self._push("attend_t", t, (A,),
-                                     lambda g, K=A.value.shape[1]: t_grad(g, K)),)
-            out.append(nodes)
+                entry += (self.const(t),)
+            out.append(entry)
         return out
-
-    def gather_cols(self, X, A, cols, n):
-        """Per block of n rows, X_b A[:, cols[b]]: X (B*n, f), A (f, K) -> (B*n, 1).
-
-        The adjoint of pool: each example's map for its own class column.
-        """
-        Xv, Av, n = X.value, A.value, int(n)
-        cols = np.asarray(cols, dtype=np.int64)
-        if (Xv.ndim != 2 or Av.ndim != 2 or Xv.shape[1] != Av.shape[0] or n < 1
-                or Xv.shape[0] % n or cols.shape != (Xv.shape[0] // n,)
-                or np.any((cols < 0) | (cols >= Av.shape[1]))):
-            raise ShapeError(f"gather_cols shape mismatch: {Xv.shape} x {Av.shape}, "
-                             f"segments of {n}, columns {cols.shape}")
-        B, f = len(cols), Xv.shape[1]
-        a = Av[:, cols].T.reshape(B, f, 1)  # example b's column, one per block
-
-        def grad_fn(g):  # dX_b = g_b a_b^T; dA[:, k] = sum over b with cols[b] = k of X_b^T g_b
-            dA = None
-            if A.needs:
-                dA = np.zeros_like(Av)
-                np.add.at(dA.T, cols, (g.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f))
-            return ((g.reshape(B, n, 1) * a.reshape(B, 1, f)).reshape(B * n, f)
-                    if X.needs else None, dA)
-
-        return self._push("gather_cols", (Xv.reshape(B, n, f) @ a).reshape(B * n, 1), (X, A),
-                          grad_fn)
 
     def mlp(self, X, W1, b1, W2, b2):
         """relu(X W1 + b1) W2 + b2 as one node: X (r, f), W1 (f, k), b1 (1, k),
         W2 (k, c), b2 (1, c) -> (r, c); values and gradients are bitwise
-        those of matmul, add_row and relu recorded as separate nodes.
+        those of matmul, add_row and relu recorded as separate nodes.  X is
+        data: it takes no gradient.
 
         The biases and relu go in place onto the products.  The hidden
         layer and relu's mask are kept, for backward, which masks the hidden
@@ -279,6 +241,8 @@ class Tape:
                 or b2v.shape != (1, W2v.shape[1])):
             raise ShapeError(f"mlp shape mismatch: {Xv.shape} x {W1v.shape} + row {b1v.shape}"
                              f", then x {W2v.shape} + row {b2v.shape}")
+        if X.needs:
+            raise ShapeError("mlp's X is data and takes no gradient")
         parents = (X, W1, b1, W2, b2)
         needs = any(p.needs for p in parents)
         H = Xv @ W1v
@@ -290,10 +254,10 @@ class Tape:
 
         def grad_fn(g):
             dH = None
-            if X.needs or W1.needs or b1.needs:
+            if W1.needs or b1.needs:
                 dH = g @ W2v.T
                 dH *= mask
-            return (dH @ W1v.T if X.needs else None,
+            return (None,
                     Xv.T @ dH if W1.needs else None,
                     np.ones((1, g.shape[0])) @ dH if b1.needs else None,
                     H.T @ g if W2.needs else None,
@@ -337,10 +301,13 @@ class Tape:
         """Reverse sweep from `loss`; gradients accumulate across fan-out.
 
         Every node that needs a gradient gets one (zeros if `loss` does not
-        depend on it); every other node's grad is None.
+        depend on it); every other node's grad is None.  A loss that needs
+        no gradient, such as one of maps or data alone, is refused.
         """
         if np.asarray(loss.value).size != 1:
             raise ShapeError(f"loss must be scalar, got shape {np.asarray(loss.value).shape}")
+        if not loss.needs:
+            raise ShapeError("loss depends on no parameter: it has no gradient")
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value)

@@ -6,7 +6,8 @@ d1xd2`) and <name>.atnp files.  Field values are parsed as the `train.`
 keys of a config file; fields the manifest lacks take their defaults, and
 a `loss=` line (a setting before the labels chose the loss) is ignored.
 Loading checks the version, that the tensors are exactly the head's
-parameters at the scored split's f and K, and every blob's dims.
+parameters at the scored split's f and K, and every blob's dims and
+values (finite); each rejection names the checkpoint's file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .atnp import read_atnp, write_atnp
 from .config import build, parse_value
+from .synth import read_text
 from .train import TrainConfig, head_shapes
 
 FORMAT_VERSION = 1
@@ -44,10 +46,8 @@ def load_checkpoint(path, f: int, K: int):
     """Returns (params, config) of a checkpoint scored at f features and
     K classes; raises CheckpointError."""
     manifest_path = os.path.join(path, "manifest.txt")
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(manifest_path)
-    with open(manifest_path) as fh:
-        lines = [line.strip().split("=", 1) for line in fh if line.strip()]
+    lines = [line.strip().split("=", 1) for line in read_text(manifest_path).splitlines()
+             if line.strip()]
     if any(len(kv) != 2 for kv in lines):
         raise CheckpointError(f"{manifest_path}: expected key=value lines")
     manifest = dict(lines)
@@ -75,10 +75,11 @@ def load_checkpoint(path, f: int, K: int):
     for name, shape in want.items():
         blob = os.path.join(path, f"{name}.atnp")
         if not os.path.exists(blob):
-            raise CheckpointError(f"missing tensor blob {name}.atnp")
+            raise CheckpointError(f"{blob}: missing tensor blob")
         arr = read_atnp(blob)
         if arr.shape != shape:
-            raise CheckpointError(
-                f"tensor {name}: manifest says {shape}, file has {arr.shape}")
+            raise CheckpointError(f"{blob}: manifest says {shape}, file has {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{blob}: non-finite parameter value")
         params[name] = arr
     return params, config

@@ -84,11 +84,12 @@ def load_split(path: str) -> Dataset:
     return ds
 
 
-def _check_scores(scores: np.ndarray, split: str) -> None:
-    """ValueError, naming the split's features, when a score overflowed."""
+def _check_scores(scores: np.ndarray, split: str, checkpoint: str) -> None:
+    """ValueError, naming the split's features and the checkpoint, when a
+    score overflowed."""
     if not np.all(np.isfinite(scores)):
         raise ValueError(f"{os.path.join(split, 'features.atnp')}: a feature value is "
-                         "too large to score (non-finite scores)")
+                         f"too large to score with checkpoint {checkpoint} (non-finite scores)")
 
 
 def cmd_gen(args) -> int:
@@ -129,7 +130,7 @@ def cmd_eval(args) -> int:
     params, tconf = load_checkpoint(args.checkpoint, ds.config.f, ds.config.K)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_scores reports overflow
         result = evaluate(params, tconf, ds)
-    _check_scores(result["scores"], args.data)
+    _check_scores(result["scores"], args.data, args.checkpoint)
     out = "".join(f"{key}={result[key]:.6f}\n"
                   for key in ("accuracy", "map", "localization") if key in result)
     if args.out:
@@ -154,7 +155,7 @@ def cmd_heatmap(args) -> int:
         classes = (ds.labels[:count] if ds.labels.ndim == 1
                    else np.argmax(eval_scores(params, tconf, X), axis=1))
         scores, maps = eval_forward(params, tconf, X, classes=classes)
-    _check_scores(scores, args.data)
+    _check_scores(scores, args.data, args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):
         panels = [maps[key][i].reshape(n1, n2) for key in ("c", "t", "h")]

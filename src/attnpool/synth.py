@@ -65,6 +65,8 @@ class PlantedTaskConfig:
         for name in ("n1", "n2", "f", "K", "train_samples", "val_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not np.isfinite(self.signal_strength):
+            raise ValueError("signal_strength must be finite")
         if self.clutter_classes < 0:
             raise ValueError("clutter_classes must be nonnegative")
         if self.multi_label and self.n1 * self.n2 < 3:

@@ -11,8 +11,8 @@ batch is copied), and take their class maps from the same read; the
 other heads stack the batch's examples into one (B*n, f) block, and
 their per-example sums and pooling are the tape's segment ops
 (`segment_sum`, `pool`), with blocks of n rows.  Data enter
-the tape as constants or are read by `attend`, so backward
-differentiates only the parameters.
+the tape as constants or are read by `attend`, and class maps are
+recorded as constants, so backward differentiates only the parameters.
 `_batch_graph` is the one definition of every head's scores and maps,
 and `head_inputs` the one place that decides what a head scores.  The
 labels choose the loss: softmax for (m,) labels, sigmoid for (m, K).
@@ -85,16 +85,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.head not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {self.head!r}")
-        if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if not np.isfinite(self.weight_decay):
+            raise ValueError("weight_decay must be finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0 or self.rank < 1:
             raise ValueError("batch_size/epochs/rank out of range")
         if self.hdim < 1 or self.sketch_dim < 1:
             raise ValueError("hdim/sketch_dim must be >= 1")
-        if self.lambda_pose < 0:
-            raise ValueError("lambda_pose must be nonnegative")
+        if not 0 <= self.lambda_pose < np.inf:
+            raise ValueError("lambda_pose must be nonnegative and finite")
 
 
 @dataclass
@@ -237,8 +239,9 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     as inputs[rows], a view for a slice and a copy for an index array.
 
     classes (one class index per example, or None) also records the maps
-    of those classes only, as (B*n, 1) nodes (`Tape.attend`'s, or
-    `Tape.gather_cols` for the other heads): "h"
+    of those classes only, as (B*n, 1) constants, values to read out that
+    no gradient flows through (`Tape.attend`'s, or for the other heads
+    each example's X_e times its class's column of a parameter): "h"
     (the first rank component for rank_p, ones for avg_pool, the class's
     own column for per_class), "t" (first rank component) and "c" (t h
     summed over rank components; avg_pool's is t).  maps always holds
@@ -262,32 +265,33 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
             Xs = tape.const(Xb.reshape(len(Xb) * n, f))
 
         def column(name):  # each example's map for its own class column of a parameter
-            return tape.gather_cols(Xs, nodes[name], classes, n)
+            a = nodes[name].value[:, classes].T.reshape(len(classes), f, 1)
+            return (Xb @ a).reshape(len(classes) * n, 1)
 
         if config.head == "avg_pool":
             scores = tape.matmul(tape.segment_sum(Xs, n), nodes["W"])
             if classes is not None:
-                t = column("W")
+                t = tape.const(column("W"))
                 maps.update(h=tape.const(np.ones((len(classes) * n, 1))), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
             ranks = range(_rank_of(config))
             parts = tape.attend(inputs, rows, [nodes[f"b{p}"] for p in ranks],
                                 [nodes[f"A{p}"] for p in ranks], classes)
-            for p, (h, pooled, *t) in enumerate(parts):
+            for p, (_, pooled, *_) in enumerate(parts):
                 sp = tape.matmul(pooled, nodes[f"A{p}"])
                 scores = sp if p == 0 else tape.add(scores, sp)
-                if classes is not None:
-                    c = tape.elementwise_mul(t[0], h)
-                    if p == 0:
-                        maps.update(h=h, t=t[0], c=c)
-                    else:
-                        maps["c"] = tape.add(maps["c"], c)
+            if classes is not None:
+                (h, _, t), *rest = parts
+                c = t.value * h.value
+                for hp, _, tp in rest:
+                    c += tp.value * hp.value
+                maps.update(h=h, t=t, c=tape.const(c))
         elif config.head == "per_class":
             scores = tape.segment_sum(tape.elementwise_mul(tape.matmul(Xs, nodes["A"]),
                                                            tape.matmul(Xs, nodes["B_pc"])), n)
             if classes is not None:
                 t, h = column("A"), column("B_pc")
-                maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
+                maps.update(h=tape.const(h), t=tape.const(t), c=tape.const(t * h))
         elif config.head == "pose_reg":
             out = tape.mlp(Xs, nodes["W1"], nodes["bias1"], nodes["W2"], nodes["bias2"])
             h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
@@ -295,7 +299,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
             maps["out"] = out
             if classes is not None:
                 t = column("A")
-                maps.update(h=h, t=t, c=tape.elementwise_mul(t, h))
+                maps.update(h=tape.const(h.value), t=tape.const(t), c=tape.const(t * h.value))
         else:
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)

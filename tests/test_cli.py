@@ -172,6 +172,34 @@ class TestTrain:
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("key,value", [
+        ("train.lr", "inf"), ("train.weight_decay", "nan"), ("train.lambda_pose", "nan"),
+        ("task.signal_strength", "inf")])
+    def test_non_finite_setting_exits_3_at_load(self, run_dir, data_dir, tmp_path, key, value,
+                                                capsys):
+        """From --set, and from the checkpoint manifest or meta.txt that
+        records the setting, a non-finite value exits 3 before any run."""
+        section, name = key.split(".")
+        out = tmp_path / "out"
+        argv = (["gen"] if section == "task" else ["train", "--data", data_dir])
+        assert main(argv + ["--out", str(out), "--set", f"{key}={value}"]) == EXIT_VALIDATION
+        assert not out.exists()
+        if section == "task":
+            ckpt = os.path.join(run_dir, "checkpoint")
+            split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+            path, sep = os.path.join(split, "meta.txt"), " = "
+        else:
+            ckpt = _copy_dir(os.path.join(run_dir, "checkpoint"), tmp_path)
+            split = os.path.join(data_dir, "val")
+            path, sep = os.path.join(ckpt, "manifest.txt"), "="
+        lines = [f"{name}{sep}{value}" if line.startswith(name + sep) else line
+                 for line in open(path).read().splitlines()]
+        assert f"{name}{sep}{value}" in lines
+        open(path, "w").write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_prints_metrics(self, run_dir, data_dir, tmp_path, capsys):
@@ -267,11 +295,13 @@ class TestEval:
         X = read_atnp(path)
         X[0, 0, 0] = 1e300
         write_atnp(path, X)
-        argv = [command, "--checkpoint", os.path.join(run_dir, "checkpoint"), "--data", split]
+        ckpt = os.path.join(run_dir, "checkpoint")
+        argv = [command, "--checkpoint", ckpt, "--data", split]
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
         assert rc == EXIT_VALIDATION
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path in err and ckpt in err
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     def test_overflowing_feature_exits_3_without_warnings(self, run_dir, data_dir, tmp_path,

@@ -4,8 +4,8 @@ Every file of a split (features, labels, meta and the pose blobs) and every
 checkpoint file (manifest and tensor blobs) is truncated at a random offset,
 given a duplicated random span, or has one random bit flipped.  `attnpool
 eval` and `attnpool heatmap` must then either run (exit 0) or reject the
-input (exit 3); they must never raise, and a rejected split's message
-names one of its files.
+input (exit 3); they must never raise, and the message of a rejected
+split or checkpoint names one of its files.
 """
 
 import os
@@ -81,8 +81,9 @@ def test_corrupt_inputs_exit_0_or_3(tiny_run, target, capsys):
                             pytest.fail(f"{label}: raised {exc!r}")
                         assert rc in (0, EXIT_VALIDATION), f"{label}: exit {rc}"
                         err = capsys.readouterr().err
-                        if rc and target == "split":  # the rejection names a file of the split
-                            assert split in err, f"{label}: {err!r}"
+                        if rc:  # the rejection names the split's or the checkpoint's file
+                            assert (split if target == "split" else ckpt) in err, \
+                                f"{label}: {err!r}"
         finally:
             with open(path, "wb") as fh:
                 fh.write(blob)

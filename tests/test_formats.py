@@ -248,13 +248,28 @@ class TestCheckpoint:
         # a blob whose shape differs from its manifest entry
         ckpt = self._save(tmp_path)
         write_atnp(str(ckpt / "b0.atnp"), np.zeros((1, 32)))
-        with pytest.raises(CheckpointError, match="b0"):
+        with pytest.raises(CheckpointError, match=re.escape(str(ckpt / "b0.atnp"))):
             load_checkpoint(ckpt, 32, 8)
 
     def test_missing_blob(self, tmp_path):
         ckpt = self._save(tmp_path)
         (ckpt / "b0.atnp").unlink()
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=re.escape(str(ckpt / "b0.atnp"))):
+            load_checkpoint(ckpt, 32, 8)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_blob_rejected(self, tmp_path, value):
+        params = self._params()
+        params["A0"][3, 1] = value
+        ckpt = self._save(tmp_path, params)
+        with pytest.raises(CheckpointError, match=re.escape(str(ckpt / "A0.atnp"))):
+            load_checkpoint(ckpt, 32, 8)
+
+    def test_manifest_not_utf8_names_file_and_line(self, tmp_path):
+        ckpt = self._save(tmp_path)
+        mpath = ckpt / "manifest.txt"
+        mpath.write_bytes(mpath.read_bytes().replace(b"head=attention", b"head=attenti\xf3n"))
+        with pytest.raises(ValueError, match=re.escape(f"{mpath}: line 2 ")):
             load_checkpoint(ckpt, 32, 8)
 
     def test_missing_manifest(self, tmp_path):

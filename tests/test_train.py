@@ -52,6 +52,43 @@ def _all_class_maps(head, params, X):
     return np.broadcast_to(hs[0], ts[0].shape), ts[0], sum(t * h for t, h in zip(ts, hs))
 
 
+def _class_maps_numpy(head, params, X, classes, batch_size):
+    """The maps h, t, c (m, n) of one class per example, written with the
+    numpy products that eval_forward makes chunk by chunk."""
+    m, n, f = X.shape
+    maps = {key: np.empty((m, n)) for key in ("h", "t", "c")}
+    for s in range(0, m, batch_size):
+        Xc, cls = X[s:s + batch_size], classes[s:s + batch_size]
+
+        def column(W):  # X_e W[:, class_e] per example
+            return (Xc @ W[:, cls].T.reshape(len(cls), f, 1)).reshape(-1, n)
+
+        if head == "avg_pool":
+            t = column(params["W"])
+            h, c = np.ones_like(t), t
+        elif head == "per_class":
+            t, h = column(params["A"]), column(params["B_pc"])
+            c = t * h
+        elif head == "pose_reg":
+            H = Xc.reshape(-1, f) @ params["W1"]
+            H += params["bias1"]
+            np.maximum(H, 0.0, out=H)
+            out = H @ params["W2"]
+            out += params["bias2"]
+            t, h = column(params["A"]), out[:, ATTENTION_CHANNEL].reshape(-1, n)
+            c = t * h
+        else:
+            ranks = range(sum(name.startswith("A") for name in params))
+            hs = [(Xc.reshape(-1, f) @ params[f"b{p}"]).reshape(-1, n) for p in ranks]
+            ts = [column(params[f"A{p}"]) for p in ranks]
+            h, t, c = hs[0], ts[0], ts[0] * hs[0]
+            for tp, hp in zip(ts[1:], hs[1:]):
+                c = c + tp * hp
+        for key, value in zip(("h", "t", "c"), (h, t, c)):
+            maps[key][s:s + batch_size] = value
+    return maps
+
+
 class TestSgdStep:
     def test_momentum_recurrence(self):
         # constant unit gradient, lr=0.1, momentum=0.9:
@@ -276,6 +313,32 @@ class TestScores:
         if head != "per_class":  # per_class scores through its K bottom-up maps
             assert (4 * n, K) not in {node.value.shape for node in tape.nodes}
 
+    @pytest.mark.parametrize("head,kw", [
+        ("avg_pool", {}), ("attention", {}), ("rank_p", {"rank": 3}), ("per_class", {}),
+        ("pose_reg", {"hdim": 6}),
+    ])
+    def test_class_maps_are_constants_bitwise_of_numpy(self, small_data, head, kw):
+        """Maps are values read out: with leaf parameters, each h, t and c
+        that _batch_graph records has no parent and takes no gradient, so
+        backward refuses a loss of maps alone; eval_forward's maps are
+        bitwise the numpy products."""
+        tr, _ = small_data
+        m, f, K = 10, SMALL_TASK.f, SMALL_TASK.K
+        X, classes = tr.X[:m], true_classes(tr)[:m]
+        cfg = TrainConfig(head=head, seed=5, batch_size=4, **kw)
+        params = init_head_params(cfg, f, K)
+        tape = Tape()
+        nodes = {name: tape.leaf(p) for name, p in params.items()}
+        _, maps = _batch_graph(tape, cfg, nodes, X, slice(0, 4), classes[:4])
+        for key in ("h", "t", "c"):
+            node = maps[key]
+            assert node.parents == () and not node.needs and node.grad_fn is None
+        with pytest.raises(ShapeError, match="no gradient"):
+            tape.backward(tape.sum_squares(maps["c"]))
+        _, maps = eval_forward(params, cfg, X, classes=classes)
+        for key, want in _class_maps_numpy(head, params, X, classes, cfg.batch_size).items():
+            assert maps[key].tobytes() == want.tobytes(), key
+
     def test_class_maps_of_no_examples_and_of_cbp(self, small_data):
         tr, _ = small_data
         cfg = TrainConfig(head="attention", seed=5, batch_size=4)
@@ -293,7 +356,7 @@ class TestScores:
     @pytest.mark.parametrize("head,kw", [("attention", {}), ("rank_p", {"rank": 3})])
     def test_class_maps_read_each_example_once(self, small_data, monkeypatch, head, kw):
         # Tape.attend gives scores and class maps from one read of the split:
-        # no gather_cols pass and no constant copy of the batch's feature maps
+        # one attend pass, and no constant copy of the batch's feature maps
         tapes = []
 
         class RecordedTape(Tape):
@@ -308,10 +371,12 @@ class TestScores:
         _, maps = eval_forward(params, cfg, tr.X[:6], classes=tr.labels[:6])
         [tape] = tapes  # one chunk
         ops = [node.op for node in tape.nodes]
-        assert "gather_cols" not in ops and ops.count("attend_t") == cfg.rank
+        assert ops.count("attend_pool") == cfg.rank
+        # the parameters, then per component its maps h and t, and c: no data
         consts = [node.value for node in tape.nodes if node.op == "const"]
-        assert len(consts) == len(params)  # the parameters, and no data
-        assert all(any(value is p for p in params.values()) for value in consts)
+        assert all(any(value is p for p in params.values()) for value in consts[:len(params)])
+        assert [value.shape for value in consts[len(params):]] == \
+            [(6 * SMALL_TASK.n, 1)] * (2 * cfg.rank + 1)
         assert maps["c"].shape == (6, SMALL_TASK.n)
 
     def test_true_classes(self, small_data, multi_label_data):
@@ -345,7 +410,9 @@ class TestTrainingTape:
             assert (B * n, K) not in {node.value.shape for node in tape.nodes}
         data = [node for node in tape.nodes if not node.needs]
         if head in ("attention", "rank_p"):  # Tape.attend reads X in place: no data node
-            assert not data and {"attend_h", "attend_pool"} <= {node.op for node in tape.nodes}
+            assert "attend_pool" in {node.op for node in tape.nodes}
+            ranks = cfg.rank if head == "rank_p" else 1
+            assert [node.value.shape for node in data] == [(B * n, 1)] * ranks  # h per b
         else:
             assert any(node.op == "const" for node in data)
         assert all(node.grad is None for node in data)
