@@ -4,23 +4,21 @@ A Tape holds an append-only list of Nodes.  Each op is one Tape method:
 it checks its input shapes, computes its value and appends a node that
 carries its parent ids and its gradient function, a closure over the
 input values, so a single reverse sweep in id order computes gradients.
-Leaves (`Tape.leaf`, parameters) need a gradient; constants
-(`Tape.const`: data, targets, and the attention maps that evaluation
-reads out) do not, and a node needs one when any of its parents does.
-The sweep visits only nodes that need a gradient and computes a matmul's
-input gradient only for the inputs that need it, so a constant's grad
-stays None.  Data take no gradient: pool and mlp refuse an X that needs
-one, and backward refuses a loss that needs none.  The op set is exactly
-what training the pooling heads needs; every array is float64 and shapes
-are strict: add, subtract and elementwise_mul take equal shapes, add_row
-adds one (1, k) row to every row, cols takes a column slice, mlp records
-a two-layer perceptron relu(X W1 + b1) W2 + b2 as one node (adding its
-biases as rows), and no other op broadcasts or slices.  One op reads
-data that are not on the tape: `attend(X, rows, bs, As, classes)` takes
+A node is a parameter (`Tape.leaf`) or computed from one, and every node
+gets a gradient.  Data, targets and the attention maps that evaluation
+reads out are numpy arrays, passed to an op as arguments, never parents.
+The op set is exactly what training the pooling heads needs; every
+array is float64 and shapes are strict: add and elementwise_mul take
+equal shapes, add_row adds one (1, k) row to every row, cols takes a
+column slice, and no other op broadcasts or slices.  Ops that read data:
+linear(X, w) is X W; pool(X, h, n) is X_b^T h_b per block of n rows;
+mlp(X, W1, b1, W2, b2) records the two-layer perceptron
+relu(X W1 + b1) W2 + b2 as one node; sq_error(a, T, W) is the squared
+error ((a - T) * W)^2 summed; and `attend(X, rows, bs, As, classes)` takes
 a split's feature maps X (m, n, f) and the batch's row indices, and
 records, for each bottom-up vector b, the pooled features X_r^T (X_r b)
-as a child of b alone, with the map X_r b and, given the examples'
-classes, each example's top-down map X_e A[:, class_e] as constants,
+as a child of b alone, returning the map X_r b and, given the examples'
+classes, each example's top-down map X_e A[:, class_e] as arrays,
 reading X in place one cache-sized block of examples at a time.
 
 Conventions:
@@ -46,8 +44,7 @@ BLOCK_VALUES = 2 ** 16
 
 
 class ShapeError(ValueError):
-    """Raised, by every module, when operand shapes do not conform, and by
-    the tape when data or maps would take a gradient."""
+    """Raised, by every module, when operand shapes do not conform."""
 
 
 @dataclass
@@ -56,7 +53,6 @@ class Node:
     value: np.ndarray
     op: str
     parents: tuple
-    needs: bool = True
     grad_fn: object = field(default=None, repr=False)
     grad: np.ndarray = field(default=None, repr=False)
 
@@ -67,40 +63,35 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _push(self, op, value, parents=(), grad_fn=None, needs=None) -> Node:
+    def _push(self, op, value, parents=(), grad_fn=None) -> Node:
         """Append a node; `grad_fn(g)` maps its output gradient to one
-        gradient per parent (None where a parent needs none)."""
-        if needs is None:
-            needs = any(p.needs for p in parents)
+        gradient per parent."""
         node = Node(id=len(self.nodes), value=np.asarray(value, dtype=np.float64), op=op,
-                    parents=tuple(p.id for p in parents), needs=needs, grad_fn=grad_fn)
+                    parents=tuple(p.id for p in parents), grad_fn=grad_fn)
         self.nodes.append(node)
         return node
 
     def leaf(self, value) -> Node:
         """A differentiable input (a parameter)."""
-        return self._push("leaf", value, needs=True)
-
-    def const(self, value) -> Node:
-        """An input that needs no gradient (data, targets)."""
-        return self._push("const", value, needs=False)
+        return self._push("leaf", value)
 
     def matmul(self, a, b):
         A, B = a.value, b.value
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise ShapeError(f"matmul shape mismatch: {A.shape} x {B.shape}")
-        return self._push("matmul", A @ B, (a, b), lambda g: (
-            g @ B.T if a.needs else None, A.T @ g if b.needs else None))
+        return self._push("matmul", A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
+
+    def linear(self, X, w):
+        """Data times a node: X (r, k), w (k, c) -> X W (r, c)."""
+        W = w.value
+        if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[0]:
+            raise ShapeError(f"linear shape mismatch: {X.shape} x {W.shape}")
+        return self._push("linear", X @ W, (w,), lambda g: (X.T @ g,))
 
     def add(self, a, b):
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
         return self._push("add", a.value + b.value, (a, b), lambda g: (g, g))
-
-    def subtract(self, a, b):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"subtract shape mismatch: {a.value.shape} vs {b.value.shape}")
-        return self._push("subtract", a.value - b.value, (a, b), lambda g: (g, -g))
 
     def add_row(self, a, row):
         """a + row for every row of a: a (r, k), row (1, k) -> (r, k)."""
@@ -110,7 +101,7 @@ class Tape:
         # the row's gradient sums g's rows as one BLAS product: faster than
         # g.sum(axis=0), whose summation order also differs
         return self._push("add_row", A + R, (a, row), lambda g: (
-            g, np.ones((1, g.shape[0])) @ g if row.needs else None))
+            g, np.ones((1, g.shape[0])) @ g))
 
     def cols(self, a, start, stop):
         """Columns start..stop-1 of a (r, k) node: (r, stop - start)."""
@@ -144,32 +135,29 @@ class Tape:
                           (a,), lambda g: (np.repeat(g, n, axis=0),))
 
     def pool(self, X, h, n):
-        """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f).
-        X is data: it takes no gradient."""
-        Xv, hv, n = X.value, h.value, int(n)
-        if Xv.ndim != 2 or hv.shape != (Xv.shape[0], 1) or n < 1 or Xv.shape[0] % n:
-            raise ShapeError(f"pool shape mismatch: {Xv.shape}, {hv.shape}, segments of {n}")
-        if X.needs:
-            raise ShapeError("pool's X is data and takes no gradient")
-        B, f = Xv.shape[0] // n, Xv.shape[1]
+        """Per block of n rows, X_b^T h_b: X (B*n, f), h (B*n, 1) -> (B, f)."""
+        hv, n = h.value, int(n)
+        if X.ndim != 2 or hv.shape != (X.shape[0], 1) or n < 1 or X.shape[0] % n:
+            raise ShapeError(f"pool shape mismatch: {X.shape}, {hv.shape}, segments of {n}")
+        B, f = X.shape[0] // n, X.shape[1]
 
         def grad_fn(g):  # dh_b = X_b g_b
-            return None, (Xv.reshape(B, n, f) @ g.reshape(B, f, 1)).reshape(B * n, 1)
+            return ((X.reshape(B, n, f) @ g.reshape(B, f, 1)).reshape(B * n, 1),)
 
-        return self._push("pool", (hv.reshape(B, 1, n) @ Xv.reshape(B, n, f)).reshape(B, f),
-                          (X, h), grad_fn)
+        return self._push("pool", (hv.reshape(B, 1, n) @ X.reshape(B, n, f)).reshape(B, f),
+                          (h,), grad_fn)
 
     def attend(self, X, rows, bs, As=(), classes=None):
         """Bottom-up maps and pooled features of examples `rows` of a split,
         read in place: X (m, n, f), rows a slice or 1-D index array of B
         examples, bs a sequence of (f, 1) nodes.  Returns one (h, pooled)
-        pair per b: h = X_r b (B*n, 1), a constant, and pooled, per example,
-        X_r^T h_r (B, f), with b as its only parent (X is data).
+        pair per b: the map h = X_r b (B*n, 1), an array, and the node
+        pooled, per example X_r^T h_r (B, f), with b as its only parent.
 
         With classes (one class index per example) and As (one (f, K) node
         per b), each entry is a triple (h, pooled, t): t is, per example e,
         the top-down map X_e A[:, classes_e] (B*n, 1) of the example's own
-        class, a constant.  Maps are read out, never differentiated.
+        class, an array.  Maps are read out, never differentiated.
 
         Examples go through in blocks of at most BLOCK_VALUES values, each
         read by every product of a pass while it is in cache (forward X_r b,
@@ -219,56 +207,50 @@ class Tape:
                 if classes is not None:
                     np.matmul(Xs.reshape(e - s, n, f), a[s:e],
                               out=t[s * n:e * n].reshape(e - s, n, 1))
-            entry = (self.const(h), self._push("attend_pool", pooled, (b,), pooled_grad))
-            if classes is not None:
-                entry += (self.const(t),)
-            out.append(entry)
+            out.append((h, self._push("attend_pool", pooled, (b,), pooled_grad))
+                       + ((t,) if classes is not None else ()))
         return out
 
     def mlp(self, X, W1, b1, W2, b2):
         """relu(X W1 + b1) W2 + b2 as one node: X (r, f), W1 (f, k), b1 (1, k),
-        W2 (k, c), b2 (1, c) -> (r, c); values and gradients are bitwise
-        those of matmul, add_row and relu recorded as separate nodes.  X is
-        data: it takes no gradient.
+        W2 (k, c), b2 (1, c) -> (r, c), with the nodes W1, b1, W2, b2 as
+        parents; values and gradients are bitwise those of linear, add_row,
+        relu, matmul and add_row recorded as separate nodes.
 
-        The biases and relu go in place onto the products.  The hidden
-        layer and relu's mask are kept, for backward, which masks the hidden
-        gradient in place, only when an input needs a gradient.
+        The biases and relu go in place onto the products; backward masks
+        the hidden gradient in place with relu's mask, kept from forward.
         """
-        Xv, W1v, b1v, W2v, b2v = X.value, W1.value, b1.value, W2.value, b2.value
-        if (Xv.ndim != 2 or W1v.ndim != 2 or W2v.ndim != 2 or Xv.shape[1] != W1v.shape[0]
+        W1v, b1v, W2v, b2v = W1.value, b1.value, W2.value, b2.value
+        if (X.ndim != 2 or W1v.ndim != 2 or W2v.ndim != 2 or X.shape[1] != W1v.shape[0]
                 or W1v.shape[1] != W2v.shape[0] or b1v.shape != (1, W1v.shape[1])
                 or b2v.shape != (1, W2v.shape[1])):
-            raise ShapeError(f"mlp shape mismatch: {Xv.shape} x {W1v.shape} + row {b1v.shape}"
+            raise ShapeError(f"mlp shape mismatch: {X.shape} x {W1v.shape} + row {b1v.shape}"
                              f", then x {W2v.shape} + row {b2v.shape}")
-        if X.needs:
-            raise ShapeError("mlp's X is data and takes no gradient")
-        parents = (X, W1, b1, W2, b2)
-        needs = any(p.needs for p in parents)
-        H = Xv @ W1v
+        H = X @ W1v
         H += b1v
-        mask = H > 0.0 if needs else None  # dH * mask keeps the signed zeros of a negative dH
+        mask = H > 0.0  # dH * mask keeps the signed zeros of a negative dH
         np.maximum(H, 0.0, out=H)
         out = H @ W2v
         out += b2v
 
         def grad_fn(g):
-            dH = None
-            if W1.needs or b1.needs:
-                dH = g @ W2v.T
-                dH *= mask
-            return (None,
-                    Xv.T @ dH if W1.needs else None,
-                    np.ones((1, g.shape[0])) @ dH if b1.needs else None,
-                    H.T @ g if W2.needs else None,
-                    np.ones((1, g.shape[0])) @ g if b2.needs else None)
+            dH = g @ W2v.T
+            dH *= mask
+            ones = np.ones((1, g.shape[0]))
+            return X.T @ dH, ones @ dH, H.T @ g, ones @ g
 
-        return self._push("mlp", out, parents, grad_fn if needs else None)
+        return self._push("mlp", out, (W1, b1, W2, b2), grad_fn)
 
-    def sum_squares(self, a):
+    def sq_error(self, a, targets, weights):
+        """Weighted squared error sum(((a - T) * W)^2) of a node a against
+        arrays T and W of its shape."""
         A = a.value
-        return self._push("sum_squares", np.float64((A * A).sum()), (a,),
-                          lambda g: (2.0 * float(g) * A,))
+        if targets.shape != A.shape or weights.shape != A.shape:
+            raise ShapeError(f"sq_error shape mismatch: {A.shape} vs targets "
+                             f"{targets.shape}, weights {weights.shape}")
+        r = (A - targets) * weights
+        return self._push("sq_error", np.float64((r * r).sum()), (a,),
+                          lambda g: ((2.0 * float(g) * r) * weights,))
 
     def softmax_xent(self, logits, labels):
         z, labels = logits.value, np.asarray(labels, dtype=np.int64)
@@ -300,26 +282,21 @@ class Tape:
     def backward(self, loss: Node) -> None:
         """Reverse sweep from `loss`; gradients accumulate across fan-out.
 
-        Every node that needs a gradient gets one (zeros if `loss` does not
-        depend on it); every other node's grad is None.  A loss that needs
-        no gradient, such as one of maps or data alone, is refused.
+        Every node gets a gradient: zeros if `loss` does not depend on it.
         """
         if np.asarray(loss.value).size != 1:
             raise ShapeError(f"loss must be scalar, got shape {np.asarray(loss.value).shape}")
-        if not loss.needs:
-            raise ShapeError("loss depends on no parameter: it has no gradient")
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss.id + 1]):
-            if not node.needs or node.grad_fn is None or node.grad is None:
+            if node.grad_fn is None or node.grad is None:
                 continue
             for i, pg in zip(node.parents, node.grad_fn(node.grad)):
                 parent = self.nodes[i]
-                if parent.needs:
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                parent.grad = pg if parent.grad is None else parent.grad + pg
         for node in self.nodes:
-            if node.needs and node.grad is None:
+            if node.grad is None:
                 node.grad = np.zeros_like(node.value)
 
 

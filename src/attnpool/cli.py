@@ -109,6 +109,10 @@ def cmd_train(args) -> int:
     tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
     val_ds = load_split(os.path.join(args.data, "val"))
+    pairs = [(ds.config.f, ds.config.K) for ds in (train_ds, val_ds)]
+    if pairs[1] != pairs[0]:  # n may differ: scores pool over locations
+        raise ValueError(f"{os.path.join(args.data, 'val', 'meta.txt')}: the val split has "
+                         f"(f, K) = {pairs[1]}, the train split {pairs[0]}")
     cfg.update(cfgmod.keys_of(train_ds.config))  # record the task trained on, not defaults
     report = train(tconf, train_ds, val_ds)
     os.makedirs(args.out, exist_ok=True)

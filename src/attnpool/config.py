@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from .synth import PlantedTaskConfig
+from .synth import PlantedTaskConfig, read_text
 from .train import TrainConfig
 
 
@@ -89,12 +89,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def resolve(path=None, overrides=(), env=None) -> dict:
-    """defaults < config file < ATTNPOOL_SEED < --set overrides."""
+    """defaults < config file < ATTNPOOL_SEED < --set overrides.  An
+    error in the config file names it."""
     env = os.environ if env is None else env
     cfg = dict(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            cfg.update(parse_config_text(fh.read()))
+        try:
+            cfg.update(parse_config_text(read_text(path)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if "ATTNPOOL_SEED" in env:
         try:
             seed = int(env["ATTNPOOL_SEED"])

@@ -74,7 +74,7 @@ def check_symmetry_and_combined(count: int = 1000) -> tuple:
         scale = 1.0 + abs(both)
         worst_sym = max(worst_sym, abs(s_ab[0] - s_ba[0]) / scale,
                         abs(s_ab[0] - both) / scale)
-        via_map = maps["c"].value.sum(axis=0)  # K = 1: class 0's map
+        via_map = maps["c"].sum(axis=0)  # K = 1: class 0's map
         worst_comb = max(worst_comb, float(np.max(np.abs(s_ab - via_map) / (1.0 + np.abs(s_ab)))))
     ok = worst_sym <= 1e-12 and worst_comb <= 1e-12
     return ok, f"symmetry worst {worst_sym:.3e}, combined-map worst {worst_comb:.3e}"

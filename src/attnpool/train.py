@@ -8,11 +8,10 @@ Every batch is one tape over the split's inputs and the batch's row
 indices.  attention and rank_p read the split in place (`Tape.attend`,
 one cache-sized block of examples at a time, so at the paper's width no
 batch is copied), and take their class maps from the same read; the
-other heads stack the batch's examples into one (B*n, f) block, and
-their per-example sums and pooling are the tape's segment ops
-(`segment_sum`, `pool`), with blocks of n rows.  Data enter
-the tape as constants or are read by `attend`, and class maps are
-recorded as constants, so backward differentiates only the parameters.
+other heads stack the batch's examples into one (B*n, f) block, with
+per-example sums and pooling over blocks of n rows.  Tape nodes are the
+parameters and what is computed from them: data, targets and class maps
+are arrays, so backward differentiates only the parameters.
 `_batch_graph` is the one definition of every head's scores and maps,
 and `head_inputs` the one place that decides what a head scores.  The
 labels choose the loss: softmax for (m,) labels, sigmoid for (m, K).
@@ -168,7 +167,7 @@ def head_shapes(config: TrainConfig, f: int, K: int) -> dict:
                   "bias1": (1, config.hdim), "bias2": (1, NUM_HEAD_CHANNELS), "A": (f, K)}
     else:
         shapes = {"W": (config.sketch_dim, K)}
-    if config.use_bias and config.head != "pose_reg":
+    if config.use_bias:
         shapes["bias"] = (1, K)
     return shapes
 
@@ -238,17 +237,17 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     over each example (`Tape.attend`); every other head takes the batch
     as inputs[rows], a view for a slice and a copy for an index array.
 
-    classes (one class index per example, or None) also records the maps
-    of those classes only, as (B*n, 1) constants, values to read out that
+    classes (one class index per example, or None) also computes the maps
+    of those classes only, as (B*n, 1) arrays, values to read out that
     no gradient flows through (`Tape.attend`'s, or for the other heads
     each example's X_e times its class's column of a parameter): "h"
     (the first rank component for rank_p, ones for avg_pool, the class's
     own column for per_class), "t" (first rank component) and "c" (t h
     summed over rank components; avg_pool's is t).  maps always holds
-    pose_reg's "out", the MLP's 17 channels, for its pose loss.  maps is
-    None for cbp.  pose_reg's MLP is one `Tape.mlp` node, "out"; its h
-    and its pose loss's keypoint channels are column slices of "out"
-    (`Tape.cols`).  `use_bias` adds its bias as a row (`Tape.add_row`).
+    pose_reg's "out", the `Tape.mlp` node of its 17 channels, for its pose
+    loss; h and the loss's keypoint channels are column slices of "out"
+    (`Tape.cols`).  maps is None for cbp.  `use_bias` adds its bias, on
+    every head, as a row (`Tape.add_row`).
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -256,23 +255,23 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     """
     maps = None
     if config.head == "cbp":
-        scores = tape.matmul(tape.const(inputs[rows]), nodes["W"])
+        scores = tape.linear(inputs[rows], nodes["W"])
     else:
         n, f = inputs.shape[1:]
         maps = {}
         if config.head not in ("attention", "rank_p"):
             Xb = inputs[rows]
-            Xs = tape.const(Xb.reshape(len(Xb) * n, f))
+            Xs = Xb.reshape(len(Xb) * n, f)
 
         def column(name):  # each example's map for its own class column of a parameter
             a = nodes[name].value[:, classes].T.reshape(len(classes), f, 1)
             return (Xb @ a).reshape(len(classes) * n, 1)
 
         if config.head == "avg_pool":
-            scores = tape.matmul(tape.segment_sum(Xs, n), nodes["W"])
+            scores = tape.linear(Xs.reshape(len(Xb), n, f).sum(axis=1), nodes["W"])
             if classes is not None:
-                t = tape.const(column("W"))
-                maps.update(h=tape.const(np.ones((len(classes) * n, 1))), t=t, c=t)
+                t = column("W")
+                maps.update(h=np.ones((len(classes) * n, 1)), t=t, c=t)
         elif config.head in ("attention", "rank_p"):
             ranks = range(_rank_of(config))
             parts = tape.attend(inputs, rows, [nodes[f"b{p}"] for p in ranks],
@@ -282,16 +281,16 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
                 scores = sp if p == 0 else tape.add(scores, sp)
             if classes is not None:
                 (h, _, t), *rest = parts
-                c = t.value * h.value
+                c = t * h
                 for hp, _, tp in rest:
-                    c += tp.value * hp.value
-                maps.update(h=h, t=t, c=tape.const(c))
+                    c += tp * hp
+                maps.update(h=h, t=t, c=c)
         elif config.head == "per_class":
-            scores = tape.segment_sum(tape.elementwise_mul(tape.matmul(Xs, nodes["A"]),
-                                                           tape.matmul(Xs, nodes["B_pc"])), n)
+            scores = tape.segment_sum(tape.elementwise_mul(tape.linear(Xs, nodes["A"]),
+                                                           tape.linear(Xs, nodes["B_pc"])), n)
             if classes is not None:
                 t, h = column("A"), column("B_pc")
-                maps.update(h=tape.const(h), t=tape.const(t), c=tape.const(t * h))
+                maps.update(h=h, t=t, c=t * h)
         elif config.head == "pose_reg":
             out = tape.mlp(Xs, nodes["W1"], nodes["bias1"], nodes["W2"], nodes["bias2"])
             h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
@@ -299,7 +298,7 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
             maps["out"] = out
             if classes is not None:
                 t = column("A")
-                maps.update(h=tape.const(h.value), t=tape.const(t), c=tape.const(t * h.value))
+                maps.update(h=h.value, t=t, c=t * h.value)
         else:
             raise ValueError(f"unknown head kind {config.head!r}")
         scores = tape.scalar_mul(scores, 1.0 / n)
@@ -319,11 +318,9 @@ def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, inputs, rows, yb, 
     if config.head == "pose_reg" and config.lambda_pose > 0:
         targets, weights = pose
         keypoints = tape.cols(maps["out"], 0, NUM_POSE_CHANNELS)
-        diff = tape.subtract(keypoints, tape.const(targets))
-        # per-example mask folded into sqrt weights so one sum_squares
+        # per-example mask folded into sqrt weights so one squared error
         # yields sum_i ||diff_i||^2_masked / (n * visible_i)
-        weighted = tape.elementwise_mul(diff, tape.const(weights))
-        pose_l = tape.scalar_mul(tape.sum_squares(weighted), 1.0 / len(yb))
+        pose_l = tape.scalar_mul(tape.sq_error(keypoints, targets, weights), 1.0 / len(yb))
         loss = tape.add(loss, tape.scalar_mul(pose_l, config.lambda_pose))
     return loss
 
@@ -361,16 +358,16 @@ def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
     for start in range(0, max(m, 1), config.batch_size):  # m == 0: one empty chunk
         stop = start + config.batch_size
         tape = Tape()
-        nodes = {name: tape.const(p) for name, p in params.items()}
+        nodes = {name: tape.leaf(p) for name, p in params.items()}
         logits, chunk = _batch_graph(tape, config, nodes, inputs, slice(start, stop),
                                      None if classes is None else classes[start:stop])
         scores.append(logits.value)
         if classes is not None and chunk is not None:
-            # copy out the map values only: a chunk's nodes would keep pose_reg's "out"
+            # copy out the maps only: a chunk's "out" node would keep its tape alive
             if maps is None:
                 maps = {key: np.empty(inputs.shape[:2]) for key in ("h", "t", "c")}
             for key, values in maps.items():
-                values[start:stop] = chunk[key].value.reshape(-1, inputs.shape[1])
+                values[start:stop] = chunk[key].reshape(-1, inputs.shape[1])
         del tape, nodes, logits, chunk  # freed before the next chunk's graph is built
     return np.concatenate(scores), maps
 

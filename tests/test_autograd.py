@@ -10,6 +10,11 @@ def _tape_with(value):
     return tape, tape.leaf(np.asarray(value, dtype=np.float64))
 
 
+def _sum_squares(tape, a):
+    """sum(a^2) of a node: sq_error against zero targets with unit weights."""
+    return tape.sq_error(a, np.zeros_like(a.value), np.ones_like(a.value))
+
+
 class TestForward:
     def test_matmul(self):
         tape = Tape()
@@ -29,54 +34,74 @@ class TestForward:
         a = tape.leaf([1.0, 2.0])
         b = tape.leaf([3.0, -4.0])
         np.testing.assert_array_equal(tape.add(a, b).value, [4.0, -2.0])
-        np.testing.assert_array_equal(tape.subtract(a, b).value, [-2.0, 6.0])
         np.testing.assert_array_equal(tape.elementwise_mul(a, b).value, [3.0, -8.0])
+        assert float(tape.sq_error(a, b.value, np.ones(2)).value) == 40.0  # (-2)^2 + 6^2
 
     def test_no_broadcasting(self):
         tape = Tape()
         a = tape.leaf(np.zeros((2, 2)))
         b = tape.leaf(np.zeros((1, 2)))
-        for op in (tape.add, tape.subtract, tape.elementwise_mul):
+        for op in (tape.add, tape.elementwise_mul):
             with pytest.raises(ShapeError):
                 op(a, b)
+        for targets, weights in ((b.value, a.value), (a.value, b.value)):
+            with pytest.raises(ShapeError, match="sq_error shape mismatch"):
+                tape.sq_error(a, targets, weights)
 
     def test_relu_and_scalar_mul(self):
         tape = Tape()
-        a = tape.const([[-1.0], [0.0], [2.0]])
-        one, zero = tape.const([[1.0]]), tape.const([[0.0]])
+        x = np.array([[-1.0], [0.0], [2.0]])
+        one, zero = tape.leaf([[1.0]]), tape.leaf([[0.0]])
         # mlp with unit weights and zero biases is relu itself
-        np.testing.assert_array_equal(tape.mlp(a, one, zero, one, zero).value,
+        np.testing.assert_array_equal(tape.mlp(x, one, zero, one, zero).value,
                                       [[0.0], [0.0], [2.0]])
-        np.testing.assert_array_equal(tape.scalar_mul(a, -2.0).value, [[2.0], [0.0], [-4.0]])
+        np.testing.assert_array_equal(tape.scalar_mul(tape.leaf(x), -2.0).value,
+                                      [[2.0], [0.0], [-4.0]])
 
     def test_mlp_hand_values(self):
         tape = Tape()
-        X = tape.const([[1.0, 2.0], [-1.0, 0.0]])
-        W1 = tape.const([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])  # X W1 = [[1, 1, 2], [-1, 1, 0]]
-        b1 = tape.const([[-1.0, 0.5, 0.0]])                   # relu: [[0, 1.5, 2], [0, 1.5, 0]]
-        W2 = tape.const([[5.0, 1.0], [2.0, 0.0], [1.0, -1.0]])
-        b2 = tape.const([[0.25, 0.0]])
+        X = np.array([[1.0, 2.0], [-1.0, 0.0]])
+        W1 = tape.leaf([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])  # X W1 = [[1, 1, 2], [-1, 1, 0]]
+        b1 = tape.leaf([[-1.0, 0.5, 0.0]])                   # relu: [[0, 1.5, 2], [0, 1.5, 0]]
+        W2 = tape.leaf([[5.0, 1.0], [2.0, 0.0], [1.0, -1.0]])
+        b2 = tape.leaf([[0.25, 0.0]])
         out = tape.mlp(X, W1, b1, W2, b2)
         np.testing.assert_array_equal(out.value, [[5.25, -2.0], [3.25, 0.0]])
-        assert not out.needs and out.grad_fn is None  # no input needs a gradient
+        assert out.parents == (W1.id, b1.id, W2.id, b2.id)  # X is data, not a parent
 
     def test_mlp_shape_errors(self):
         tape = Tape()
-        X, W1, b1, W2, b2 = (tape.const(np.zeros(shape))
-                             for shape in ((4, 3), (3, 5), (1, 5), (5, 2), (1, 2)))
+        X = np.zeros((4, 3))
+        W1, b1, W2, b2 = (tape.leaf(np.zeros(shape)) for shape in ((3, 5), (1, 5), (5, 2), (1, 2)))
         tape.mlp(X, W1, b1, W2, b2)
-        for bad in ((tape.const(np.zeros((4, 2))), W1, b1, W2, b2),  # X's width is not W1's rows
-                    (tape.const(np.zeros(3)), W1, b1, W2, b2),
-                    (X, W1, tape.const(np.zeros((5,))), W2, b2),      # each bias is one (1, k) row
-                    (X, W1, tape.const(np.zeros((4, 5))), W2, b2),
-                    (X, W1, b1, tape.const(np.zeros((4, 2))), b2),   # W2's rows are W1's columns
-                    (X, W1, b1, W2, tape.const(np.zeros((1, 3))))):
+        for bad in ((np.zeros((4, 2)), W1, b1, W2, b2),           # X's width is not W1's rows
+                    (np.zeros(3), W1, b1, W2, b2),
+                    (X, W1, tape.leaf(np.zeros((5,))), W2, b2),      # each bias is one (1, k) row
+                    (X, W1, tape.leaf(np.zeros((4, 5))), W2, b2),
+                    (X, W1, b1, tape.leaf(np.zeros((4, 2))), b2),   # W2's rows are W1's columns
+                    (X, W1, b1, W2, tape.leaf(np.zeros((1, 3))))):
             with pytest.raises(ShapeError, match="mlp shape mismatch"):
                 tape.mlp(*bad)
 
     def test_sum_and_sum_squares(self):
         tape, a = _tape_with([[1.0, -2.0], [3.0, 4.0]])
-        assert float(tape.sum_squares(a).value) == 30.0
+        assert float(_sum_squares(tape, a).value) == 30.0
+        # r = (a - T) * W = [[0, -2], [3, 0]]
+        loss = tape.sq_error(a, np.array([[1.0, 0.0], [0.0, 4.0]]),
+                             np.array([[2.0, 1.0], [1.0, 0.5]]))
+        assert float(loss.value) == 13.0 and loss.parents == (a.id,)
+
+    def test_linear_hand_value_and_shape_errors(self):
+        tape = Tape()
+        w = tape.leaf([[1.0], [-1.0]])
+        out = tape.linear(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]]), w)
+        np.testing.assert_array_equal(out.value, [[-1.0], [-1.0], [5.0]])
+        assert out.op == "linear" and out.parents == (w.id,)
+        for X in (np.zeros((3, 3)), np.zeros(2), np.zeros((1, 3, 2))):
+            with pytest.raises(ShapeError, match="linear shape mismatch"):
+                tape.linear(X, w)
+        with pytest.raises(ShapeError):
+            tape.linear(np.zeros((3, 1)), tape.leaf(np.zeros(1)))
 
     def test_softmax_xent_hand_value(self):
         tape, z = _tape_with([[0.0, 0.0]])
@@ -101,36 +126,28 @@ class TestForward:
 
     def test_segment_ops_hand_values(self):
         tape = Tape()
-        X = tape.const([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        h = tape.const([[1.0], [0.0], [2.0], [-1.0]])
-        np.testing.assert_array_equal(tape.segment_sum(X, 2).value, [[4.0, 6.0], [12.0, 14.0]])
-        np.testing.assert_array_equal(tape.segment_sum(X, 1).value, X.value)
+        X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        h = tape.leaf([[1.0], [0.0], [2.0], [-1.0]])
+        x = tape.leaf(X)
+        np.testing.assert_array_equal(tape.segment_sum(x, 2).value, [[4.0, 6.0], [12.0, 14.0]])
+        np.testing.assert_array_equal(tape.segment_sum(x, 1).value, X)
         # per block of 2 rows: X_b^T h_b
         np.testing.assert_array_equal(tape.pool(X, h, 2).value, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_segment_ops_shape_errors(self):
         tape = Tape()
-        X = tape.const(np.zeros((6, 2)))
+        X = np.zeros((6, 2))
         with pytest.raises(ShapeError):  # 6 rows are not blocks of 4
-            tape.segment_sum(X, 4)
+            tape.segment_sum(tape.leaf(X), 4)
         with pytest.raises(ShapeError):
-            tape.pool(X, tape.const(np.zeros((6, 1))), 4)
+            tape.pool(X, tape.leaf(np.zeros((6, 1))), 4)
         with pytest.raises(ShapeError):  # h must be one column of X's rows
-            tape.pool(X, tape.const(np.zeros((6, 2))), 3)
-
-    def test_pool_and_mlp_refuse_a_differentiable_x(self):
-        tape = Tape()
-        X, w = tape.leaf(np.ones((4, 2))), tape.leaf(np.ones((2, 1)))
-        with pytest.raises(ShapeError, match="data"):
-            tape.pool(X, tape.leaf(np.ones((4, 1))), 2)
-        with pytest.raises(ShapeError, match="data"):
-            tape.mlp(X, w, tape.leaf(np.zeros((1, 1))), tape.leaf(np.ones((1, 3))),
-                     tape.leaf(np.zeros((1, 3))))
+            tape.pool(X, tape.leaf(np.zeros((6, 2))), 3)
 
     def test_add_row_and_cols_hand_values(self):
         tape = Tape()
-        a = tape.const([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        row = tape.const([[10.0, 0.0, -1.0]])
+        a = tape.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        row = tape.leaf([[10.0, 0.0, -1.0]])
         np.testing.assert_array_equal(tape.add_row(a, row).value,
                                       [[11.0, 2.0, 2.0], [14.0, 5.0, 5.0]])
         np.testing.assert_array_equal(tape.cols(a, 2, 3).value, [[3.0], [6.0]])
@@ -139,17 +156,17 @@ class TestForward:
 
     def test_add_row_and_cols_shape_errors(self):
         tape = Tape()
-        a = tape.const(np.zeros((2, 3)))
+        a = tape.leaf(np.zeros((2, 3)))
         for bad_row in (np.zeros((3,)), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((3, 1))):
             with pytest.raises(ShapeError):  # the row must be (1, k)
-                tape.add_row(a, tape.const(bad_row))
+                tape.add_row(a, tape.leaf(bad_row))
         with pytest.raises(ShapeError):
-            tape.add_row(tape.const(np.zeros(3)), tape.const(np.zeros((1, 3))))
+            tape.add_row(tape.leaf(np.zeros(3)), tape.leaf(np.zeros((1, 3))))
         for start, stop in ((0, 4), (-1, 2), (2, 2), (2, 1), (3, 4)):
             with pytest.raises(ShapeError):  # an empty or out-of-range slice
                 tape.cols(a, start, stop)
         with pytest.raises(ShapeError):
-            tape.cols(tape.const(np.zeros(3)), 0, 1)
+            tape.cols(tape.leaf(np.zeros(3)), 0, 1)
 
 
 class TestBackward:
@@ -157,31 +174,30 @@ class TestBackward:
         tape = Tape()
         a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
         b = tape.leaf([[1.0], [1.0]])
-        loss = tape.sum_squares(tape.matmul(a, b))  # a b = [[3], [7]], so g = [[6], [14]]
+        loss = _sum_squares(tape, tape.matmul(a, b))  # a b = [[3], [7]], so g = [[6], [14]]
         tape.backward(loss)
         np.testing.assert_array_equal(a.grad, [[6.0, 6.0], [14.0, 14.0]])
         np.testing.assert_array_equal(b.grad, [[48.0], [68.0]])
 
     def test_fanout_accumulates(self):
         tape, x = _tape_with([1.0, 2.0])
-        loss = tape.sum_squares(tape.add(x, x))  # g = 2 (x + x) = [4, 8] on each branch
+        loss = _sum_squares(tape, tape.add(x, x))  # g = 2 (x + x) = [4, 8] on each branch
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [8.0, 16.0])
 
     def test_relu_subgradient_zero_at_zero(self):
         tape, w = _tape_with([[-1.0], [0.0], [3.0]])
-        one = tape.const([[1.0]])
+        one = tape.leaf([[1.0]])
         # with X = I, mlp's relu(w) + 1 keeps the gradient at the zero entry nonzero:
         # g = [2, 2, 8]
-        tape.backward(tape.sum_squares(tape.mlp(tape.const(np.eye(3)), w, tape.const([[0.0]]),
-                                                one, one)))
+        tape.backward(_sum_squares(tape, tape.mlp(np.eye(3), w, tape.leaf([[0.0]]), one, one)))
         np.testing.assert_array_equal(w.grad, [[0.0], [0.0], [8.0]])
 
     def test_relu_gradient_is_bitwise_g_times_mask(self):
         """mlp's hidden gradient is dH * mask, dH = g W2^T, with the signed
         zeros of a negative dH kept.  It is no node's value, so this pins the
         two products that read it: each is bitwise that product of the
-        masked array.  X, data, gets none."""
+        masked array."""
         rng = np.random.default_rng(5)
         X, W1 = rng.standard_normal((40, 6)), rng.standard_normal((6, 8))
         b1, W2, b2 = rng.standard_normal((1, 8)), rng.standard_normal((8, 5)), np.zeros((1, 5))
@@ -193,9 +209,7 @@ class TestBackward:
         assert np.all(pre[0, :3] == 0.0) and masked_negative.any()
         assert np.all(np.signbit(dH[masked_negative]))
         tape = Tape()
-        nodes = [tape.const(X)] + [tape.leaf(p) for p in (W1, b1, W2, b2)]
-        gX, gW1, gb1, _, _ = tape.mlp(*nodes).grad_fn(g)
-        assert gX is None
+        gW1, gb1, _, _ = tape.mlp(X, *(tape.leaf(p) for p in (W1, b1, W2, b2))).grad_fn(g)
         for got, want in ((gW1, X.T @ dH), (gb1, np.ones((1, 40)) @ dH)):
             assert got.tobytes() == want.tobytes()
 
@@ -209,17 +223,6 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.backward(x)
 
-    def test_const_has_no_grad(self):
-        tape = Tape()
-        a = tape.leaf([[1.0, 2.0]])
-        x = tape.const([[3.0], [4.0]])
-        y = tape.matmul(a, x)
-        data_only = tape.scalar_mul(x, 2.0)
-        assert a.needs and y.needs and not x.needs and not data_only.needs
-        tape.backward(tape.sum_squares(y))  # y = [[11]], so g = [[22]]
-        assert x.grad is None and data_only.grad is None
-        np.testing.assert_array_equal(a.grad, [[66.0, 88.0]])
-
     def test_add_row_and_cols_gradients_hand(self):
         tape = Tape()
         a = tape.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -227,8 +230,8 @@ class TestBackward:
         s = tape.add_row(a, row)
         # two slices of one node, both in the loss:
         # 2 * sum of squares of col 0 + sum of squares of cols 1..2
-        loss = tape.add(tape.scalar_mul(tape.sum_squares(tape.cols(s, 0, 1)), 2.0),
-                        tape.sum_squares(tape.cols(s, 1, 3)))
+        loss = tape.add(tape.scalar_mul(_sum_squares(tape, tape.cols(s, 0, 1)), 2.0),
+                        _sum_squares(tape, tape.cols(s, 1, 3)))
         tape.backward(loss)
         g = [[4.0, 4.0, 6.0], [16.0, 10.0, 12.0]]
         np.testing.assert_array_equal(a.grad, g)
@@ -237,11 +240,10 @@ class TestBackward:
     def test_add_row_gradient_sums_rows_by_matmul(self):
         rng = np.random.default_rng(3)
         tape = Tape()
-        a = tape.const(rng.standard_normal((50, 4)))
+        a = tape.leaf(rng.standard_normal((50, 4)))
         row = tape.leaf(rng.standard_normal((1, 4)))
         w = rng.standard_normal((50, 4))
-        tape.backward(tape.sum_squares(tape.elementwise_mul(tape.add_row(a, row),
-                                                            tape.const(w))))
+        tape.backward(tape.sq_error(tape.add_row(a, row), np.zeros((50, 4)), w))
         g = 2.0 * (a.value + row.value) * w * w
         np.testing.assert_array_equal(row.grad, np.ones((1, 50)) @ g)
 
@@ -258,10 +260,8 @@ class TestBackward:
         ones = np.ones((1, 1568))
         want = [H @ W2 + b2, X.T @ dH, ones @ dH, H.T @ g, ones @ g]
         tape = Tape()
-        out = tape.mlp(tape.const(X), *(tape.leaf(p) for p in (W1, b1, W2, b2)))
-        gX, *grads = out.grad_fn(g)
-        assert gX is None
-        for got, w in zip([out.value, *grads], want):
+        out = tape.mlp(X, *(tape.leaf(p) for p in (W1, b1, W2, b2)))
+        for got, w in zip([out.value, *out.grad_fn(g)], want):
             assert got.shape == w.shape and got.tobytes() == w.tobytes()
 
     def test_dead_relu_layer_gets_exact_zero_grads(self):
@@ -275,7 +275,7 @@ class TestBackward:
         W2 = tape.leaf(rng.standard_normal((4, 2)))
         bias2 = tape.leaf(np.zeros((1, 2)))
         assert np.all(X @ W.value + bias.value < 0.0)
-        logits = tape.mlp(tape.const(X), W, bias, W2, bias2)
+        logits = tape.mlp(X, W, bias, W2, bias2)
         tape.backward(tape.softmax_xent(logits, [0, 1, 0, 0, 1, 0]))
         for node in (W, bias, W2):
             assert np.all(np.isfinite(node.grad))
@@ -286,9 +286,33 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf([1.0])
         y = tape.leaf([2.0])
-        tape.backward(tape.sum_squares(x))
+        tape.backward(_sum_squares(tape, x))
         np.testing.assert_array_equal(x.grad, [2.0])
         np.testing.assert_array_equal(y.grad, [0.0])
+
+    def test_linear_gradient_is_bitwise_x_transpose_g(self):
+        rng = np.random.default_rng(13)
+        X, W, g = (rng.standard_normal(s) for s in ((40, 6), (6, 3), (40, 3)))
+        tape = Tape()
+        out = tape.linear(X, tape.leaf(W))
+        (gW,) = out.grad_fn(g)
+        assert out.value.tobytes() == (X @ W).tobytes() and gW.tobytes() == (X.T @ g).tobytes()
+
+    def test_sq_error_is_bitwise_the_numpy_chain(self):
+        """sq_error's value and gradient are bitwise those of the chain it
+        replaces: d = a - T, r = d * W, sum(r * r), with the gradient of
+        each step applied in turn."""
+        rng = np.random.default_rng(14)
+        A, T, W = (rng.standard_normal((30, 16)) for _ in range(3))
+        for g in (1.0, 0.37):
+            r = (A - T) * W
+            want_value, want_grad = (r * r).sum(), (2.0 * g * r) * W
+            tape = Tape()
+            a = tape.leaf(A)
+            loss = tape.sq_error(a, T, W)
+            (got,) = loss.grad_fn(np.float64(g))
+            assert loss.value.tobytes() == np.float64(want_value).tobytes()
+            assert got.tobytes() == want_grad.tobytes()
 
 
 class TestFiniteDifference:
@@ -302,29 +326,31 @@ class TestFiniteDifference:
             A, B = params
             tape = Tape()
             a, b = tape.leaf(A), tape.leaf(B)
-            loss = tape.sum_squares(tape.matmul(a, b))
+            loss = _sum_squares(tape, tape.matmul(a, b))
             tape.backward(loss)
             return float(loss.value), [a.grad, b.grad]
 
         self._check(f, [(3, 4), (4, 2)])
 
     def test_all_ops_composite(self):
-        X = np.random.default_rng(1).standard_normal((4, 3))
+        rng = np.random.default_rng(1)
+        X, T = rng.standard_normal((4, 3)), rng.standard_normal((4, 1))
+        W = rng.uniform(size=(4, 1))
 
         def f(params):
             A, b, c = params
             tape = Tape()
             na, nb, nc = tape.leaf(A), tape.leaf(b), tape.leaf(c)
-            one, zero = tape.const([[1.0]]), tape.const([[0.0]])
-            h = tape.mlp(tape.const(X), nb, zero, one, zero)     # relu(X b), (4, 1)
-            t = tape.matmul(tape.const(X), na)                   # (4, 2)
+            one, zero = tape.leaf([[1.0]]), tape.leaf([[0.0]])
+            h = tape.mlp(X, nb, zero, one, zero)                 # relu(X b), (4, 1)
+            t = tape.linear(X, na)                               # (4, 2)
             ones = tape.leaf(np.ones((1, 2)))
             comb = tape.elementwise_mul(t, tape.matmul(h, ones))
             z = tape.matmul(tape.leaf(np.ones((1, 4))), comb)    # (1, 2)
             z = tape.add(z, nc)
-            z = tape.scalar_mul(tape.subtract(z, nc), 0.5)
-            z = tape.add(z, nc)
-            loss = tape.softmax_xent(z, [1])
+            z = tape.scalar_mul(tape.add_row(z, nc), 0.5)
+            fit = tape.scalar_mul(tape.sq_error(h, T, W), 0.1)
+            loss = tape.add(tape.softmax_xent(z, [1]), fit)
             tape.backward(loss)
             return float(loss.value), [na.grad, nb.grad, nc.grad]
 
@@ -344,11 +370,14 @@ class TestFiniteDifference:
         self._check(f, [(2, 3)], seed=4)
 
     def test_sum_squares_gradient(self):
+        """sq_error's gradient, with targets and weights."""
+        T, W = np.random.default_rng(6).standard_normal((2, 3, 3))
+
         def f(params):
             (A,) = params
             tape = Tape()
             na = tape.leaf(A)
-            loss = tape.sum_squares(na)
+            loss = tape.sq_error(na, T, W)
             tape.backward(loss)
             return float(loss.value), [na.grad]
 
@@ -356,8 +385,8 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("B,n", [(3, 1), (1, 5), (2, 3)])
     def test_segment_ops(self, B, n):
-        """segment_sum and pool, with pool's h differentiated (its X is
-        data) and per-example sums of h h through segment_sum."""
+        """segment_sum and pool, with pool's h differentiated and
+        per-example sums of h h through segment_sum."""
         f, K = 3, 2
         labels = np.arange(B) % K
         X = np.random.default_rng(B * 10 + n + 1).standard_normal((B * n, f))
@@ -365,11 +394,11 @@ class TestFiniteDifference:
         def build(params):
             b, A = params
             tape = Tape()
-            nX, nb, nA = tape.const(X), tape.leaf(b), tape.leaf(A)
-            h = tape.matmul(nX, nb)                                        # (Bn, 1)
-            pooled = tape.matmul(tape.pool(nX, h, n), nA)                  # (B, K)
+            nb, nA = tape.leaf(b), tape.leaf(A)
+            h = tape.linear(X, nb)                                         # (Bn, 1)
+            pooled = tape.matmul(tape.pool(X, h, n), nA)                   # (B, K)
             summed = tape.matmul(tape.segment_sum(tape.elementwise_mul(h, h), n),
-                                 tape.const(np.ones((1, K))))
+                                 tape.leaf(np.ones((1, K))))
             loss = tape.softmax_xent(tape.add(pooled, tape.scalar_mul(summed, 0.5)), labels)
             tape.backward(loss)
             return float(loss.value), [nb.grad, nA.grad]
@@ -380,19 +409,17 @@ class TestFiniteDifference:
     def test_add_row_and_cols(self, r):
         """A two-layer MLP as one mlp node with two column slices of its
         output that both feed the loss, as pose_reg's "out" does, and logits
-        with a bias row added by add_row."""
+        pooled by one slice, with a bias row added by add_row."""
         X = np.random.default_rng(r).standard_normal((r, 3))
         target = np.random.default_rng(r + 1).standard_normal((r, 2))
 
         def build(params):
             tape = Tape()
             nW1, nb1, nW2, nb2, nc = (tape.leaf(p) for p in params)
-            out = tape.mlp(tape.const(X), nW1, nb1, nW2, nb2)               # (r, 3)
+            out = tape.mlp(X, nW1, nb1, nW2, nb2)                           # (r, 3)
             h = tape.cols(out, 2, 3)
-            logits = tape.add_row(tape.matmul(tape.segment_sum(tape.elementwise_mul(
-                tape.const(X), tape.matmul(h, tape.const(np.ones((1, 3))))), r),
-                tape.const(np.eye(3))), nc)                                 # (1, 3)
-            fit = tape.sum_squares(tape.subtract(tape.cols(out, 0, 2), tape.const(target)))
+            logits = tape.add_row(tape.pool(X, h, r), nc)                   # (1, 3)
+            fit = tape.sq_error(tape.cols(out, 0, 2), target, np.ones((r, 2)))
             loss = tape.add(tape.softmax_xent(logits, [1]), tape.scalar_mul(fit, 0.1))
             tape.backward(loss)
             return float(loss.value), [nW1.grad, nb1.grad, nW2.grad, nb2.grad, nc.grad]
@@ -400,13 +427,13 @@ class TestFiniteDifference:
         self._check(build, [(3, 5), (1, 5), (5, 3), (1, 3), (1, 3)], seed=20 + r)
 
     def test_mlp_all_inputs(self):
-        """mlp's gradients to all four parameter inputs; X is data."""
+        """mlp's gradients to all four parameter inputs."""
         X = np.random.default_rng(9).standard_normal((4, 3))
 
         def build(params):
             tape = Tape()
             nodes = [tape.leaf(p) for p in params]
-            loss = tape.sum_squares(tape.mlp(tape.const(X), *nodes))
+            loss = _sum_squares(tape, tape.mlp(X, *nodes))
             tape.backward(loss)
             return float(loss.value), [node.grad for node in nodes]
 
@@ -425,23 +452,23 @@ class TestAttend:
                 rng.standard_normal((self.F, self.K)))
 
     def _loss(self, tape, pooled, A):
-        """Class loss on the pooled features; h, a constant, takes no gradient."""
+        """Class loss on the pooled features; h, an array, takes no gradient."""
         labels = np.arange(len(pooled.value)) % A.shape[1]
-        return tape.softmax_xent(tape.matmul(pooled, tape.const(A)), labels)
+        return tape.softmax_xent(tape.matmul(pooled, tape.leaf(A)), labels)
 
     def _attend(self, X, rows, b, A):
         tape = Tape()
         bn = tape.leaf(b)
         [(h, pooled)] = tape.attend(X, rows, [bn])
         tape.backward(self._loss(tape, pooled, A))
-        return h.value, pooled.value, bn.grad
+        return h, pooled.value, bn.grad
 
     def _reference(self, X, rows, b, A):
-        """pool(matmul(Xs, b)) on the stacked batch X[rows]."""
+        """pool(linear(Xs, b)) on the stacked batch X[rows]."""
         tape = Tape()
         bn = tape.leaf(b)
-        Xs = tape.const(X[rows].reshape(-1, self.F))
-        h = tape.matmul(Xs, bn)
+        Xs = X[rows].reshape(-1, self.F)
+        h = tape.linear(Xs, bn)
         pooled = tape.pool(Xs, h, self.N)
         tape.backward(self._loss(tape, pooled, A))
         return h.value, pooled.value, bn.grad
@@ -486,9 +513,9 @@ class TestAttend:
         tape = Tape()
         bs = [tape.leaf(b), tape.leaf(2.0 * b)]
         (h0, p0), (h1, p1) = tape.attend(X, np.array(self.ROWS), bs)
-        assert [n.parents for n in (h0, p0, h1, p1)] == [(), (bs[0].id,), (), (bs[1].id,)]
-        assert not h0.needs and not h1.needs  # each map is a constant
-        np.testing.assert_array_equal(h1.value, 2.0 * h0.value)
+        assert [p.parents for p in (p0, p1)] == [(bs[0].id,), (bs[1].id,)]
+        assert isinstance(h0, np.ndarray) and isinstance(h1, np.ndarray)  # maps are arrays
+        np.testing.assert_array_equal(h1, 2.0 * h0)
         np.testing.assert_array_equal(p1.value, 2.0 * p0.value)
 
     def test_shape_errors(self):
@@ -508,8 +535,8 @@ class TestAttend:
         tape = Tape()
         bn = tape.leaf(b)
         [(h, pooled)] = tape.attend(X, np.zeros(0, dtype=np.int64), [bn])
-        assert h.value.shape == (0, 1) and pooled.value.shape == (0, self.F)
-        tape.backward(tape.sum_squares(pooled))
+        assert h.shape == (0, 1) and pooled.value.shape == (0, self.F)
+        tape.backward(_sum_squares(tape, pooled))
         np.testing.assert_array_equal(bn.grad, np.zeros((self.F, 1)))
 
 
@@ -529,26 +556,26 @@ class TestAttendClassMaps:
     def _maps_and_scores(self, X, rows, comps, classes, reference):
         """Every component's (h, t), then c = sum_p t_p h_p and the scores
         sum_p pooled_p A_p; the reference takes the stacked batch X[rows]
-        through matmul and pool, and each example's t is the numpy product
+        through linear and pool, and each example's t is the numpy product
         X_e A[:, class_e]."""
         tape = Tape()
-        bs, As = [tape.const(b) for b, _ in comps], [tape.const(A) for _, A in comps]
+        bs, As = [tape.leaf(b) for b, _ in comps], [tape.leaf(A) for _, A in comps]
         if reference:
             Xb = X[rows]
-            Xs = tape.const(Xb.reshape(-1, self.F))
+            Xs = Xb.reshape(-1, self.F)
             parts = []
             for b, A in zip(bs, As):
-                h = tape.matmul(Xs, b)
+                h = tape.linear(Xs, b)
                 a = A.value[:, classes].T.reshape(len(Xb), self.F, 1)
-                parts.append((h, tape.pool(Xs, h, self.N), tape.const((Xb @ a).reshape(-1, 1))))
+                parts.append((h.value, tape.pool(Xs, h, self.N), (Xb @ a).reshape(-1, 1)))
         else:
             parts = tape.attend(X, rows, bs, As, classes)
         c = scores = None
         for (h, pooled, t), A in zip(parts, As):
-            cp, sp = tape.elementwise_mul(t, h), tape.matmul(pooled, A)
-            c = cp if c is None else tape.add(c, cp)
+            cp, sp = t * h, tape.matmul(pooled, A)
+            c = cp if c is None else c + cp
             scores = sp if scores is None else tape.add(scores, sp)
-        return [node.value for h, _, t in parts for node in (h, t)] + [c.value, scores.value]
+        return [m for h, _, t in parts for m in (h, t)] + [c, scores.value]
 
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("examples_per_block", [1, 2, 64])
@@ -569,19 +596,19 @@ class TestAttendClassMaps:
         (b, A), = self._components(1)
         [(h, pooled, t)] = tape.attend(X, np.zeros(0, dtype=np.int64), [tape.leaf(b)],
                                        [tape.leaf(A)], np.zeros(0, dtype=np.int64))
-        assert h.value.shape == t.value.shape == (0, 1) and pooled.value.shape == (0, self.F)
+        assert h.shape == t.shape == (0, 1) and pooled.value.shape == (0, self.F)
 
-    def test_t_has_its_top_down_node_as_only_parent(self):
-        """t, like h, is a constant: no parent and no gradient, even for a
-        leaf A; only pooled is a child of b."""
+    def test_maps_are_arrays_and_pooled_has_b_as_only_parent(self):
+        """t, like h, is an array, not a node, even for a leaf A: attend
+        records one node per b, pooled, a child of b alone."""
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         tape = Tape()
         comps = self._components(2)
         bs, As = [tape.leaf(b) for b, _ in comps], [tape.leaf(A) for _, A in comps]
         parts = tape.attend(X, np.array(self.ROWS), bs, As, self.CLASSES)
-        assert [node.parents for part in parts for node in part] == [
-            (), (bs[0].id,), (), (), (bs[1].id,), ()]
-        assert not any(h.needs or t.needs or h.grad_fn or t.grad_fn for h, _, t in parts)
+        assert [pooled.parents for _, pooled, _ in parts] == [(bs[0].id,), (bs[1].id,)]
+        assert all(isinstance(m, np.ndarray) for h, _, t in parts for m in (h, t))
+        assert len(tape.nodes) == 4 + 2
 
     def test_class_shape_errors(self):
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
@@ -600,17 +627,12 @@ class TestAttendClassMaps:
 
     @pytest.mark.parametrize("examples_per_block", [1, 64])
     def test_finite_difference_through_class_maps(self, monkeypatch, examples_per_block):
-        """With leaf b and leaf A, backward refuses a loss of the maps alone
-        (c = t h), and the scores' gradients, recorded in the same pass as the
-        maps, agree with finite differences."""
+        """With leaf b and leaf A, the scores' gradients, recorded in the
+        same pass as the maps, agree with finite differences."""
         monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         rows = np.array(self.ROWS)
         (b, A), = self._components(1)
-        tape = Tape()
-        [(h, _, t)] = tape.attend(X, rows, [tape.leaf(b)], [tape.leaf(A)], self.CLASSES)
-        with pytest.raises(ShapeError, match="no gradient"):
-            tape.backward(tape.sum_squares(tape.elementwise_mul(t, h)))
 
         def f(params):
             tape = Tape()

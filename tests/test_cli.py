@@ -159,6 +159,37 @@ class TestTrain:
                      "--data", os.path.join(data, "val")]) == 0
         assert capsys.readouterr().out.startswith("map=")
 
+    @pytest.mark.parametrize("train_set,val_set", [
+        ([], ["task.classes=8"]),      # val K=8, train K=4
+        (["task.f=32"], []),           # val f=16, train f=32
+        (["task.classes=8"], []),      # val K=4, train K=8
+        ([], ["task.n1=4"]),           # a val grid of another size trains
+    ], ids=["val_K8", "val_f16", "val_K4", "val_n12"])
+    def test_val_split_f_or_k_differs_exits_3_before_training(self, tmp_path, capsys,
+                                                               train_set, val_set):
+        def split_dir(name, settings):
+            out = str(tmp_path / name)
+            assert main(["gen", "--out", out] + SMALL +
+                        [arg for s in settings for arg in ("--set", s)]) == 0
+            return out
+
+        data, other = split_dir("data", train_set), split_dir("other", val_set)
+        shutil.rmtree(os.path.join(data, "val"))
+        shutil.copytree(os.path.join(other, "val"), os.path.join(data, "val"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data, "--out", str(out), "--set", "train.epochs=1"])
+        pairs = [load_split(os.path.join(data, split)).config for split in ("train", "val")]
+        f, K = pairs[0].f, pairs[0].K
+        val_f, val_K = pairs[1].f, pairs[1].K
+        if (val_f, val_K) == (f, K):
+            assert rc == 0 and out.exists()
+            return
+        assert rc == EXIT_VALIDATION and not out.exists()
+        err = capsys.readouterr().err
+        assert os.path.join(data, "val", "meta.txt") in err
+        assert f"({val_f}, {val_K})" in err and f"({f}, {K})" in err
+
     def test_loss_setting_is_unknown(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["train", "--data", data_dir, "--out", str(out),

@@ -60,6 +60,16 @@ class TestParse:
 
 
 class TestResolve:
+    @pytest.mark.parametrize("text,match", [
+        (b"[task]\nf = 16\njust some words\n", "line 3: expected 'key = value'"),
+        (b"[task]\nf = 16\nseed = \xf3\n", "line 3 is not UTF-8 text"),
+    ], ids=["bad_line", "not_utf8"])
+    def test_config_file_errors_name_the_file(self, tmp_path, text, match):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=match) as info:
+            resolve(str(path), env={})
+        assert str(info.value).startswith(f"{path}: ")
     def test_defaults_only(self):
         assert resolve(env={}) == DEFAULTS
 

@@ -175,6 +175,16 @@ class TestCheckpoint:
                               "tensor.bias.dims=1x4"]
         assert load_checkpoint(ckpt, 6, 4)[1] == config
 
+    def test_pose_reg_use_bias_checkpoint_without_bias_is_rejected(self, tmp_path):
+        # pose_reg once ignored use_bias, and saved no "bias" tensor under it
+        config = TrainConfig(head="pose_reg", hdim=4, use_bias=True)
+        params = init_head_params(config, 32, 8)
+        assert "bias" in params
+        del params["bias"]
+        ckpt = self._save(tmp_path, params, config)
+        with pytest.raises(CheckpointError, match=re.escape(str(ckpt))):
+            load_checkpoint(ckpt, 32, 8)
+
     @pytest.mark.parametrize("config", [
         TrainConfig(head="attention", seed=4),
         TrainConfig(head="rank_p", seed=9, rank=3, use_bias=True),

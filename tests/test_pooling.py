@@ -59,7 +59,7 @@ class TestRank1Equivalence:
     def test_combined_map_identity(self):
         for X, a, b in random_instances(300, seed=9):
             direct, maps = graph_scores("attention", rank1(a, b), X)
-            via_map = maps["c"].value.sum(axis=0)
+            via_map = maps["c"].sum(axis=0)
             np.testing.assert_allclose(via_map, direct, rtol=1e-12, atol=1e-12)
 
     def test_rank1_parts(self):
@@ -68,8 +68,8 @@ class TestRank1Equivalence:
         a = np.array([1.0, 0.0])
         s, maps = graph_scores("attention", rank1(a, b), X)
         # bottom-up h = X b, top-down t = X a, score h . t = 1*1 + 3*2
-        np.testing.assert_array_equal(maps["h"].value[:, 0], [1.0, 3.0])
-        np.testing.assert_array_equal(maps["t"].value[:, 0], [1.0, 2.0])
+        np.testing.assert_array_equal(maps["h"][:, 0], [1.0, 3.0])
+        np.testing.assert_array_equal(maps["t"][:, 0], [1.0, 2.0])
         assert s[0] == 7.0
 
 
@@ -100,7 +100,7 @@ class TestRankP:
         s_rank_p, maps_p = graph_scores("rank_p", params, X, rank=1)
         s_att, maps_att = graph_scores("attention", params, X)
         np.testing.assert_array_equal(s_rank_p, s_att)
-        np.testing.assert_array_equal(maps_p["c"].value, maps_att["c"].value)
+        np.testing.assert_array_equal(maps_p["c"], maps_att["c"])
 
 
 class TestOtherHeads:
@@ -108,7 +108,7 @@ class TestOtherHeads:
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         s, maps = graph_scores("avg_pool", {"W": np.ones((2, 1))}, X)
         assert s[0] == 10.0
-        np.testing.assert_array_equal(maps["h"].value, np.ones((2, 1)))
+        np.testing.assert_array_equal(maps["h"], np.ones((2, 1)))
 
     def test_top_down_only_matches_avg_pool_columns(self):
         rng = np.random.default_rng(4)
@@ -116,7 +116,7 @@ class TestOtherHeads:
         W = rng.standard_normal((5, 3))
         s, maps = graph_scores("avg_pool", {"W": W}, X)
         np.testing.assert_allclose(s, X.sum(axis=0) @ W, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(maps["c"].value, maps["t"].value)
+        np.testing.assert_array_equal(maps["c"], maps["t"])
 
     def test_per_class_hand(self):
         X = np.eye(2)
@@ -144,7 +144,7 @@ class TestMapsAndShapes:
         A, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
         for k in range(3):
             s, maps = graph_scores("attention", rank1(A, b), X, k=k)
-            h, t, c = (maps[key].value for key in ("h", "t", "c"))
+            h, t, c = (maps[key] for key in ("h", "t", "c"))
             assert h.shape == t.shape == c.shape == (6, 1)  # class k's column only
             np.testing.assert_allclose(h[:, 0], X @ b, rtol=1e-12)
             np.testing.assert_allclose(t[:, 0], X @ A[:, k], rtol=1e-12)

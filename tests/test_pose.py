@@ -70,7 +70,7 @@ class TestForward:
         b = rng.standard_normal(4)
         A = rng.standard_normal((4, 3))
         scores, maps = graph_scores("pose_reg", _linear_params(b, A), X, hdim=2)
-        np.testing.assert_allclose(maps["h"].value[:, 0], X @ b, atol=1e-9)
+        np.testing.assert_allclose(maps["h"][:, 0], X @ b, atol=1e-9)
         ref, _ = graph_scores("attention", {"A0": A, "b0": b[:, None]}, X)
         np.testing.assert_allclose(scores, ref, atol=1e-9)
         assert maps["out"].value.shape == (6, NUM_HEAD_CHANNELS)
@@ -86,7 +86,7 @@ class TestForward:
         W2[:, ATTENTION_CHANNEL] = 1.0 / hdim
         params = _pose_params(np.zeros((3, hdim)), W2, A, bias1=np.ones((1, hdim)))
         scores, maps = graph_scores("pose_reg", params, X, hdim=hdim)
-        np.testing.assert_allclose(maps["h"].value, np.ones((5, 1)))
+        np.testing.assert_allclose(maps["h"], np.ones((5, 1)))
         np.testing.assert_allclose(scores, X.sum(axis=0) @ A, atol=1e-12)
 
     def test_graph_matches_numpy_mlp(self):
@@ -103,8 +103,8 @@ class TestForward:
         for k in range(K):
             scores, maps = graph_scores("pose_reg", params, X, k=k, hdim=hdim)
             np.testing.assert_allclose(maps["out"].value, out, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(maps["h"].value[:, 0], h, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(maps["c"].value[:, 0], t[:, k] * h,
+            np.testing.assert_allclose(maps["h"][:, 0], h, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(maps["c"][:, 0], t[:, k] * h,
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(scores, t.T @ h, rtol=1e-12, atol=1e-12)
 
