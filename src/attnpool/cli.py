@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
-from .synth import (Dataset, PlantedTaskConfig, gen_planted, read_labels, read_text,
+from .synth import (Dataset, PlantedTaskConfig, gen_splits, read_labels, read_text,
                     write_labels)
 from .train import (NUM_POSE_CHANNELS, TrainConfig, eval_forward, eval_scores, evaluate,
                     train, write_report, write_summary)
@@ -58,7 +59,7 @@ def load_split(path: str) -> Dataset:
     X = read_atnp(features_path)
     if X.shape[1:] != (task.n, task.f):
         raise ValueError(f"{features_path}: shape {X.shape} is not (m, {task.n}, {task.f})")
-    if not np.all(np.isfinite(X)):
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # NaN propagates to both
         raise ValueError(f"{features_path}: non-finite feature value")
     m = X.shape[0]
     labels_path = os.path.join(path, "labels.tsv")
@@ -75,7 +76,7 @@ def load_split(path: str) -> Dataset:
         mask_path = os.path.join(path, "pose_mask.atnp")
         ds.pose_heatmaps = hm = read_atnp(pose_path)
         ds.pose_masks = masks = read_atnp(mask_path)
-        if hm.shape != (m, task.n, NUM_POSE_CHANNELS) or not np.all((hm >= 0) & (hm <= 1)):
+        if hm.shape != (m, task.n, NUM_POSE_CHANNELS) or not (hm.min() >= 0 and hm.max() <= 1):
             raise ValueError(f"{pose_path}: shape {hm.shape} is not ({m}, {task.n}, 16) "
                              "or an entry is outside [0, 1]")
         if masks.shape != (m, NUM_POSE_CHANNELS) or not np.all((masks == 0) | (masks == 1)):
@@ -93,26 +94,42 @@ def _check_scores(scores: np.ndarray, split: str, checkpoint: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    """Write the train split, then generate and write the val split, so
+    one split is in memory at a time.  A config that build() rejects
+    leaves no --out directory."""
     cfg = cfgmod.resolve(args.config, args.set)
-    train_ds, val_ds = gen_planted(cfgmod.build(PlantedTaskConfig, cfg))
+    task = cfgmod.build(PlantedTaskConfig, cfg)
+    splits = gen_splits(task)
     os.makedirs(args.out, exist_ok=True)
-    _write_split(os.path.join(args.out, "train"), train_ds, cfg)
-    _write_split(os.path.join(args.out, "val"), val_ds, cfg)
+    for name in ("train", "val"):
+        _write_split(os.path.join(args.out, name), next(splits), cfg)
     with open(os.path.join(args.out, "resolved_config.txt"), "w") as fh:
         fh.write(cfgmod.serialize(cfg))
-    print(f"wrote {len(train_ds)} train / {len(val_ds)} val examples to {args.out}")
+    print(f"wrote {task.train_samples} train / {task.val_samples} val examples to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
+    """Read and validate every file of both splits, check that the val
+    split fits the train split, then train on the arrays the head reads:
+    pose targets go only to pose_reg, and never those of the val split."""
     cfg = cfgmod.resolve(args.config, args.set)
     tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
     val_ds = load_split(os.path.join(args.data, "val"))
-    pairs = [(ds.config.f, ds.config.K) for ds in (train_ds, val_ds)]
+    tasks = train_ds.config, val_ds.config
+    val_meta = os.path.join(args.data, "val", "meta.txt")
+    pairs = [(task.f, task.K) for task in tasks]
     if pairs[1] != pairs[0]:  # n may differ: scores pool over locations
-        raise ValueError(f"{os.path.join(args.data, 'val', 'meta.txt')}: the val split has "
-                         f"(f, K) = {pairs[1]}, the train split {pairs[0]}")
+        raise ValueError(f"{val_meta}: the val split has (f, K) = {pairs[1]}, "
+                         f"the train split {pairs[0]}")
+    if tasks[1].multi_label != tasks[0].multi_label:
+        raise ValueError(f"{val_meta}: the val split has multi_label = {tasks[1].multi_label}, "
+                         f"the train split {tasks[0].multi_label}")
+    no_pose = {"pose_heatmaps": None, "pose_masks": None}
+    if tconf.head != "pose_reg":
+        train_ds = replace(train_ds, **no_pose)
+    val_ds = replace(val_ds, **no_pose)
     cfg.update(cfgmod.keys_of(train_ds.config))  # record the task trained on, not defaults
     report = train(tconf, train_ds, val_ds)
     os.makedirs(args.out, exist_ok=True)
@@ -122,7 +139,8 @@ def cmd_train(args) -> int:
     write_summary(os.path.join(args.out, "summary.txt"), report)
     save_checkpoint(os.path.join(args.out, "checkpoint"), report.params, tconf)
     if report.diverged:
-        print("training diverged; partial report written", file=sys.stderr)
+        print(f"training diverged at {report.diverged_at}; partial report written",
+              file=sys.stderr)
         return EXIT_VALIDATION
     print(f"final val metric {report.final_val_metric:.4f}, "
           f"localization {report.final_localization:.4f}")

@@ -94,14 +94,16 @@ def cbp_pool(X, params: SketchParams) -> np.ndarray:
     # bin (h1_a + h2_b) mod d and sign s1_a s2_b of each entry (a, b) of X^T X
     bins = ((params.h1[:, None] + params.h2) % d).ravel()
     signs = (params.s1[:, None] * params.s2).ravel().astype(np.float64)
-    step = max(1, CHUNK_VALUES // max(1, f * f))
+    step = max(1, min(m, CHUNK_VALUES // max(1, f * f)))
+    # map r's bin k is flat bin r * d + k; a partial last chunk takes a prefix
+    flat_bins = (np.arange(step)[:, None] * d + bins).ravel()
     out = np.empty((m, d))
     for start in range(0, m, step):
         chunk = X[start:start + step]
         c = len(chunk)
-        G = np.matmul(chunk.transpose(0, 2, 1), chunk).reshape(c, f * f)
-        # map r's bin k is flat bin r * d + k
-        out[start:start + c] = np.bincount((np.arange(c)[:, None] * d + bins).ravel(),
-                                           weights=(G * signs).ravel(),
+        # a contiguous transpose keeps matmul off its slower path for two
+        # views of one buffer; the products are bitwise the same
+        G = np.matmul(np.ascontiguousarray(chunk.transpose(0, 2, 1)), chunk).reshape(c, f * f)
+        out[start:start + c] = np.bincount(flat_bins[:c * f * f], weights=(G * signs).ravel(),
                                            minlength=c * d).reshape(c, d)
     return out

@@ -181,19 +181,27 @@ def _gen_split(sub, config, protos, distractors, marker):
     return Dataset(config=config, X=X, labels=labels, planted=planted, prototypes=protos)
 
 
-def gen_planted(config: PlantedTaskConfig):
-    """Generate (train, val) datasets; byte-identical for identical configs.
+def gen_splits(config: PlantedTaskConfig):
+    """Yield the train split, then the val split, each made only when asked
+    for; the generator keeps no reference to a split it has yielded, so a
+    caller that drops one holds one split at a time.
 
-    With config.pose set, both splits carry keypoint targets.
+    The class prototypes are drawn once and shared by both splits.  With
+    config.pose set, each split carries keypoint targets.
     """
     protos, distractors, marker = class_prototypes(config)
     total = config.train_samples + config.val_samples
     sub = rng.u64_stream(config.seed, 3 + total)[3:]
-    train = _gen_split(sub[: config.train_samples], config, protos, distractors, marker)
-    val = _gen_split(sub[config.train_samples:], config, protos, distractors, marker)
-    if config.pose:
-        return gen_pose_targets(train), gen_pose_targets(val)
-    return train, val
+    for part in (sub[:config.train_samples], sub[config.train_samples:]):
+        split = _gen_split(part, config, protos, distractors, marker)
+        yield gen_pose_targets(split) if config.pose else split
+        del split
+
+
+def gen_planted(config: PlantedTaskConfig):
+    """The (train, val) datasets of gen_splits, both held at once;
+    byte-identical for identical configs."""
+    return tuple(gen_splits(config))
 
 
 def gen_pose_targets(dataset: Dataset, sigma: float = 1.0) -> Dataset:

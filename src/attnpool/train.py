@@ -112,7 +112,11 @@ class TrainReport:
     epochs: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
-    diverged: bool = False
+    diverged_at: str | None = None  # "epoch E batch B: <reason>" of an aborted run
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def final_val_metric(self) -> float:
@@ -406,7 +410,8 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
 
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
     """Train a head; deterministic given the config.  Aborts on divergence
-    with the partial report (diverged=True)."""
+    with the partial report, whose diverged_at names the epoch, the batch
+    and the parameter or the loss that went non-finite."""
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
     if config.head == "pose_reg" and train_ds.pose_heatmaps is None:
@@ -425,7 +430,7 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
         for epoch in range(config.epochs):
             order = _fisher_yates(m, config.seed + epoch)
             total_loss, total_seen = 0.0, 0
-            for start in range(0, m, config.batch_size):
+            for batch, start in enumerate(range(0, m, config.batch_size)):
                 idx = order[start:start + config.batch_size]
                 tape = Tape()
                 nodes = {name: tape.leaf(p) for name, p in params.items()}
@@ -448,8 +453,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 localization=val["localization"],
             ))
             del val  # its maps would otherwise stay alive through the next epoch
-    except TrainDivergence:
-        report.diverged = True
+    except TrainDivergence as exc:
+        report.diverged_at = f"epoch {epoch} batch {batch}: {exc}"
     report.params = params
     report.wall_clock_s = time.perf_counter() - t0
     return report
@@ -492,6 +497,8 @@ def write_summary(path, report: TrainReport) -> None:
         "wall_clock_s": f"{report.wall_clock_s:.3f}",
         "diverged": str(report.diverged).lower(),
     }
+    if report.diverged:
+        kv["diverged_at"] = report.diverged_at
     with open(path, "w") as fh:
         for k, v in kv.items():
             fh.write(f"{k}={v}\n")

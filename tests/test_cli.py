@@ -1,9 +1,11 @@
 import hashlib
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,10 +13,13 @@ import pytest
 
 import attnpool
 from attnpool import cli
+from attnpool import config as cfgmod
 from attnpool.atnp import read_atnp, write_atnp
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
                           main)
 from attnpool.images import read_pgm
+from attnpool.synth import PlantedTaskConfig, gen_planted
+from attnpool.train import HEAD_KINDS
 
 SMALL = [
     "--set", "task.n1=3", "--set", "task.n2=3", "--set", "task.f=16",
@@ -124,6 +129,38 @@ class TestGen:
         ds = load_split(os.path.join(out, "train"))
         assert ds.pose_heatmaps is not None and ds.pose_masks is not None
 
+    def test_files_are_those_of_gen_planted(self, tmp_path):
+        """Split by split, gen writes the bytes that _write_split writes for
+        gen_planted's datasets."""
+        settings = SMALL + ["--set", "task.pose=true"]
+        out, ref = tmp_path / "gen", tmp_path / "ref"
+        assert main(["gen", "--out", str(out)] + settings) == 0
+        cfg = cfgmod.resolve(None, settings[1::2])
+        for name, ds in zip(("train", "val"), gen_planted(cfgmod.build(PlantedTaskConfig, cfg))):
+            cli._write_split(str(ref / name), ds, cfg)
+        for name in ("train", "val"):
+            files = sorted(os.listdir(out / name))
+            assert files == sorted(os.listdir(ref / name)) and "pose.atnp" in files
+            for file in files:
+                assert (out / name / file).read_bytes() == (ref / name / file).read_bytes()
+
+    def test_holds_one_split_at_a_time(self, tmp_path):
+        """With equal train and val sizes, gen's traced peak stays below the
+        bytes of the two splits' arrays together: the train split is freed
+        before the val split is made."""
+        settings = ["--set", "task.train_samples=400", "--set", "task.val_samples=400",
+                    "--set", "task.pose=true"]
+        task = cfgmod.build(PlantedTaskConfig, cfgmod.resolve(None, settings[1::2]))
+        both = sum(a.nbytes for ds in gen_planted(task)
+                   for a in (ds.X, ds.labels, ds.planted, ds.pose_heatmaps, ds.pose_masks))
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--out", str(tmp_path / "gen")] + settings) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < both
+
 
 class TestTrain:
     def test_artifacts(self, run_dir):
@@ -189,6 +226,75 @@ class TestTrain:
         err = capsys.readouterr().err
         assert os.path.join(data, "val", "meta.txt") in err
         assert f"({val_f}, {val_K})" in err and f"({f}, {K})" in err
+
+    @pytest.mark.parametrize("multi_split", ["train", "val"])
+    def test_val_split_label_kind_differs_exits_3_before_training(self, tmp_path, capsys,
+                                                                  multi_split):
+        data, other = tmp_path / "data", tmp_path / "other"
+        for path, multi in ((data, multi_split == "train"), (other, multi_split == "val")):
+            assert main(["gen", "--out", str(path)] + SMALL +
+                        ["--set", f"task.multi_label={multi}"]) == 0
+        shutil.rmtree(data / "val")
+        shutil.copytree(other / "val", data / "val")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--set", "train.epochs=1"])
+        assert rc == EXIT_VALIDATION and not out.exists()
+        err = capsys.readouterr().err
+        assert os.path.join(str(data), "val", "meta.txt") in err and "multi_label" in err
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_passes_pose_targets_only_to_pose_reg(self, pose_data_dir, tmp_path, monkeypatch,
+                                                  head):
+        """Validation never reads pose targets, and training reads them
+        only for pose_reg: train() gets no other pose arrays."""
+        class Captured(Exception):
+            pass
+
+        def capture(tconf, train_ds, val_ds):
+            raise Captured(train_ds, val_ds)
+
+        monkeypatch.setattr(cli, "train", capture)
+        with pytest.raises(Captured) as info:
+            main(["train", "--data", pose_data_dir, "--out", str(tmp_path / "out"),
+                  "--set", f"train.head={head}"])
+        train_ds, val_ds = info.value.args
+        assert val_ds.pose_heatmaps is None and val_ds.pose_masks is None
+        if head == "pose_reg":
+            split = os.path.join(pose_data_dir, "train")
+            np.testing.assert_array_equal(train_ds.pose_heatmaps,
+                                          read_atnp(os.path.join(split, "pose.atnp")))
+            np.testing.assert_array_equal(train_ds.pose_masks,
+                                          read_atnp(os.path.join(split, "pose_mask.atnp")))
+        else:
+            assert train_ds.pose_heatmaps is None and train_ds.pose_masks is None
+        assert len(train_ds) == 48 and len(val_ds) == 24
+
+    def test_bad_val_pose_heatmaps_exit_3(self, pose_data_dir, tmp_path, capsys):
+        """The val pose targets, which training drops, are still read and
+        checked first."""
+        data = _copy_dir(pose_data_dir, tmp_path)
+        path = os.path.join(data, "val", "pose.atnp")
+        write_atnp(path, np.full_like(read_atnp(path), 1.5))
+        out = tmp_path / "out"
+        assert main(["train", "--data", data, "--out", str(out)]) == EXIT_VALIDATION
+        assert path in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_epoch_batch_and_cause(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data_dir, "--out", str(out), "--set", "train.lr=1e8",
+                   "--set", "train.epochs=10"])
+        assert rc == EXIT_VALIDATION
+        kv = dict(line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines())
+        assert kv["diverged"] == "true"
+        where = re.fullmatch(r"epoch (\d+) batch (\d+): (non-finite training loss|"
+                             r"non-finite gradient for parameter '\w+')", kv["diverged_at"])
+        assert where, kv["diverged_at"]
+        epochs_done = len((out / "report.tsv").read_text().splitlines())
+        assert int(where[1]) == epochs_done < 10
+        assert int(where[2]) in (0, 1)  # 48 examples in batches of 32
+        assert kv["diverged_at"] in capsys.readouterr().err
 
     def test_loss_setting_is_unknown(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -306,7 +412,7 @@ class TestEval:
         assert path in err
         assert ("line 2" in err) == names_line
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, run_dir, data_dir, tmp_path, value, capsys):
         split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
         path = os.path.join(split, "features.atnp")
@@ -316,7 +422,7 @@ class TestEval:
         rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                    "--data", split])
         assert rc == EXIT_VALIDATION
-        assert path in capsys.readouterr().err
+        assert f"{path}: non-finite feature value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     def test_overflowing_feature_rejected(self, run_dir, data_dir, tmp_path, command, capsys):
@@ -348,16 +454,19 @@ class TestEval:
             rc = main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
         assert rc == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("bad", ["channels", "range"])
+    @pytest.mark.parametrize("bad", ["channels", "range", "nan"])
     def test_bad_pose_heatmaps_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
         split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
         path = os.path.join(split, "pose.atnp")
         hm = read_atnp(path)
-        write_atnp(path, hm[:, :, :5] if bad == "channels" else hm * 1.5)
+        if bad == "nan":
+            hm[1, 2, 3] = np.nan
+        write_atnp(path, {"channels": hm[:, :, :5], "range": hm * 1.5}.get(bad, hm))
         rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                    "--data", split])
         assert rc == EXIT_VALIDATION
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path in err and "or an entry is outside [0, 1]" in err
 
     @pytest.mark.parametrize("bad", ["shape", "values"])
     def test_bad_pose_masks_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):

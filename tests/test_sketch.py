@@ -191,6 +191,28 @@ class TestCbpPool:
                 assert got.shape == (m, d)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("m,n,f", [(32, 49, 32), (9, 5, 7), (67, 49, 32)],
+                             ids=["f32_one_chunk", "f7_n5", "f32_partial_last_chunk"])
+    def test_features_are_bitwise_the_self_transposed_gram_projection(self, m, n, f):
+        """Pinned to the expression cbp_pool computed before: per chunk, the
+        matmul of the chunk's transposed view with the chunk itself, and a
+        bincount over bins rebuilt for the chunk."""
+        d = 64
+        p = SketchParams.from_seed(f, d, seed=11)
+        X = np.random.default_rng(m * n * f).standard_normal((m, n, f))
+        bins = ((p.h1[:, None] + p.h2) % d).ravel()
+        signs = (p.s1[:, None] * p.s2).ravel().astype(np.float64)
+        step = CHUNK_VALUES // (f * f)
+        want = np.empty((m, d))
+        for start in range(0, m, step):
+            chunk = X[start:start + step]
+            c = len(chunk)
+            G = np.matmul(chunk.transpose(0, 2, 1), chunk).reshape(c, f * f)
+            want[start:start + c] = np.bincount((np.arange(c)[:, None] * d + bins).ravel(),
+                                                weights=(G * signs).ravel(),
+                                                minlength=c * d).reshape(c, d)
+        np.testing.assert_array_equal(cbp_pool(X, p).view(np.uint64), want.view(np.uint64))
+
     def test_empty_maps_and_stacks(self):
         p = SketchParams.from_seed(4, 8, seed=1)
         out = cbp_pool(np.zeros((0, 4)), p)

@@ -503,6 +503,7 @@ class TestTrainLoop:
         report = train(cfg, tr, va)
         assert report.diverged
         assert len(report.epochs) < 10  # aborted early with a partial report
+        assert report.diverged_at.startswith(f"epoch {len(report.epochs)} batch ")
 
     def test_smoothed_loss_trend_is_nonincreasing(self, small_data):
         tr, va = small_data
