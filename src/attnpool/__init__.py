@@ -9,8 +9,9 @@ Training lives in the `attnpool.train` module
 (`from attnpool.train import TrainConfig, train`).
 
 Importing the package pins BLAS to one thread (unless the environment
-already sets the thread count) before numpy is first imported, so runs
-are byte-identical on any core count.  On glibc it also fixes malloc's
+already sets the thread count), so runs are byte-identical on any core
+count, provided `attnpool` is imported before numpy: BLAS reads the
+setting once, when numpy loads it.  On glibc it also fixes malloc's
 mmap and trim thresholds, so a training step's arrays are reused from
 the heap rather than unmapped and faulted back in on every step.
 """

@@ -14,12 +14,14 @@ column slice, and no other op broadcasts or slices.  Ops that read data:
 linear(X, w) is X W; pool(X, h, n) is X_b^T h_b per block of n rows;
 mlp(X, W1, b1, W2, b2) records the two-layer perceptron
 relu(X W1 + b1) W2 + b2 as one node; sq_error(a, T, W) is the squared
-error ((a - T) * W)^2 summed; and `attend(X, rows, bs, As, classes)` takes
-a split's feature maps X (m, n, f) and the batch's row indices, and
+error ((a - T) * W)^2 summed; and `attend(X, rows, bs, us)` takes a
+split's feature maps X (m, n, f) and the batch's row indices, and
 records, for each bottom-up vector b, the pooled features X_r^T (X_r b)
-as a child of b alone, returning the map X_r b and, given the examples'
-classes, each example's top-down map X_e A[:, class_e] as arrays,
-reading X in place one cache-sized block of examples at a time.
+as a child of b alone, returning the map X_r b and, given readout
+vectors u (one (f, 1) column per example), each example's map X_e u_e as
+arrays, reading X in place one cache-sized block of examples at a time.
+The tape knows nothing of classes: the trainer picks each example's
+class column and checks the class, in one place.
 
 Conventions:
   - vectors are (n, 1) column matrices inside graphs;
@@ -147,25 +149,24 @@ class Tape:
         return self._push("pool", (hv.reshape(B, 1, n) @ X.reshape(B, n, f)).reshape(B, f),
                           (h,), grad_fn)
 
-    def attend(self, X, rows, bs, As=(), classes=None):
+    def attend(self, X, rows, bs, us=None):
         """Bottom-up maps and pooled features of examples `rows` of a split,
         read in place: X (m, n, f), rows a slice or 1-D index array of B
         examples, bs a sequence of (f, 1) nodes.  Returns one (h, pooled)
         pair per b: the map h = X_r b (B*n, 1), an array, and the node
         pooled, per example X_r^T h_r (B, f), with b as its only parent.
 
-        With classes (one class index per example) and As (one (f, K) node
-        per b), each entry is a triple (h, pooled, t): t is, per example e,
-        the top-down map X_e A[:, classes_e] (B*n, 1) of the example's own
-        class, an array.  Maps are read out, never differentiated.
+        With us (one (B, f, 1) array of per-example readout vectors per b),
+        each entry is a triple (h, pooled, t): t is, per example e, the map
+        X_e u_e (B*n, 1), an array.  Maps are read out, never differentiated.
 
         Examples go through in blocks of at most BLOCK_VALUES values, each
         read by every product of a pass while it is in cache (forward X_r b,
-        X_r^T h_r and, with classes, X_r a; backward X_r g then X_r^T dh).
+        X_r^T h_r and, with us, X_r u; backward X_r g then X_r^T dh).
         A block of consecutive rows, such as a single example, is a view of
         X; only a block of several shuffled rows is copied.  When one block
         holds the batch, values and gradients are bitwise those of
-        pool(matmul(X[rows], b)), and t is bitwise X[rows] @ a per example.
+        pool(matmul(X[rows], b)), and t is bitwise X[rows] @ u.
         """
         if X.ndim != 3:
             raise ShapeError(f"attend needs (m, n, f) feature maps, got {X.shape}")
@@ -180,13 +181,9 @@ class Tape:
             if b.value.shape != (f, 1):
                 raise ShapeError(f"attend shape mismatch: maps {X.shape} x {b.value.shape}")
         B, step = len(rows), max(1, BLOCK_VALUES // max(1, n * f))
-        if classes is not None:
-            classes = np.asarray(classes, dtype=np.int64)
-            if len(As) != len(bs) or classes.shape != (B,) or any(
-                    A.value.ndim != 2 or A.value.shape[0] != f
-                    or np.any((classes < 0) | (classes >= A.value.shape[1])) for A in As):
-                raise ShapeError(f"attend classes {classes.shape} do not match {B} examples "
-                                 f"and one (f={f}, K) top-down node per bottom-up vector")
+        if us is not None and (len(us) != len(bs) or any(u.shape != (B, f, 1) for u in us)):
+            raise ShapeError(f"attend needs one ({B}, {f}, 1) readout array per bottom-up "
+                             f"vector, got {[u.shape for u in us]}")
         spans = [(s, min(s + step, B)) for s in range(0, B, step)]
         blocks = [_take(X, rows[s:e], run).reshape((e - s) * n, f) for s, e in spans]
 
@@ -198,17 +195,17 @@ class Tape:
         out = []
         for p, b in enumerate(bs):
             h, pooled = np.empty((B * n, 1)), np.empty((B, f))
-            if classes is not None:
-                t, a = np.empty((B * n, 1)), As[p].value[:, classes].T.reshape(B, f, 1)
+            if us is not None:
+                t, u = np.empty((B * n, 1)), us[p]
             for (s, e), Xs in zip(spans, blocks):
                 np.matmul(Xs, b.value, out=h[s * n:e * n])
                 np.matmul(h[s * n:e * n].reshape(e - s, 1, n), Xs.reshape(e - s, n, f),
                           out=pooled[s:e].reshape(e - s, 1, f))
-                if classes is not None:
-                    np.matmul(Xs.reshape(e - s, n, f), a[s:e],
+                if us is not None:
+                    np.matmul(Xs.reshape(e - s, n, f), u[s:e],
                               out=t[s * n:e * n].reshape(e - s, n, 1))
             out.append((h, self._push("attend_pool", pooled, (b,), pooled_grad))
-                       + ((t,) if classes is not None else ()))
+                       + ((t,) if us is not None else ()))
         return out
 
     def mlp(self, X, W1, b1, W2, b2):

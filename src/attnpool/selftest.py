@@ -1,8 +1,8 @@
 """Built-in verification suite: oracle equivalences, gradient checks,
 sketch statistics, FLOP accounting, and determinism round-trips.
 
-The oracle equivalences score through `train._batch_graph`, the graph
-that training differentiates and evaluation reads, against the explicit
+The oracle equivalences score through `train.eval_forward`, the pass
+whose scores and maps evaluation reports, against the explicit
 second-order form in `pooling`.
 
 This is the repository's health signal: `attnpool selftest` runs every
@@ -28,7 +28,7 @@ from .images import export_pgm, normalize_map, read_pgm
 from .pooling import score_second_order
 from .sketch import SketchParams, cbp_pool
 from .synth import PlantedTaskConfig, gen_planted, read_labels, write_labels
-from .train import (TrainConfig, _batch_graph, _batch_loss, init_head_params, train,
+from .train import (TrainConfig, _batch_loss, eval_forward, init_head_params, train,
                     write_report)
 
 
@@ -46,13 +46,11 @@ def random_instances(count: int, seed: int = 123, max_dim: int = 16):
 
 
 def graph_scores(head: str, params: dict, X, k: int = 0, **config):
-    """Sum-form scores (K,) and the class-k maps of one feature map X (n, f),
-    read from the training graph; `_batch_graph`'s logits are these scores / n."""
-    tape = Tape()
-    nodes = {name: tape.leaf(p) for name, p in params.items()}
-    logits, maps = _batch_graph(tape, TrainConfig(head=head, epochs=0, **config),
-                                nodes, X[None], slice(None), classes=[k])
-    return logits.value[0] * X.shape[0], maps
+    """Sum-form scores (K,) and the class-k maps (n, 1) of one feature map
+    X (n, f), read from `eval_forward`, the pass whose scores and maps
+    validation, eval and heatmap report; its logits are these scores / n."""
+    scores, maps = eval_forward(params, TrainConfig(head=head, epochs=0, **config), X[None], [k])
+    return scores[0] * X.shape[0], {key: m.reshape(-1, 1) for key, m in maps.items()}
 
 
 def check_rank1_equivalence(count: int = 1000) -> tuple:
@@ -103,26 +101,28 @@ def check_rank_p_oracle(ranks=(1, 2, 5), count: int = 50) -> tuple:
 
 
 def head_gradient_error(head: str, seed: int, multi_label: bool = False, **config) -> float:
-    """Finite-difference error of one head's batch loss at small dims.
+    """Finite-difference error of one head's batch loss at small dims, on
+    a shuffled batch of a split's rows, as train() passes it: not one
+    ascending run, so the batch is a copy; targets follow its order.
 
     multi_label draws random (B, K) targets, so the loss is sigmoid
     cross-entropy; `config` overrides TrainConfig fields, e.g. use_bias=True.
     """
     B, n1, n2, f, K = 3, 2, 2, 5, 3
-    n = n1 * n2
+    n, idx = n1 * n2, np.array([2, 0, 1])
     cfg = replace(TrainConfig(head=head, rank=2, hdim=4, sketch_dim=7, seed=seed,
                               lambda_pose=0.3, epochs=0), **config)
     rng = np.random.default_rng(seed)
-    Xb = rng.standard_normal((B, n, f))
+    X = rng.standard_normal((B, n, f))
     if multi_label:
-        yb = (rng.uniform(size=(B, K)) < 0.5).astype(np.float64)
+        yb = (rng.uniform(size=(B, K)) < 0.5).astype(np.float64)[idx]
     else:
-        yb = rng.integers(0, K, size=B)
+        yb = rng.integers(0, K, size=B)[idx]
     if head == "cbp":  # its inputs are sketch features
-        Xb = rng.standard_normal((B, cfg.sketch_dim))
+        X = rng.standard_normal((B, cfg.sketch_dim))
     pose = None
     if head == "pose_reg":
-        pose = (rng.uniform(0, 1, size=(B * n, 16)),
+        pose = (rng.uniform(0, 1, size=(B, n, 16))[idx].reshape(B * n, 16),
                 np.sqrt(np.full((B * n, 16), 1.0 / (n * 16))))
     params0 = init_head_params(cfg, f, K)
     names = sorted(params0)
@@ -130,7 +130,7 @@ def head_gradient_error(head: str, seed: int, multi_label: bool = False, **confi
     def f_loss(plist):
         tape = Tape()
         nodes = {name: tape.leaf(p) for name, p in zip(names, plist)}
-        loss = _batch_loss(tape, cfg, nodes, Xb, slice(None), yb, pose)
+        loss = _batch_loss(tape, cfg, nodes, X, idx, yb, pose)
         tape.backward(loss)
         return float(loss.value), [nodes[name].grad for name in names]
 

@@ -221,6 +221,17 @@ def _rank_of(config: TrainConfig) -> int:
     return 1 if config.head == "attention" else config.rank
 
 
+def _class_columns(param: np.ndarray, classes, f: int) -> np.ndarray:
+    """Each example's column of an (f, K) parameter for its class, (B, f, 1):
+    the readout vectors of its class maps.  The one check of classes."""
+    classes = np.asarray(classes, dtype=np.int64)
+    if (param.ndim != 2 or param.shape[0] != f or classes.ndim != 1
+            or np.any((classes < 0) | (classes >= param.shape[1]))):
+        raise ShapeError(f"class maps need an (f={f}, K) parameter and classes in [0, K), "
+                         f"got {param.shape} and {classes}")
+    return param[:, classes].T.reshape(len(classes), f, 1)
+
+
 def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarray, rows,
                  classes=None):
     """Record one batch's forward pass; returns (logits, maps).
@@ -237,21 +248,21 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
     The batch is examples `rows` (a slice, or a 1-D array of indices) of
     a split's `head_inputs`: its feature maps (m, n, f), or for cbp its
     mean-pooled sketch features (m, d).  attention and rank_p read their
-    scores, and the maps of `classes`, from the split in place, one pass
-    over each example (`Tape.attend`); every other head takes the batch
-    as inputs[rows], a view for a slice and a copy for an index array.
+    scores, and their class maps, from the split in place, one pass over
+    each example (`Tape.attend`); every other head takes the batch as
+    inputs[rows], a view for a slice and a copy for an index array.
 
-    classes (one class index per example, or None) also computes the maps
-    of those classes only, as (B*n, 1) arrays, values to read out that
-    no gradient flows through (`Tape.attend`'s, or for the other heads
-    each example's X_e times its class's column of a parameter): "h"
-    (the first rank component for rank_p, ones for avg_pool, the class's
-    own column for per_class), "t" (first rank component) and "c" (t h
-    summed over rank components; avg_pool's is t).  maps always holds
-    pose_reg's "out", the `Tape.mlp` node of its 17 channels, for its pose
-    loss; h and the loss's keypoint channels are column slices of "out"
-    (`Tape.cols`).  maps is None for cbp.  `use_bias` adds its bias, on
-    every head, as a row (`Tape.add_row`).
+    classes (one class index per example, or None) also reads out the maps
+    of those classes only, as (B*n, 1) arrays that no gradient flows
+    through.  Each head states its (h, t) pair per rank component: t is
+    X_e times the example's class column of a parameter (`_class_columns`,
+    the one class check), h the bottom-up map (ones for avg_pool, the
+    class's own column for per_class).  maps then holds "h" and "t" of the
+    first component and "c", t h summed over components.  maps always
+    holds pose_reg's "out", the `Tape.mlp` node of its 17 channels, for its
+    pose loss; h and the loss's keypoint channels are column slices of
+    "out" (`Tape.cols`).  maps is None for cbp.  `use_bias` adds its bias,
+    on every head, as a row (`Tape.add_row`).
 
     Logits are the spatial *mean* of the per-location maps (scores / n),
     matching average-style pooling; the 1/n factor only reparametrizes
@@ -262,49 +273,42 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
         scores = tape.linear(inputs[rows], nodes["W"])
     else:
         n, f = inputs.shape[1:]
-        maps = {}
-        if config.head not in ("attention", "rank_p"):
-            Xb = inputs[rows]
-            Xs = Xb.reshape(len(Xb) * n, f)
-
-        def column(name):  # each example's map for its own class column of a parameter
-            a = nodes[name].value[:, classes].T.reshape(len(classes), f, 1)
-            return (Xb @ a).reshape(len(classes) * n, 1)
-
-        if config.head == "avg_pool":
-            scores = tape.linear(Xs.reshape(len(Xb), n, f).sum(axis=1), nodes["W"])
-            if classes is not None:
-                t = column("W")
-                maps.update(h=np.ones((len(classes) * n, 1)), t=t, c=t)
-        elif config.head in ("attention", "rank_p"):
+        maps, read = {}, classes is not None
+        if config.head in ("attention", "rank_p"):
             ranks = range(_rank_of(config))
-            parts = tape.attend(inputs, rows, [nodes[f"b{p}"] for p in ranks],
-                                [nodes[f"A{p}"] for p in ranks], classes)
+            us = ([_class_columns(nodes[f"A{p}"].value, classes, f) for p in ranks]
+                  if read else None)
+            parts = tape.attend(inputs, rows, [nodes[f"b{p}"] for p in ranks], us)
             for p, (_, pooled, *_) in enumerate(parts):
                 sp = tape.matmul(pooled, nodes[f"A{p}"])
                 scores = sp if p == 0 else tape.add(scores, sp)
-            if classes is not None:
-                (h, _, t), *rest = parts
-                c = t * h
-                for hp, _, tp in rest:
-                    c += tp * hp
-                maps.update(h=h, t=t, c=c)
-        elif config.head == "per_class":
-            scores = tape.segment_sum(tape.elementwise_mul(tape.linear(Xs, nodes["A"]),
-                                                           tape.linear(Xs, nodes["B_pc"])), n)
-            if classes is not None:
-                t, h = column("A"), column("B_pc")
-                maps.update(h=h, t=t, c=t * h)
-        elif config.head == "pose_reg":
-            out = tape.mlp(Xs, nodes["W1"], nodes["bias1"], nodes["W2"], nodes["bias2"])
-            h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
-            scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
-            maps["out"] = out
-            if classes is not None:
-                t = column("A")
-                maps.update(h=h.value, t=t, c=t * h.value)
+            pairs = [(h, t) for h, _, t in parts] if read else ()
         else:
-            raise ValueError(f"unknown head kind {config.head!r}")
+            Xb = inputs[rows]
+            Xs = Xb.reshape(len(Xb) * n, f)
+
+            def top(name):  # each example's map X_e a for its class column a
+                return (Xb @ _class_columns(nodes[name].value, classes, f)).reshape(len(Xs), 1)
+
+            if config.head == "avg_pool":
+                scores = tape.linear(Xb.sum(axis=1), nodes["W"])
+                pairs = [(np.ones((len(Xs), 1)), top("W"))] if read else ()
+            elif config.head == "per_class":
+                scores = tape.segment_sum(tape.elementwise_mul(
+                    tape.linear(Xs, nodes["A"]), tape.linear(Xs, nodes["B_pc"])), n)
+                pairs = [(top("B_pc"), top("A"))] if read else ()
+            else:  # pose_reg
+                out = tape.mlp(Xs, nodes["W1"], nodes["bias1"], nodes["W2"], nodes["bias2"])
+                h = tape.cols(out, ATTENTION_CHANNEL, ATTENTION_CHANNEL + 1)
+                scores = tape.matmul(tape.pool(Xs, h, n), nodes["A"])
+                maps["out"] = out
+                pairs = [(h.value, top("A"))] if read else ()
+        if read:
+            (h, t), *rest = pairs
+            c = t * h
+            for hp, tp in rest:
+                c += tp * hp
+            maps.update(h=h, t=t, c=c)
         scores = tape.scalar_mul(scores, 1.0 / n)
     if "bias" in nodes:
         scores = tape.add_row(scores, nodes["bias"])
@@ -341,20 +345,17 @@ def _pose_batch(dataset: Dataset, idx, n):
     return hm.reshape(len(idx) * n, NUM_POSE_CHANNELS), weights
 
 
-def eval_forward(params: dict, config: TrainConfig, X: np.ndarray, classes=None):
-    """Scores (m, K) of a stack of feature maps (m, n, f), and the maps of
-    one class per example.
+def eval_forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes=None):
+    """Scores (m, K) of a split's head inputs (see head_inputs), and the
+    maps of one class per example.
 
     Forward passes of `_batch_graph` over chunks of config.batch_size
-    examples, with no backward pass.  classes holds one class index per
-    example; maps is then {"h", "t", "c"}, each (m, n), for those classes
-    (see _batch_graph).  maps is None when classes is None and for cbp.
+    examples, with no backward pass: the pass that validation, `evaluate`,
+    `eval_scores`, the heatmap command and the selftest oracle checks read.
+    classes holds one class index per example; maps is then {"h", "t",
+    "c"}, each (m, n), for those classes (see _batch_graph).  maps is None
+    when classes is None and for cbp.
     """
-    return _forward(params, config, head_inputs(config, X), classes)
-
-
-def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
-    """eval_forward of a stack of head inputs (see head_inputs)."""
     m = len(inputs)
     if classes is not None and len(classes) != m:
         raise ShapeError(f"{len(classes)} classes for {m} examples")
@@ -378,7 +379,7 @@ def _forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes):
 
 def eval_scores(params: dict, config: TrainConfig, X: np.ndarray) -> np.ndarray:
     """Scores (m, K) for a stack of feature maps (m, n, f); see eval_forward."""
-    return eval_forward(params, config, X)[0]
+    return eval_forward(params, config, head_inputs(config, X))[0]
 
 
 def true_classes(dataset: Dataset) -> np.ndarray:
@@ -469,7 +470,7 @@ def evaluate(params: dict, config: TrainConfig, dataset: Dataset,
     """
     if inputs is None:
         inputs = head_inputs(config, dataset.X)
-    scores, maps = _forward(params, config, inputs, true_classes(dataset))
+    scores, maps = eval_forward(params, config, inputs, true_classes(dataset))
     out: dict = {"scores": scores, "maps": maps["c"] if maps else None,
                  "localization": localization_rate(maps, dataset)}
     if dataset.labels.ndim == 1:

@@ -10,7 +10,7 @@ def _tape_with(value):
     return tape, tape.leaf(np.asarray(value, dtype=np.float64))
 
 
-def _sum_squares(tape, a):
+def _sq_norm(tape, a):
     """sum(a^2) of a node: sq_error against zero targets with unit weights."""
     return tape.sq_error(a, np.zeros_like(a.value), np.ones_like(a.value))
 
@@ -29,7 +29,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             tape.matmul(a, b)
 
-    def test_add_subtract_elementwise(self):
+    def test_add_elementwise_mul_and_sq_error(self):
         tape = Tape()
         a = tape.leaf([1.0, 2.0])
         b = tape.leaf([3.0, -4.0])
@@ -48,7 +48,7 @@ class TestForward:
             with pytest.raises(ShapeError, match="sq_error shape mismatch"):
                 tape.sq_error(a, targets, weights)
 
-    def test_relu_and_scalar_mul(self):
+    def test_mlp_as_relu_and_scalar_mul(self):
         tape = Tape()
         x = np.array([[-1.0], [0.0], [2.0]])
         one, zero = tape.leaf([[1.0]]), tape.leaf([[0.0]])
@@ -83,9 +83,9 @@ class TestForward:
             with pytest.raises(ShapeError, match="mlp shape mismatch"):
                 tape.mlp(*bad)
 
-    def test_sum_and_sum_squares(self):
+    def test_sq_error_hand_values(self):
         tape, a = _tape_with([[1.0, -2.0], [3.0, 4.0]])
-        assert float(_sum_squares(tape, a).value) == 30.0
+        assert float(_sq_norm(tape, a).value) == 30.0
         # r = (a - T) * W = [[0, -2], [3, 0]]
         loss = tape.sq_error(a, np.array([[1.0, 0.0], [0.0, 4.0]]),
                              np.array([[2.0, 1.0], [1.0, 0.5]]))
@@ -174,14 +174,14 @@ class TestBackward:
         tape = Tape()
         a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
         b = tape.leaf([[1.0], [1.0]])
-        loss = _sum_squares(tape, tape.matmul(a, b))  # a b = [[3], [7]], so g = [[6], [14]]
+        loss = _sq_norm(tape, tape.matmul(a, b))  # a b = [[3], [7]], so g = [[6], [14]]
         tape.backward(loss)
         np.testing.assert_array_equal(a.grad, [[6.0, 6.0], [14.0, 14.0]])
         np.testing.assert_array_equal(b.grad, [[48.0], [68.0]])
 
     def test_fanout_accumulates(self):
         tape, x = _tape_with([1.0, 2.0])
-        loss = _sum_squares(tape, tape.add(x, x))  # g = 2 (x + x) = [4, 8] on each branch
+        loss = _sq_norm(tape, tape.add(x, x))  # g = 2 (x + x) = [4, 8] on each branch
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [8.0, 16.0])
 
@@ -190,7 +190,7 @@ class TestBackward:
         one = tape.leaf([[1.0]])
         # with X = I, mlp's relu(w) + 1 keeps the gradient at the zero entry nonzero:
         # g = [2, 2, 8]
-        tape.backward(_sum_squares(tape, tape.mlp(np.eye(3), w, tape.leaf([[0.0]]), one, one)))
+        tape.backward(_sq_norm(tape, tape.mlp(np.eye(3), w, tape.leaf([[0.0]]), one, one)))
         np.testing.assert_array_equal(w.grad, [[0.0], [0.0], [8.0]])
 
     def test_relu_gradient_is_bitwise_g_times_mask(self):
@@ -230,8 +230,8 @@ class TestBackward:
         s = tape.add_row(a, row)
         # two slices of one node, both in the loss:
         # 2 * sum of squares of col 0 + sum of squares of cols 1..2
-        loss = tape.add(tape.scalar_mul(_sum_squares(tape, tape.cols(s, 0, 1)), 2.0),
-                        _sum_squares(tape, tape.cols(s, 1, 3)))
+        loss = tape.add(tape.scalar_mul(_sq_norm(tape, tape.cols(s, 0, 1)), 2.0),
+                        _sq_norm(tape, tape.cols(s, 1, 3)))
         tape.backward(loss)
         g = [[4.0, 4.0, 6.0], [16.0, 10.0, 12.0]]
         np.testing.assert_array_equal(a.grad, g)
@@ -286,7 +286,7 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf([1.0])
         y = tape.leaf([2.0])
-        tape.backward(_sum_squares(tape, x))
+        tape.backward(_sq_norm(tape, x))
         np.testing.assert_array_equal(x.grad, [2.0])
         np.testing.assert_array_equal(y.grad, [0.0])
 
@@ -326,7 +326,7 @@ class TestFiniteDifference:
             A, B = params
             tape = Tape()
             a, b = tape.leaf(A), tape.leaf(B)
-            loss = _sum_squares(tape, tape.matmul(a, b))
+            loss = _sq_norm(tape, tape.matmul(a, b))
             tape.backward(loss)
             return float(loss.value), [a.grad, b.grad]
 
@@ -369,7 +369,7 @@ class TestFiniteDifference:
 
         self._check(f, [(2, 3)], seed=4)
 
-    def test_sum_squares_gradient(self):
+    def test_sq_error_gradient(self):
         """sq_error's gradient, with targets and weights."""
         T, W = np.random.default_rng(6).standard_normal((2, 3, 3))
 
@@ -433,7 +433,7 @@ class TestFiniteDifference:
         def build(params):
             tape = Tape()
             nodes = [tape.leaf(p) for p in params]
-            loss = _sum_squares(tape, tape.mlp(X, *nodes))
+            loss = _sq_norm(tape, tape.mlp(X, *nodes))
             tape.backward(loss)
             return float(loss.value), [node.grad for node in nodes]
 
@@ -536,13 +536,15 @@ class TestAttend:
         bn = tape.leaf(b)
         [(h, pooled)] = tape.attend(X, np.zeros(0, dtype=np.int64), [bn])
         assert h.shape == (0, 1) and pooled.value.shape == (0, self.F)
-        tape.backward(_sum_squares(tape, pooled))
+        tape.backward(_sq_norm(tape, pooled))
         np.testing.assert_array_equal(bn.grad, np.zeros((self.F, 1)))
 
 
 class TestAttendClassMaps:
-    """Tape.attend with classes: each component's top-down map X_e A[:, class_e],
-    from the same pass over the split as its bottom-up map and pooled features."""
+    """Tape.attend with readout vectors: each component's map X_e u_e per
+    example, from the same pass over the split as its bottom-up map and
+    pooled features.  The vectors here are the examples' class columns
+    A[:, class_e], as the trainer passes them."""
 
     M, N, F, K = 9, 4, 6, 3
     ROWS = [7, 2, 2, 8, 0]  # shuffled, with a repeat
@@ -553,23 +555,26 @@ class TestAttendClassMaps:
         return [(rng.standard_normal((self.F, 1)), rng.standard_normal((self.F, self.K)))
                 for _ in range(P)]
 
+    def _readout(self, A, classes):
+        return A[:, classes].T.reshape(len(classes), self.F, 1)
+
     def _maps_and_scores(self, X, rows, comps, classes, reference):
         """Every component's (h, t), then c = sum_p t_p h_p and the scores
         sum_p pooled_p A_p; the reference takes the stacked batch X[rows]
         through linear and pool, and each example's t is the numpy product
-        X_e A[:, class_e]."""
+        X_e u_e."""
         tape = Tape()
         bs, As = [tape.leaf(b) for b, _ in comps], [tape.leaf(A) for _, A in comps]
+        us = [self._readout(A, classes) for _, A in comps]
         if reference:
             Xb = X[rows]
             Xs = Xb.reshape(-1, self.F)
             parts = []
-            for b, A in zip(bs, As):
+            for b, u in zip(bs, us):
                 h = tape.linear(Xs, b)
-                a = A.value[:, classes].T.reshape(len(Xb), self.F, 1)
-                parts.append((h.value, tape.pool(Xs, h, self.N), (Xb @ a).reshape(-1, 1)))
+                parts.append((h.value, tape.pool(Xs, h, self.N), (Xb @ u).reshape(-1, 1)))
         else:
-            parts = tape.attend(X, rows, bs, As, classes)
+            parts = tape.attend(X, rows, bs, us)
         c = scores = None
         for (h, pooled, t), A in zip(parts, As):
             cp, sp = t * h, tape.matmul(pooled, A)
@@ -593,42 +598,44 @@ class TestAttendClassMaps:
     def test_no_rows(self):
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         tape = Tape()
-        (b, A), = self._components(1)
+        (b, _), = self._components(1)
         [(h, pooled, t)] = tape.attend(X, np.zeros(0, dtype=np.int64), [tape.leaf(b)],
-                                       [tape.leaf(A)], np.zeros(0, dtype=np.int64))
+                                       [np.zeros((0, self.F, 1))])
         assert h.shape == t.shape == (0, 1) and pooled.value.shape == (0, self.F)
 
     def test_maps_are_arrays_and_pooled_has_b_as_only_parent(self):
-        """t, like h, is an array, not a node, even for a leaf A: attend
-        records one node per b, pooled, a child of b alone."""
+        """t, like h, is an array, not a node: attend records one node per
+        b, pooled, a child of b alone, and takes no class or top-down node."""
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         tape = Tape()
         comps = self._components(2)
-        bs, As = [tape.leaf(b) for b, _ in comps], [tape.leaf(A) for _, A in comps]
-        parts = tape.attend(X, np.array(self.ROWS), bs, As, self.CLASSES)
+        bs = [tape.leaf(b) for b, _ in comps]
+        parts = tape.attend(X, np.array(self.ROWS), bs,
+                            [self._readout(A, self.CLASSES) for _, A in comps])
         assert [pooled.parents for _, pooled, _ in parts] == [(bs[0].id,), (bs[1].id,)]
         assert all(isinstance(m, np.ndarray) for h, _, t in parts for m in (h, t))
-        assert len(tape.nodes) == 4 + 2
+        assert len(tape.nodes) == 2 + 2
 
     def test_class_shape_errors(self):
+        """One (B, f, 1) readout array per bottom-up vector, or ShapeError."""
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         (b, A), = self._components(1)
         tape = Tape()
-        bn, An = tape.leaf(b), tape.leaf(A)
+        bn, u = tape.leaf(b), self._readout(A, self.CLASSES)
         rows = np.array(self.ROWS)
-        for As, classes in (([An], self.CLASSES[:4]),            # one class per example
-                            ([An], [0, 0, 0, 0, self.K]),         # a class A has no column for
-                            ([An], [0, 0, 0, 0, -1]),
-                            ([], self.CLASSES),                   # one A per b
-                            ([tape.leaf(A[1:])], self.CLASSES),   # A must have f rows
-                            ([tape.leaf(A[:, 0])], self.CLASSES)):
+        for us in ([u[:4]],                              # one vector per example
+                   [],                                   # one array per b
+                   [u, u],
+                   [np.zeros((5, self.F + 1, 1))],       # vectors of f rows
+                   [u[:, :, 0]]):                        # (B, f, 1), not (B, f)
             with pytest.raises(ShapeError):
-                tape.attend(X, rows, [bn], As, classes)
+                tape.attend(X, rows, [bn], us)
 
     @pytest.mark.parametrize("examples_per_block", [1, 64])
     def test_finite_difference_through_class_maps(self, monkeypatch, examples_per_block):
         """With leaf b and leaf A, the scores' gradients, recorded in the
-        same pass as the maps, agree with finite differences."""
+        same pass as the maps of A's class columns, agree with finite
+        differences."""
         monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))
         rows = np.array(self.ROWS)
@@ -637,7 +644,7 @@ class TestAttendClassMaps:
         def f(params):
             tape = Tape()
             bn, An = tape.leaf(params[0]), tape.leaf(params[1])
-            [(_, pooled, _)] = tape.attend(X, rows, [bn], [An], self.CLASSES)
+            [(_, pooled, _)] = tape.attend(X, rows, [bn], [self._readout(An.value, self.CLASSES)])
             loss = tape.softmax_xent(tape.matmul(pooled, An), self.CLASSES)
             tape.backward(loss)
             return float(loss.value), [bn.grad, An.grad]

@@ -15,11 +15,12 @@ import attnpool
 from attnpool import cli
 from attnpool import config as cfgmod
 from attnpool.atnp import read_atnp, write_atnp
+from attnpool.checkpoint import load_checkpoint
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
                           main)
-from attnpool.images import read_pgm
+from attnpool.images import normalize_map, read_pgm
 from attnpool.synth import PlantedTaskConfig, gen_planted
-from attnpool.train import HEAD_KINDS
+from attnpool.train import HEAD_KINDS, eval_forward, eval_scores, true_classes
 
 SMALL = [
     "--set", "task.n1=3", "--set", "task.n2=3", "--set", "task.f=16",
@@ -424,6 +425,18 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert f"{path}: non-finite feature value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(24, 9, 15), (24, 8, 16)], ids=["f", "n"])
+    def test_features_disagreeing_with_meta_rejected(self, run_dir, data_dir, tmp_path, shape,
+                                                     capsys):
+        # meta.txt says a 3x3 grid of f=16 features
+        split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
+        path = os.path.join(split, "features.atnp")
+        write_atnp(path, np.zeros(shape))
+        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
+                   "--data", split])
+        assert rc == EXIT_VALIDATION
+        assert f"{path}: shape {shape} is not (m, 9, 16)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     def test_overflowing_feature_rejected(self, run_dir, data_dir, tmp_path, command, capsys):
         # finite, so it loads, but the scores overflow to inf
@@ -525,6 +538,25 @@ class TestHeatmap:
                 assert grid.shape == (3, 3)
             mont = read_pgm(os.path.join(out, f"ex{i:04d}_montage.pgm"))
             assert mont.shape == (3, 9)  # three 3x3 panels side by side
+
+    def test_multi_label_draws_the_top_scoring_class(self, tmp_path):
+        """On a multi-label split each combined map is eval_forward's c of
+        the example's top-scoring class."""
+        data, run, out = (str(tmp_path / name) for name in ("data", "run", "maps"))
+        assert main(["gen", "--out", data] + SMALL + ["--set", "task.multi_label=true"]) == 0
+        assert main(["train", "--data", data, "--out", run, "--set", "train.epochs=2"]) == 0
+        val, ckpt, count = os.path.join(data, "val"), os.path.join(run, "checkpoint"), 12
+        assert main(["heatmap", "--checkpoint", ckpt, "--data", val, "--out", out,
+                     "--count", str(count)]) == 0
+        ds = load_split(val)
+        params, tconf = load_checkpoint(ckpt, ds.config.f, ds.config.K)
+        X = ds.X[:count]
+        top = np.argmax(eval_scores(params, tconf, X), axis=1)
+        assert np.any(top != true_classes(ds)[:count])  # not the first positive label
+        _, maps = eval_forward(params, tconf, X, classes=top)
+        for i in range(count):
+            grid = read_pgm(os.path.join(out, f"ex{i:04d}_combined.pgm"))
+            np.testing.assert_array_equal(grid, normalize_map(maps["c"][i].reshape(3, 3)))
 
     def test_zero_count_writes_nothing(self, run_dir, data_dir, tmp_path):
         out = str(tmp_path / "maps")

@@ -1,7 +1,8 @@
 """The pose_reg head, read from the training graph, and its keypoint targets.
 
-Scores and the 17-channel MLP output come from `train._batch_graph`; the
-pose loss is the term `train._batch_loss` adds to the class loss.
+Scores and maps come from `graph_scores` (the evaluation pass), the
+17-channel MLP output from `train._batch_graph`; the pose loss is the
+term `train._batch_loss` adds to the class loss.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from attnpool.cli import load_split, main
 from attnpool.selftest import graph_scores
 from attnpool.synth import Dataset, PlantedTaskConfig
 from attnpool.train import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS,
-                            TrainConfig, _batch_loss, _pose_batch, eval_scores,
-                            init_head_params)
+                            TrainConfig, _batch_graph, _batch_loss, _pose_batch,
+                            eval_scores, init_head_params)
 
 
 def _pose_params(W1, W2, A, bias1=None, bias2=None):
@@ -35,6 +36,15 @@ def _linear_params(b, A):
     W2[0, ATTENTION_CHANNEL] = 1.0
     W2[1, ATTENTION_CHANNEL] = -1.0
     return _pose_params(W1, W2, A)
+
+
+def _mlp_out(params, X):
+    """The 17-channel MLP output of one feature map X (n, f): the node
+    "out" that _batch_graph records for the pose loss."""
+    tape = Tape()
+    nodes = {name: tape.leaf(p) for name, p in params.items()}
+    cfg = TrainConfig(head="pose_reg", hdim=params["W1"].shape[1])
+    return _batch_graph(tape, cfg, nodes, X[None], slice(None))[1]["out"].value
 
 
 def _losses(params, X, heatmaps, masks, lambda_pose):
@@ -73,7 +83,7 @@ class TestForward:
         np.testing.assert_allclose(maps["h"][:, 0], X @ b, atol=1e-9)
         ref, _ = graph_scores("attention", {"A0": A, "b0": b[:, None]}, X)
         np.testing.assert_allclose(scores, ref, atol=1e-9)
-        assert maps["out"].value.shape == (6, NUM_HEAD_CHANNELS)
+        assert _mlp_out(_linear_params(b, A), X).shape == (6, NUM_HEAD_CHANNELS)
 
     def test_constant_attention_reduces_to_avg_pool(self):
         # W1 = 0, bias1 = 1, attention channel sums the hidden units / hdim:
@@ -102,7 +112,7 @@ class TestForward:
         t = X @ params["A"]
         for k in range(K):
             scores, maps = graph_scores("pose_reg", params, X, k=k, hdim=hdim)
-            np.testing.assert_allclose(maps["out"].value, out, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(_mlp_out(params, X), out, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(maps["h"][:, 0], h, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(maps["c"][:, 0], t[:, k] * h,
                                        rtol=1e-12, atol=1e-12)

@@ -334,6 +334,34 @@ class TestScores:
         for key, want in _class_maps_numpy(head, params, X, classes, cfg.batch_size).items():
             assert maps[key].tobytes() == want.tobytes(), key
 
+    @pytest.mark.parametrize("head,kw", [
+        ("avg_pool", {}), ("attention", {}), ("rank_p", {"rank": 3}), ("per_class", {}),
+        ("pose_reg", {"hdim": 6}),
+    ])
+    def test_class_outside_range_is_shape_error(self, small_data, head, kw):
+        # the bad class sits in the second chunk of 4; -1 must not read class K-1
+        tr, _ = small_data
+        cfg = TrainConfig(head=head, seed=5, batch_size=4, **kw)
+        params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
+        for bad in (-1, SMALL_TASK.K):
+            classes = np.zeros(6, dtype=np.int64)
+            classes[5] = bad
+            with pytest.raises(ShapeError):
+                eval_forward(params, cfg, tr.X[:6], classes=classes)
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_bias_adds_its_row_to_the_scores(self, small_data, head):
+        """Every head's scores with use_bias are its scores without the
+        bias plus the bias row, bitwise."""
+        tr, _ = small_data
+        kw = {"rank": 2, "hdim": 6, "sketch_dim": 8, "seed": 5, "batch_size": 4}
+        cfg = TrainConfig(head=head, use_bias=True, **kw)
+        params = init_head_params(cfg, SMALL_TASK.f, SMALL_TASK.K)
+        bias = params.pop("bias") + 0.25 * np.arange(1.0, SMALL_TASK.K + 1.0)
+        without = eval_scores(params, TrainConfig(head=head, **kw), tr.X[:6])
+        got = eval_scores({**params, "bias": bias}, cfg, tr.X[:6])
+        assert got.tobytes() == (without + bias).tobytes()
+
     def test_class_maps_of_no_examples_and_of_cbp(self, small_data):
         tr, _ = small_data
         cfg = TrainConfig(head="attention", seed=5, batch_size=4)
@@ -344,9 +372,9 @@ class TestScores:
         assert eval_forward(params, cfg, tr.X[:6])[1] is None
         with pytest.raises(ShapeError):  # one class per example
             eval_forward(params, cfg, tr.X[:6], classes=[0, 1])
-        cbp = TrainConfig(head="cbp", sketch_dim=8)
-        assert eval_forward(init_head_params(cbp, SMALL_TASK.f, SMALL_TASK.K), cbp, tr.X[:6],
-                            classes=tr.labels[:6])[1] is None
+        cbp = TrainConfig(head="cbp", sketch_dim=8)  # scores its sketch features
+        assert eval_forward(init_head_params(cbp, SMALL_TASK.f, SMALL_TASK.K), cbp,
+                            head_inputs(cbp, tr.X[:6]), classes=tr.labels[:6])[1] is None
 
     @pytest.mark.parametrize("head,kw", [("attention", {}), ("rank_p", {"rank": 3})])
     def test_class_maps_read_each_example_once(self, small_data, monkeypatch, head, kw):
@@ -714,6 +742,18 @@ class TestEvaluateAndReports:
             assert float(row[1]) == rec.train_loss
             assert float(row[2]) == rec.val_metric
             assert float(row[3]) == rec.localization
+
+    def test_multi_label_report_val_metric_is_evaluate_map(self, tmp_path):
+        # the last report.tsv row's val_metric parses back to evaluate()'s mAP exactly
+        tr, va = gen_planted(PlantedTaskConfig(n1=3, n2=3, f=16, K=4, train_samples=64,
+                                               val_samples=32, seed=6, multi_label=True))
+        cfg = TrainConfig(head="attention", epochs=2, seed=3)
+        report = train(cfg, tr, va)
+        path = tmp_path / "report.tsv"
+        write_report(path, report)
+        last = path.read_text().splitlines()[-1].split("\t")
+        want = evaluate(report.params, cfg, va)["map"]
+        assert 0.0 < want <= 1.0 and float(last[2]) == want
 
     def test_write_summary(self, small_data, tmp_path):
         tr, va = small_data
