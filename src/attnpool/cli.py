@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 selftest failure.
 The ATTNPOOL_SEED environment variable overrides config seeds.
+
+A split directory holds features.atnp, labels.tsv and meta.txt; pose_reg's
+keypoint targets follow from the planted cells in labels.tsv, so no file
+holds them (other files in the directory are ignored).
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,8 +25,8 @@ from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
 from .synth import (Dataset, PlantedTaskConfig, gen_splits, read_labels, read_text,
                     write_labels)
-from .train import (NUM_POSE_CHANNELS, TrainConfig, eval_forward, eval_scores, evaluate,
-                    train, write_report, write_summary)
+from .train import (TrainConfig, eval_forward, eval_scores, evaluate, train, write_report,
+                    write_summary)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -35,9 +38,6 @@ def _write_split(path: str, ds: Dataset, cfg: dict) -> None:
     os.makedirs(path, exist_ok=True)
     write_atnp(os.path.join(path, "features.atnp"), ds.X)
     write_labels(os.path.join(path, "labels.tsv"), ds)
-    if ds.pose_heatmaps is not None:
-        write_atnp(os.path.join(path, "pose.atnp"), ds.pose_heatmaps)
-        write_atnp(os.path.join(path, "pose_mask.atnp"), ds.pose_masks)
     with open(os.path.join(path, "meta.txt"), "w") as fh:
         fh.write("[task]\n")
         for key in sorted(cfg):
@@ -70,19 +70,7 @@ def load_split(path: str) -> Dataset:
     if len(bad):
         raise ValueError(f"{labels_path}: example {bad[0]}'s planted cell {planted[bad[0]]} "
                          f"is out of range [0, {task.n})")
-    ds = Dataset(config=task, X=X, labels=labels, planted=planted)
-    pose_path = os.path.join(path, "pose.atnp")
-    if os.path.exists(pose_path):
-        mask_path = os.path.join(path, "pose_mask.atnp")
-        ds.pose_heatmaps = hm = read_atnp(pose_path)
-        ds.pose_masks = masks = read_atnp(mask_path)
-        if hm.shape != (m, task.n, NUM_POSE_CHANNELS) or not (hm.min() >= 0 and hm.max() <= 1):
-            raise ValueError(f"{pose_path}: shape {hm.shape} is not ({m}, {task.n}, 16) "
-                             "or an entry is outside [0, 1]")
-        if masks.shape != (m, NUM_POSE_CHANNELS) or not np.all((masks == 0) | (masks == 1)):
-            raise ValueError(f"{mask_path}: shape {masks.shape} is not ({m}, 16) "
-                             "or an entry is not 0 or 1")
-    return ds
+    return Dataset(config=task, X=X, labels=labels, planted=planted)
 
 
 def _check_scores(scores: np.ndarray, split: str, checkpoint: str) -> None:
@@ -111,8 +99,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     """Read and validate every file of both splits, check that the val
-    split fits the train split, then train on the arrays the head reads:
-    pose targets go only to pose_reg, and never those of the val split."""
+    split fits the train split, then train."""
     cfg = cfgmod.resolve(args.config, args.set)
     tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
@@ -126,10 +113,6 @@ def cmd_train(args) -> int:
     if tasks[1].multi_label != tasks[0].multi_label:
         raise ValueError(f"{val_meta}: the val split has multi_label = {tasks[1].multi_label}, "
                          f"the train split {tasks[0].multi_label}")
-    no_pose = {"pose_heatmaps": None, "pose_masks": None}
-    if tconf.head != "pose_reg":
-        train_ds = replace(train_ds, **no_pose)
-    val_ds = replace(val_ds, **no_pose)
     cfg.update(cfgmod.keys_of(train_ds.config))  # record the task trained on, not defaults
     report = train(tconf, train_ds, val_ds)
     os.makedirs(args.out, exist_ok=True)
@@ -202,7 +185,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok = run_all(verbose=True)
+    ok = run_all()
     return 0 if ok else EXIT_SELFTEST
 
 

@@ -27,18 +27,18 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, normalize_map, read_pgm
 from .pooling import score_second_order
 from .sketch import SketchParams, cbp_pool
-from .synth import PlantedTaskConfig, gen_planted, read_labels, write_labels
+from .synth import PlantedTaskConfig, gen_planted, gen_pose_targets, read_labels, write_labels
 from .train import (TrainConfig, _batch_loss, eval_forward, init_head_params, train,
                     write_report)
 
 
-def random_instances(count: int, seed: int = 123, max_dim: int = 16):
-    """Seeded random (X, a, b) triples with n, f in [1, max_dim]."""
-    rng = np.random.default_rng(seed)
+def random_instances(count: int):
+    """Seeded random (X, a, b) triples with n, f in [1, 16]."""
+    rng = np.random.default_rng(123)
     out = []
     for _ in range(count):
-        n = int(rng.integers(1, max_dim + 1))
-        f = int(rng.integers(1, max_dim + 1))
+        n = int(rng.integers(1, 17))
+        f = int(rng.integers(1, 17))
         out.append((rng.standard_normal((n, f)),
                     rng.standard_normal(f),
                     rng.standard_normal(f)))
@@ -246,16 +246,13 @@ def check_determinism() -> tuple:
 
 
 def check_pose_targets() -> tuple:
-    # pose supervision plumbing is covered here so selftest exercises every format
-    task = PlantedTaskConfig(n1=4, n2=4, f=8, K=4, train_samples=8, val_samples=4, seed=3,
-                             pose=True)
-    tr, _ = gen_planted(task)
-    visible = tr.pose_masks == 1.0
-    peak_ok = bool(np.all(np.abs(tr.pose_heatmaps.max(axis=1)[visible] - 1.0) < 1e-12))
+    heatmaps, masks = gen_pose_targets(PlantedTaskConfig(n1=4, n2=4, f=8, K=4))
+    visible = masks == 1.0
+    peak_ok = bool(np.all(np.abs(heatmaps.max(axis=1)[visible] - 1.0) < 1e-12))
     return peak_ok, "pose target heatmaps peak at 1.0 on visible keypoints"
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
     checks = [
         ("equivalence:rank1", check_rank1_equivalence),
         ("equivalence:symmetry+combined", check_symmetry_and_combined),
@@ -278,11 +275,9 @@ def run_all(verbose: bool = True) -> bool:
             family_ok["GRADIENTS"] &= ok
         if name.startswith("sketch"):
             family_ok["SKETCH"] &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    if verbose:
-        summary = " / ".join(
-            f"{fam} {'OK' if ok else 'FAIL'}" for fam, ok in family_ok.items())
-        print(summary)
-        print(f"selftest finished in {time.perf_counter() - t0:.1f}s")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    summary = " / ".join(
+        f"{fam} {'OK' if ok else 'FAIL'}" for fam, ok in family_ok.items())
+    print(summary)
+    print(f"selftest finished in {time.perf_counter() - t0:.1f}s")
     return all_ok

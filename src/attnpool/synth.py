@@ -24,11 +24,15 @@ seed, a distractor seed, a marker seed, then one sub-seed per example
 (train split first, then val).  A split is generated in chunks of whole
 examples, one stream row per example and one Box-Muller pass per chunk;
 an example's values do not depend on which chunk it falls in.
+
+pose_reg's keypoint targets are a function of the planted cell and the
+grid alone (`gen_pose_targets`), so a split stores none: `config.pose`
+only marks a split that pose_reg may train on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +63,7 @@ class PlantedTaskConfig:
     clutter_classes: int = 4
     seed: int = 7
     multi_label: bool = False
-    pose: bool = False  # attach keypoint targets (gen_pose_targets)
+    pose: bool = False  # pose_reg may train on this task (targets: gen_pose_targets)
 
     def __post_init__(self):
         for name in ("n1", "n2", "f", "K", "train_samples", "val_samples"):
@@ -90,9 +94,7 @@ class Dataset:
     X: np.ndarray                 # (m, n, f)
     labels: np.ndarray            # (m,) int or (m, K) binary
     planted: np.ndarray           # (m,) the cell of the (lowest) true class
-    prototypes: np.ndarray | None = None             # (K, f), shared with the twin split
-    pose_heatmaps: np.ndarray | None = None          # (m, n, 16)
-    pose_masks: np.ndarray | None = None             # (m, 16)
+    prototypes: np.ndarray | None = None  # (K, f), shared with the twin split
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -186,16 +188,13 @@ def gen_splits(config: PlantedTaskConfig):
     for; the generator keeps no reference to a split it has yielded, so a
     caller that drops one holds one split at a time.
 
-    The class prototypes are drawn once and shared by both splits.  With
-    config.pose set, each split carries keypoint targets.
+    The class prototypes are drawn once and shared by both splits.
     """
     protos, distractors, marker = class_prototypes(config)
     total = config.train_samples + config.val_samples
     sub = rng.u64_stream(config.seed, 3 + total)[3:]
     for part in (sub[:config.train_samples], sub[config.train_samples:]):
-        split = _gen_split(part, config, protos, distractors, marker)
-        yield gen_pose_targets(split) if config.pose else split
-        del split
+        yield _gen_split(part, config, protos, distractors, marker)
 
 
 def gen_planted(config: PlantedTaskConfig):
@@ -204,22 +203,25 @@ def gen_planted(config: PlantedTaskConfig):
     return tuple(gen_splits(config))
 
 
-def gen_pose_targets(dataset: Dataset, sigma: float = 1.0) -> Dataset:
-    """Attach 16 Gaussian keypoint heatmaps (peak 1.0) around each planted cell."""
-    cfg = dataset.config
-    rows, cols = np.divmod(np.arange(cfg.n), cfg.n2)
+def gen_pose_targets(config: PlantedTaskConfig):
+    """Keypoint targets per grid cell: (heatmaps (n, n, 16), masks (n, 16)).
+
+    An example planted at cell p has heatmaps[p] and masks[p]: 16 Gaussian
+    heatmaps (sigma 1, peak 1.0) centred KEYPOINT_OFFSETS away from p,
+    those falling outside the grid masked out and zero.
+    """
+    rows, cols = np.divmod(np.arange(config.n), config.n2)
     # gauss[k, loc]: the Gaussian around grid cell k at every location
     d2 = (rows - rows[:, None]) ** 2 + (cols - cols[:, None]) ** 2
-    gauss = np.exp(-d2 / (2.0 * sigma * sigma))
-    pr, pc = np.divmod(np.asarray(dataset.planted, dtype=np.int64), cfg.n2)
+    gauss = np.exp(-d2 / 2.0)
     offsets = np.array(KEYPOINT_OFFSETS)
-    kr = pr[:, None] + offsets[:, 0]                                   # (m, 16)
-    kc = pc[:, None] + offsets[:, 1]
-    masks = ((kr >= 0) & (kr < cfg.n1) & (kc >= 0) & (kc < cfg.n2)).astype(np.float64)
-    cell = np.clip(kr, 0, cfg.n1 - 1) * cfg.n2 + np.clip(kc, 0, cfg.n2 - 1)
-    heatmaps = gauss[cell[:, None, :], np.arange(cfg.n)[:, None]]      # (m, n, 16)
+    kr = rows[:, None] + offsets[:, 0]                                 # (n, 16)
+    kc = cols[:, None] + offsets[:, 1]
+    masks = ((kr >= 0) & (kr < config.n1) & (kc >= 0) & (kc < config.n2)).astype(np.float64)
+    cell = np.clip(kr, 0, config.n1 - 1) * config.n2 + np.clip(kc, 0, config.n2 - 1)
+    heatmaps = gauss[cell[:, None, :], np.arange(config.n)[:, None]]  # (n, n, 16)
     heatmaps *= masks[:, None, :]  # off-grid keypoints read a clipped cell
-    return replace(dataset, pose_heatmaps=heatmaps, pose_masks=masks)
+    return heatmaps, masks
 
 
 def nearest_prototype_accuracy(dataset: Dataset) -> float:

@@ -24,9 +24,9 @@ The pose_reg head is a two-layer MLP over the spatial features, recorded
 as one tape node (`Tape.mlp`), that predicts 17 channels per location:
 channels 0..15 are keypoint heatmaps supervised with a masked L2 loss,
 channel 16 is an unconstrained nonlinear bottom-up attention map that
-replaces the linear h = X b.  Its targets are (m, n, 16) heatmaps in
-[0, 1] with (m, 16) visibility masks in {0, 1}
-(`synth.gen_pose_targets`; `cli.load_split` checks them on load).
+replaces the linear h = X b.  Its targets are the heatmaps and
+visibility masks of each example's planted cell, read from one per-cell
+table (`synth.gen_pose_targets`) that `train` builds once per run.
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -45,12 +45,12 @@ import numpy as np
 from .autograd import ShapeError, Tape
 from .rng import float_stream, mix64, u64_stream
 from .sketch import SketchParams, cbp_pool
-from .synth import Dataset, metric_accuracy, metric_map
+from .synth import KEYPOINT_OFFSETS, Dataset, gen_pose_targets, metric_accuracy, metric_map
 
 HEAD_KINDS = ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp")
-NUM_POSE_CHANNELS = 16
-NUM_HEAD_CHANNELS = 17  # pose_reg: 16 keypoints + 1 attention channel
-ATTENTION_CHANNEL = 16
+NUM_POSE_CHANNELS = len(KEYPOINT_OFFSETS)
+ATTENTION_CHANNEL = NUM_POSE_CHANNELS
+NUM_HEAD_CHANNELS = NUM_POSE_CHANNELS + 1  # pose_reg: keypoints, then the attention channel
 
 
 # sgd_step updates each parameter in blocks of about this many values, so a
@@ -333,16 +333,18 @@ def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, inputs, rows, yb, 
     return loss
 
 
-def _pose_batch(dataset: Dataset, idx, n):
-    """pose_reg's keypoint (targets, weights) of examples idx, each (B*n, 16)."""
-    hm = dataset.pose_heatmaps[idx]     # (B, n, 16)
-    masks = dataset.pose_masks[idx]     # (B, 16)
+def _pose_batch(table, cells, n):
+    """pose_reg's keypoint (targets, weights), each (B*n, 16), of examples
+    planted at cells, from the per-cell (heatmaps, masks) table of
+    `gen_pose_targets`."""
+    hm = table[0][cells]      # (B, n, 16)
+    masks = table[1][cells]   # (B, 16)
     visible = masks.sum(axis=1)
     w = np.zeros_like(masks)
     nz = visible > 0
     w[nz] = masks[nz] / (n * visible[nz, None])
     weights = np.sqrt(np.repeat(w, n, axis=0))
-    return hm.reshape(len(idx) * n, NUM_POSE_CHANNELS), weights
+    return hm.reshape(len(cells) * n, NUM_POSE_CHANNELS), weights
 
 
 def eval_forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes=None):
@@ -415,8 +417,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
     and the parameter or the loss that went non-finite."""
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
-    if config.head == "pose_reg" and train_ds.pose_heatmaps is None:
-        raise ValueError("pose_reg head needs pose targets (gen_pose_targets)")
+    if config.head == "pose_reg" and not train_ds.config.pose:
+        raise ValueError("pose_reg head needs a split generated with task.pose = true")
     m, n, f = train_ds.X.shape
     K = train_ds.config.K
 
@@ -425,7 +427,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
     report = TrainReport(config=config)
     t0 = time.perf_counter()
     inputs, val_inputs = head_inputs(config, train_ds.X), head_inputs(config, val_ds.X)
-    pose_loss = config.head == "pose_reg" and config.lambda_pose > 0
+    pose_table = (gen_pose_targets(train_ds.config)
+                  if config.head == "pose_reg" and config.lambda_pose > 0 else None)
 
     try:
         for epoch in range(config.epochs):
@@ -436,7 +439,8 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 tape = Tape()
                 nodes = {name: tape.leaf(p) for name, p in params.items()}
                 loss = _batch_loss(tape, config, nodes, inputs, idx, train_ds.labels[idx],
-                                   _pose_batch(train_ds, idx, n) if pose_loss else None)
+                                   _pose_batch(pose_table, train_ds.planted[idx], n)
+                                   if pose_table is not None else None)
                 if not np.isfinite(loss.value):
                     raise TrainDivergence("non-finite training loss")
                 tape.backward(loss)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import attnpool
+import attnpool.train as train_mod
 from attnpool import cli
 from attnpool import config as cfgmod
 from attnpool.atnp import read_atnp, write_atnp
@@ -19,7 +20,7 @@ from attnpool.checkpoint import load_checkpoint
 from attnpool.cli import (EXIT_IO, EXIT_USAGE, EXIT_VALIDATION, load_split,
                           main)
 from attnpool.images import normalize_map, read_pgm
-from attnpool.synth import PlantedTaskConfig, gen_planted
+from attnpool.synth import PlantedTaskConfig, gen_planted, gen_pose_targets
 from attnpool.train import HEAD_KINDS, eval_forward, eval_scores, true_classes
 
 SMALL = [
@@ -27,6 +28,7 @@ SMALL = [
     "--set", "task.classes=4", "--set", "task.train_samples=48",
     "--set", "task.val_samples=24",
 ]
+SPLIT_FILES = ["features.atnp", "labels.tsv", "meta.txt"]
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +126,10 @@ class TestGen:
         rc = main(["gen", "--out", str(tmp_path / "x"), "--set", "task.bogus=1"])
         assert rc == EXIT_VALIDATION
 
-    def test_pose_flag_writes_pose_blobs(self, tmp_path):
-        out = str(tmp_path / "posed")
-        assert main(["gen", "--out", out] + SMALL + ["--set", "task.pose=true"]) == 0
-        ds = load_split(os.path.join(out, "train"))
-        assert ds.pose_heatmaps is not None and ds.pose_masks is not None
-
     def test_files_are_those_of_gen_planted(self, tmp_path):
         """Split by split, gen writes the bytes that _write_split writes for
-        gen_planted's datasets."""
+        gen_planted's datasets: features, labels and meta, and no pose
+        targets, which follow from the planted cells."""
         settings = SMALL + ["--set", "task.pose=true"]
         out, ref = tmp_path / "gen", tmp_path / "ref"
         assert main(["gen", "--out", str(out)] + settings) == 0
@@ -141,7 +138,7 @@ class TestGen:
             cli._write_split(str(ref / name), ds, cfg)
         for name in ("train", "val"):
             files = sorted(os.listdir(out / name))
-            assert files == sorted(os.listdir(ref / name)) and "pose.atnp" in files
+            assert files == sorted(os.listdir(ref / name)) == SPLIT_FILES
             for file in files:
                 assert (out / name / file).read_bytes() == (ref / name / file).read_bytes()
 
@@ -152,8 +149,7 @@ class TestGen:
         settings = ["--set", "task.train_samples=400", "--set", "task.val_samples=400",
                     "--set", "task.pose=true"]
         task = cfgmod.build(PlantedTaskConfig, cfgmod.resolve(None, settings[1::2]))
-        both = sum(a.nbytes for ds in gen_planted(task)
-                   for a in (ds.X, ds.labels, ds.planted, ds.pose_heatmaps, ds.pose_masks))
+        both = sum(a.nbytes for ds in gen_planted(task) for a in (ds.X, ds.labels, ds.planted))
         tracemalloc.start()
         try:
             assert main(["gen", "--out", str(tmp_path / "gen")] + settings) == 0
@@ -247,39 +243,42 @@ class TestTrain:
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_passes_pose_targets_only_to_pose_reg(self, pose_data_dir, tmp_path, monkeypatch,
                                                   head):
-        """Validation never reads pose targets, and training reads them
-        only for pose_reg: train() gets no other pose arrays."""
-        class Captured(Exception):
-            pass
+        """Only pose_reg's training builds keypoint targets, once per run,
+        from the train split's task; every batch gathers its rows of that
+        table by the batch's planted cells."""
+        built, gathered = [], []
 
-        def capture(tconf, train_ds, val_ds):
-            raise Captured(train_ds, val_ds)
+        def build(task):
+            built.append(task)
+            return gen_pose_targets(task)
 
-        monkeypatch.setattr(cli, "train", capture)
-        with pytest.raises(Captured) as info:
-            main(["train", "--data", pose_data_dir, "--out", str(tmp_path / "out"),
-                  "--set", f"train.head={head}"])
-        train_ds, val_ds = info.value.args
-        assert val_ds.pose_heatmaps is None and val_ds.pose_masks is None
+        def gather(table, cells, n):
+            gathered.append(cells)
+            return pose_batch(table, cells, n)
+
+        pose_batch = train_mod._pose_batch
+        monkeypatch.setattr(train_mod, "gen_pose_targets", build)
+        monkeypatch.setattr(train_mod, "_pose_batch", gather)
+        assert main(["train", "--data", pose_data_dir, "--out", str(tmp_path / "out"),
+                     "--set", f"train.head={head}", "--set", "train.epochs=2",
+                     "--set", "train.hdim=8"]) == 0
+        train_ds = load_split(os.path.join(pose_data_dir, "train"))
         if head == "pose_reg":
-            split = os.path.join(pose_data_dir, "train")
-            np.testing.assert_array_equal(train_ds.pose_heatmaps,
-                                          read_atnp(os.path.join(split, "pose.atnp")))
-            np.testing.assert_array_equal(train_ds.pose_masks,
-                                          read_atnp(os.path.join(split, "pose_mask.atnp")))
+            assert built == [train_ds.config]
+            assert len(gathered) == 4  # 2 epochs of 48 examples in batches of 32
+            for epoch in (0, 1):  # train.seed 0: epoch e shuffles with seed e
+                cells = np.concatenate(gathered[2 * epoch:2 * epoch + 2])
+                order = train_mod._fisher_yates(48, epoch)
+                np.testing.assert_array_equal(cells, train_ds.planted[order])
         else:
-            assert train_ds.pose_heatmaps is None and train_ds.pose_masks is None
-        assert len(train_ds) == 48 and len(val_ds) == 24
+            assert built == [] and gathered == []
 
-    def test_bad_val_pose_heatmaps_exit_3(self, pose_data_dir, tmp_path, capsys):
-        """The val pose targets, which training drops, are still read and
-        checked first."""
-        data = _copy_dir(pose_data_dir, tmp_path)
-        path = os.path.join(data, "val", "pose.atnp")
-        write_atnp(path, np.full_like(read_atnp(path), 1.5))
+    def test_pose_reg_on_split_without_pose_exits_3(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["train", "--data", data, "--out", str(out)]) == EXIT_VALIDATION
-        assert path in capsys.readouterr().err and not out.exists()
+        rc = main(["train", "--data", data_dir, "--out", str(out),
+                   "--set", "train.head=pose_reg", "--set", "train.epochs=1"])
+        assert rc == EXIT_VALIDATION
+        assert "task.pose" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_epoch_batch_and_cause(self, data_dir, tmp_path, capsys):
@@ -467,30 +466,64 @@ class TestEval:
             rc = main(argv + (["--out", str(tmp_path / "maps")] if command == "heatmap" else []))
         assert rc == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("bad", ["channels", "range", "nan"])
-    def test_bad_pose_heatmaps_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
-        split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
-        path = os.path.join(split, "pose.atnp")
-        hm = read_atnp(path)
-        if bad == "nan":
-            hm[1, 2, 3] = np.nan
-        write_atnp(path, {"channels": hm[:, :, :5], "range": hm * 1.5}.get(bad, hm))
-        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                   "--data", split])
-        assert rc == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert path in err and "or an entry is outside [0, 1]" in err
+class TestOldLayoutSplits:
+    """Splits that an older `gen` wrote carry per-example pose targets in
+    pose.atnp and pose_mask.atnp.  Those files are ignored, intact or not:
+    every command reads such a split as the same split without them."""
 
-    @pytest.mark.parametrize("bad", ["shape", "values"])
-    def test_bad_pose_masks_rejected(self, run_dir, pose_data_dir, tmp_path, bad, capsys):
-        split = _copy_dir(os.path.join(pose_data_dir, "val"), tmp_path)
-        path = os.path.join(split, "pose_mask.atnp")
-        masks = read_atnp(path)
-        write_atnp(path, masks[:, :15] if bad == "shape" else masks * 0.5)
-        rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
-                   "--data", split])
-        assert rc == EXIT_VALIDATION
-        assert path in capsys.readouterr().err
+    @staticmethod
+    def _old_layout(src, dst, corrupt):
+        """A copy of data directory src in the older layout, the pose files
+        holding each example's rows of the per-cell table (the bytes an
+        older gen wrote), or corrupted ones."""
+        shutil.copytree(src, dst)
+        for name in ("train", "val"):
+            split = os.path.join(dst, name)
+            ds = load_split(split)
+            heatmaps, masks = gen_pose_targets(ds.config)
+            hm, mk = heatmaps[ds.planted], masks[ds.planted]
+            if corrupt == "range":
+                hm, mk = np.full_like(hm, 1.5), np.full_like(mk, 0.5)
+            elif corrupt == "shape":
+                hm, mk = hm[:, :, :5], mk[:-1]
+            write_atnp(os.path.join(split, "pose.atnp"), hm)
+            write_atnp(os.path.join(split, "pose_mask.atnp"), mk)
+        return dst
+
+    @staticmethod
+    def _outputs(data, run, maps, capsys):
+        """(eval's stdout, heatmap's PGM bytes) of checkpoint run on data's val split."""
+        ckpt, val = os.path.join(run, "checkpoint"), os.path.join(data, "val")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--data", val]) == 0
+        printed = capsys.readouterr().out
+        assert main(["heatmap", "--checkpoint", ckpt, "--data", val, "--out", str(maps),
+                     "--count", "3"]) == 0
+        return printed, {p.name: p.read_bytes() for p in sorted(maps.iterdir())}
+
+    @staticmethod
+    def _run_bytes(run):
+        files = ["report.tsv"] + [os.path.join("checkpoint", name) for name in
+                                  sorted(os.listdir(os.path.join(run, "checkpoint")))]
+        return {name: pathlib.Path(run, name).read_bytes() for name in files}
+
+    @pytest.mark.parametrize("corrupt", ["intact", "range", "shape"])
+    def test_pose_files_are_ignored(self, pose_data_dir, tmp_path, corrupt, capsys):
+        old = self._old_layout(pose_data_dir, str(tmp_path / "old"), corrupt)
+        for name in ("train", "val"):
+            a, b = (load_split(os.path.join(data, name)) for data in (old, pose_data_dir))
+            assert a.config == b.config
+            for x, y in ((a.X, b.X), (a.labels, b.labels), (a.planted, b.planted)):
+                np.testing.assert_array_equal(x, y)
+        runs = []
+        for data in (pose_data_dir, old):
+            run = str(tmp_path / f"run{len(runs)}")
+            assert main(["train", "--data", data, "--out", run, "--set", "train.head=pose_reg",
+                         "--set", "train.epochs=2", "--set", "train.hdim=8"]) == 0
+            runs.append(run)
+        assert self._run_bytes(runs[0]) == self._run_bytes(runs[1])
+        assert (self._outputs(pose_data_dir, runs[0], tmp_path / "maps0", capsys)
+                == self._outputs(old, runs[0], tmp_path / "maps1", capsys))
 
 
 class TestCheckpointMismatch:

@@ -1,6 +1,6 @@
 """Seeded corruption loops over the files `gen` and `train` write.
 
-Every file of a split (features, labels, meta and the pose blobs) and every
+Every file of a split (features, labels and meta) and every
 checkpoint file (manifest and tensor blobs) is truncated at a random offset,
 given a duplicated random span, or has one random bit flipped.  `attnpool
 eval` and `attnpool heatmap` must then either run (exit 0) or reject the
@@ -20,7 +20,7 @@ TINY = [
     "--set", "task.classes=3", "--set", "task.train_samples=12",
     "--set", "task.val_samples=6", "--set", "task.pose=true",
 ]
-SPLIT_FILES = ["features.atnp", "labels.tsv", "meta.txt", "pose.atnp", "pose_mask.atnp"]
+SPLIT_FILES = ["features.atnp", "labels.tsv", "meta.txt"]
 TRIALS = 20  # per file and corruption kind
 
 

@@ -2,17 +2,16 @@
 
 Scores and maps come from `graph_scores` (the evaluation pass), the
 17-channel MLP output from `train._batch_graph`; the pose loss is the
-term `train._batch_loss` adds to the class loss.
+term `train._batch_loss` adds to the class loss, with the targets that
+`train._pose_batch` gathers from a per-cell table.
 """
 
 import numpy as np
 import pytest
 
 from attnpool.autograd import ShapeError, Tape
-from attnpool.atnp import read_atnp, write_atnp
-from attnpool.cli import load_split, main
 from attnpool.selftest import graph_scores
-from attnpool.synth import Dataset, PlantedTaskConfig
+from attnpool.synth import PlantedTaskConfig, gen_planted, gen_pose_targets
 from attnpool.train import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS,
                             TrainConfig, _batch_graph, _batch_loss, _pose_batch,
                             eval_scores, init_head_params)
@@ -48,18 +47,15 @@ def _mlp_out(params, X):
 
 
 def _losses(params, X, heatmaps, masks, lambda_pose):
-    """_batch_loss of one batch (labels all 0) with the given keypoint targets."""
+    """_batch_loss of one batch (labels all 0) with the given keypoint
+    targets, example i's as row i of the (heatmaps, masks) table."""
     B, n, _ = X.shape
-    task = PlantedTaskConfig(n1=1, n2=n, f=X.shape[2], K=params["A"].shape[1],
-                             train_samples=B, val_samples=1)
-    ds = Dataset(config=task, X=X, labels=np.zeros(B, dtype=np.int64),
-                 planted=np.zeros(B, dtype=np.int64),
-                 pose_heatmaps=heatmaps, pose_masks=masks)
     cfg = TrainConfig(head="pose_reg", lambda_pose=lambda_pose, hdim=params["W1"].shape[1])
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
-    pose = _pose_batch(ds, np.arange(B), n)
-    return float(_batch_loss(tape, cfg, nodes, X, np.arange(B), ds.labels, pose).value)
+    pose = _pose_batch((heatmaps, masks), np.arange(B), n)
+    labels = np.zeros(B, dtype=np.int64)
+    return float(_batch_loss(tape, cfg, nodes, X, np.arange(B), labels, pose).value)
 
 
 def _pose_term(params, X, heatmaps, masks):
@@ -163,26 +159,23 @@ class TestPoseLoss:
                         np.zeros(1, dtype=np.int64), pose)
 
 
-class TestValidation:
-    def test_target_range_checks(self, tmp_path):
-        # targets are checked where they enter the program: loading a split
-        assert main(["gen", "--out", str(tmp_path), "--set", "task.train_samples=4",
-                     "--set", "task.val_samples=2", "--set", "task.pose=true"]) == 0
-        split = str(tmp_path / "val")
-        good = {name: read_atnp(str(tmp_path / "val" / name))
-                for name in ("pose.atnp", "pose_mask.atnp")}
-        assert good["pose.atnp"].shape == (2, 49, NUM_POSE_CHANNELS)
-        load_split(split)
-        bad = [("pose.atnp", np.full((2, 49, NUM_POSE_CHANNELS), 1.5)),
-               ("pose_mask.atnp", np.full((2, NUM_POSE_CHANNELS), 0.5)),
-               ("pose.atnp", np.zeros((2, 49, 5)))]
-        for name, arr in bad:
-            write_atnp(str(tmp_path / "val" / name), arr)
-            with pytest.raises(ValueError, match=name):
-                load_split(split)
-            write_atnp(str(tmp_path / "val" / name), good[name])
-        load_split(split)
+    def test_batch_gathers_the_planted_cells_rows(self):
+        """A shuffled batch's targets are its examples' planted-cell rows of
+        the table, and its weights sqrt(mask / (n * visible)) per location."""
+        task = PlantedTaskConfig(n1=3, n2=4, f=8, K=4, train_samples=40, val_samples=4,
+                                 seed=9, pose=True)
+        tr, _ = gen_planted(task)
+        heatmaps, masks = table = gen_pose_targets(task)
+        idx = np.array([7, 0, 31, 12, 5])
+        targets, weights = _pose_batch(table, tr.planted[idx], task.n)
+        np.testing.assert_array_equal(targets.reshape(len(idx), task.n, NUM_POSE_CHANNELS),
+                                      heatmaps[tr.planted[idx]])
+        m = masks[tr.planted[idx]]
+        want = np.sqrt(m / (task.n * m.sum(axis=1, keepdims=True)))
+        np.testing.assert_array_equal(weights, np.repeat(want, task.n, axis=0))
 
+
+class TestValidation:
     def test_param_shape_checks(self):
         with pytest.raises(ShapeError):
             graph_scores("pose_reg", _pose_params(np.zeros((4, 3)),

@@ -297,28 +297,28 @@ class TestMetrics:
 
 class TestPoseTargets:
     def test_masks_and_peaks(self):
-        cfg = PlantedTaskConfig(n1=4, n2=4, f=8, K=4, train_samples=12,
-                                val_samples=4, seed=3)
-        tr, _ = gen_planted(cfg)
-        tr = gen_pose_targets(tr)
-        for i in range(len(tr)):
-            pr, pc = divmod(int(tr.planted[i]), cfg.n2)
+        cfg = PlantedTaskConfig(n1=4, n2=4, f=8, K=4)
+        heatmaps, masks = gen_pose_targets(cfg)
+        assert heatmaps.shape == (cfg.n, cfg.n, 16) and masks.shape == (cfg.n, 16)
+        for p in range(cfg.n):
+            pr, pc = divmod(p, cfg.n2)
             for c, (dr, dc) in enumerate(KEYPOINT_OFFSETS):
                 on_grid = 0 <= pr + dr < cfg.n1 and 0 <= pc + dc < cfg.n2
-                assert tr.pose_masks[i, c] == (1.0 if on_grid else 0.0)
+                assert masks[p, c] == (1.0 if on_grid else 0.0)
                 if on_grid:
                     peak = (pr + dr) * cfg.n2 + (pc + dc)
-                    assert tr.pose_heatmaps[i, peak, c] == pytest.approx(1.0)
-                    assert np.argmax(tr.pose_heatmaps[i, :, c]) == peak
-
+                    assert heatmaps[p, peak, c] == pytest.approx(1.0)
+                    assert np.argmax(heatmaps[p, :, c]) == peak
+                else:
+                    assert not heatmaps[p, :, c].any()
 
     @pytest.mark.parametrize("n1,n2", [(7, 7), (3, 5), (1, 1)])
     def test_matches_per_example_loop(self, n1, n2):
-        """The vectorized targets equal a loop over examples and channels."""
+        """Each example's row of the table, heatmaps[planted] and
+        masks[planted], equals a loop over its keypoint channels."""
         cfg = PlantedTaskConfig(n1=n1, n2=n2, f=8, K=4, train_samples=40,
                                 val_samples=4, seed=5)
         tr, _ = gen_planted(cfg)
-        sigma = 1.0
         rows, cols = np.divmod(np.arange(cfg.n), cfg.n2)
         want_maps = np.zeros((len(tr), cfg.n, len(KEYPOINT_OFFSETS)))
         want_masks = np.zeros((len(tr), len(KEYPOINT_OFFSETS)))
@@ -329,10 +329,10 @@ class TestPoseTargets:
                 if 0 <= kr < cfg.n1 and 0 <= kc < cfg.n2:
                     want_masks[i, c] = 1.0
                     d2 = (rows - kr) ** 2 + (cols - kc) ** 2
-                    want_maps[i, :, c] = np.exp(-d2 / (2.0 * sigma * sigma))
-        got = gen_pose_targets(tr, sigma)
-        np.testing.assert_array_equal(got.pose_masks, want_masks)
-        np.testing.assert_array_equal(got.pose_heatmaps, want_maps)
+                    want_maps[i, :, c] = np.exp(-d2 / 2.0)
+        heatmaps, masks = gen_pose_targets(cfg)
+        np.testing.assert_array_equal(masks[tr.planted], want_masks)
+        np.testing.assert_array_equal(heatmaps[tr.planted], want_maps)
 
 
 class TestLabelFiles:

@@ -1,14 +1,14 @@
 import importlib
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from attnpool.autograd import ShapeError, Tape
 from attnpool.pooling import score_second_order
-from attnpool.synth import (Dataset, PlantedTaskConfig, gen_planted, gen_pose_targets,
-                            metric_accuracy)
+from attnpool.synth import Dataset, PlantedTaskConfig, gen_planted, metric_accuracy
 from attnpool.selftest import head_gradient_error
 from attnpool.sketch import cbp_pool
 from attnpool.train import (ATTENTION_CHANNEL, HEAD_KINDS, SGD_BLOCK_VALUES, TrainConfig,
@@ -561,14 +561,14 @@ class TestTrainLoop:
         assert abs(acc - chance) <= three_sigma
 
     def test_pose_reg_needs_targets(self, small_data):
+        # a split generated without task.pose; lambda_pose 0 reads no targets either
         tr, va = small_data
-        with pytest.raises(ValueError):
-            train(TrainConfig(head="pose_reg", epochs=1), tr, va)
+        for lambda_pose in (0.1, 0.0):
+            with pytest.raises(ValueError, match="task.pose"):
+                train(TrainConfig(head="pose_reg", epochs=1, lambda_pose=lambda_pose), tr, va)
 
-    def test_pose_reg_trains_with_targets(self, small_data):
-        tr, va = small_data
-        tr = gen_pose_targets(tr)
-        va = gen_pose_targets(va)
+    def test_pose_reg_trains_with_targets(self):
+        tr, va = gen_planted(replace(SMALL_TASK, pose=True))
         cfg = TrainConfig(head="pose_reg", epochs=2, hdim=8, seed=2)
         report = train(cfg, tr, va)
         assert len(report.epochs) == 2 and not report.diverged
