@@ -8,11 +8,13 @@ and compares the analytic FLOP costs of the two paths.
 Run:  python3 demos/equivalence_and_flops.py
 """
 
-import numpy as np
-
+# attnpool before numpy: importing the package pins BLAS to one thread,
+# which numpy's BLAS reads once, when numpy loads
 from attnpool.bench import flops_full_second_order, flops_rank_p
 from attnpool.pooling import score_second_order
 from attnpool.train import TrainConfig, eval_scores
+
+import numpy as np
 
 rng = np.random.default_rng(0)
 attention = TrainConfig(head="attention")

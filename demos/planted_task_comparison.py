@@ -12,11 +12,13 @@ Run:  python3 demos/planted_task_comparison.py
 
 import os
 
-import numpy as np
-
+# attnpool before numpy: importing the package pins BLAS to one thread,
+# which numpy's BLAS reads once, when numpy loads
 from attnpool.images import export_pgm, montage
 from attnpool.synth import PlantedTaskConfig, gen_planted
 from attnpool.train import TrainConfig, eval_forward, train
+
+import numpy as np
 
 task = PlantedTaskConfig(n1=5, n2=5, f=24, K=6, train_samples=600,
                          val_samples=200, seed=7)

@@ -7,11 +7,13 @@ rank-1 attention head for a like-for-like comparison.
 Run:  python3 demos/sketch_baseline.py
 """
 
-import numpy as np
-
+# attnpool before numpy: importing the package pins BLAS to one thread,
+# which numpy's BLAS reads once, when numpy loads
 from attnpool.sketch import SketchParams, cbp_pool
 from attnpool.synth import PlantedTaskConfig, gen_planted
 from attnpool.train import TrainConfig, train
+
+import numpy as np
 
 rng = np.random.default_rng(0)
 f, d, trials = 16, 64, 2000

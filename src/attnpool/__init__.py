@@ -18,7 +18,9 @@ the heap rather than unmapped and faulted back in on every step.
 
 import ctypes
 import os
+import sys
 
+NUMPY_LOADED_FIRST = "numpy" in sys.modules  # then BLAS has read its thread count already
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

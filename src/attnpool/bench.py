@@ -26,6 +26,8 @@ SWEEP_N = (1, 7, 49)
 SWEEP_F = (8, 64, 512)
 SWEEP_K = (1, 10, 100)
 SWEEP_P = (1, 2, 5)
+# (n, f, K) of the wall-clock rows that `attnpool bench` writes and selftest checks
+TIMING_SIZE = (196, 512, 100)
 
 
 def flops_full_second_order(n: int, f: int, K: int) -> int:
@@ -93,21 +95,23 @@ def full_scores_counted(X, W, K: int, counter: OpCounter) -> np.ndarray:
 
 def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
                     repetitions: int = 50, seed: int = 0) -> dict:
-    """Median/IQR timing of one instrumented scoring call, with a fresh
+    """One `write_csv` row for a scoring call at (n, f, K): its analytic
+    FLOPs and the median/IQR time of the instrumented call, with a fresh
     OpCounter per call; warm-up iterations excluded.
 
-    Repetitions double automatically while the median is too close to the
-    timer resolution to trust.
+    P is the rank of a rank_p row; a full row's P is 0.
     """
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, f))
     if kind == "rank_p":
+        flops = flops_rank_p(n, f, K, P)
         A_p = [rng.standard_normal((f, K)) for _ in range(P)]
         b_p = [rng.standard_normal((f, 1)) for _ in range(P)]
 
         def call():
             return rank_p_scores_counted(X, A_p, b_p, OpCounter())
     elif kind == "full":
+        P, flops = 0, flops_full_second_order(n, f, K)
         W = rng.standard_normal((f, f))
 
         def call():
@@ -117,21 +121,16 @@ def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
 
     for _ in range(5):
         call()
-    while True:
-        samples = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            call()
-            samples.append(time.perf_counter_ns() - t0)
-        samples.sort()
-        med = median(samples)
-        if med >= 1000 or repetitions >= 6400:
-            break
-        repetitions *= 2
+    samples = []
+    for _ in range(repetitions):
+        t0 = time.perf_counter_ns()
+        call()
+        samples.append(time.perf_counter_ns() - t0)
+    samples.sort()
     q1 = samples[len(samples) // 4]
     q3 = samples[(3 * len(samples)) // 4]
-    return {"kind": kind, "n": n, "f": f, "K": K, "P": P,
-            "ns_median": med, "ns_iqr": q3 - q1, "repetitions": repetitions}
+    return {"kind": kind, "n": n, "f": f, "K": K, "P": P, "flops_analytic": flops,
+            "ns_median": median(samples), "ns_iqr": q3 - q1}
 
 
 def sweep_rows(seed: int = 0) -> list:
@@ -160,12 +159,9 @@ def sweep_rows(seed: int = 0) -> list:
 
 
 def write_csv(path, rows) -> None:
-    header = "kind,n,f,K,P,flops_analytic,flops_measured,ns_median,ns_iqr"
+    """One line per row; a sweep row has no times, a timing row no measured FLOPs."""
+    columns = "kind,n,f,K,P,flops_analytic,flops_measured,ns_median,ns_iqr".split(",")
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
         for r in rows:
-            fh.write(
-                f"{r['kind']},{r['n']},{r['f']},{r['K']},{r.get('P', 0)},"
-                f"{r.get('flops_analytic', '')},{r.get('flops_measured', '')},"
-                f"{r.get('ns_median', '')},{r.get('ns_iqr', '')}\n"
-            )
+            fh.write(",".join(str(r.get(col, "")) for col in columns) + "\n")

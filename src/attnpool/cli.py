@@ -34,15 +34,14 @@ EXIT_VALIDATION = 3
 EXIT_SELFTEST = 4
 
 
-def _write_split(path: str, ds: Dataset, cfg: dict) -> None:
+def _write_split(path: str, ds: Dataset) -> None:
     os.makedirs(path, exist_ok=True)
     write_atnp(os.path.join(path, "features.atnp"), ds.X)
     write_labels(os.path.join(path, "labels.tsv"), ds)
     with open(os.path.join(path, "meta.txt"), "w") as fh:
         fh.write("[task]\n")
-        for key in sorted(cfg):
-            if key.startswith("task."):
-                fh.write(f"{key.split('.', 1)[1]} = {cfg[key]}\n")
+        for key, value in sorted(cfgmod.keys_of(ds.config).items()):
+            fh.write(f"{key.split('.', 1)[1]} = {value}\n")
 
 
 def load_split(path: str) -> Dataset:
@@ -61,16 +60,12 @@ def load_split(path: str) -> Dataset:
         raise ValueError(f"{features_path}: shape {X.shape} is not (m, {task.n}, {task.f})")
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # NaN propagates to both
         raise ValueError(f"{features_path}: non-finite feature value")
-    m = X.shape[0]
     labels_path = os.path.join(path, "labels.tsv")
     labels, planted = read_labels(labels_path, task.K, task.multi_label)
-    if len(labels) != m:
-        raise ValueError(f"{labels_path}: {len(labels)} rows for {m} feature maps")
-    bad = np.flatnonzero((planted < 0) | (planted >= task.n))
-    if len(bad):
-        raise ValueError(f"{labels_path}: example {bad[0]}'s planted cell {planted[bad[0]]} "
-                         f"is out of range [0, {task.n})")
-    return Dataset(config=task, X=X, labels=labels, planted=planted)
+    try:
+        return Dataset(config=task, X=X, labels=labels, planted=planted)
+    except ValueError as exc:  # labels or planted cells that do not fit the features
+        raise ValueError(f"{labels_path}: {exc}") from None
 
 
 def _check_scores(scores: np.ndarray, split: str, checkpoint: str) -> None:
@@ -90,7 +85,7 @@ def cmd_gen(args) -> int:
     splits = gen_splits(task)
     os.makedirs(args.out, exist_ok=True)
     for name in ("train", "val"):
-        _write_split(os.path.join(args.out, name), next(splits), cfg)
+        _write_split(os.path.join(args.out, name), next(splits))
     with open(os.path.join(args.out, "resolved_config.txt"), "w") as fh:
         fh.write(cfgmod.serialize(cfg))
     print(f"wrote {task.train_samples} train / {task.val_samples} val examples to {args.out}")
@@ -172,13 +167,9 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = benchmod.sweep_rows()
-    for kind, P in (("full", 0), ("rank_p", 1), ("rank_p", 5)):
-        timing = benchmod.bench_wallclock(kind, n=196, f=512, K=100, P=max(P, 1))
-        timing["flops_analytic"] = (
-            benchmod.flops_full_second_order(196, 512, 100) if kind == "full"
-            else benchmod.flops_rank_p(196, 512, 100, max(P, 1)))
-        rows.append(timing)
+    rows = benchmod.sweep_rows() + [
+        benchmod.bench_wallclock(kind, *benchmod.TIMING_SIZE, P=P)
+        for kind, P in (("full", 0), ("rank_p", 1), ("rank_p", 5))]
     benchmod.write_csv(args.out, rows)
     print(f"wrote {len(rows)} bench rows to {args.out}")
     return 0

@@ -28,8 +28,8 @@ from .images import export_pgm, normalize_map, read_pgm
 from .pooling import score_second_order
 from .sketch import SketchParams, cbp_pool
 from .synth import PlantedTaskConfig, gen_planted, gen_pose_targets, read_labels, write_labels
-from .train import (TrainConfig, _batch_loss, eval_forward, init_head_params, train,
-                    write_report)
+from .train import (HEAD_KINDS, NUM_POSE_CHANNELS, TrainConfig, _batch_loss, eval_forward,
+                    init_head_params, train, write_report)
 
 
 def random_instances(count: int):
@@ -122,8 +122,9 @@ def head_gradient_error(head: str, seed: int, multi_label: bool = False, **confi
         X = rng.standard_normal((B, cfg.sketch_dim))
     pose = None
     if head == "pose_reg":
-        pose = (rng.uniform(0, 1, size=(B, n, 16))[idx].reshape(B * n, 16),
-                np.sqrt(np.full((B * n, 16), 1.0 / (n * 16))))
+        c = NUM_POSE_CHANNELS
+        pose = (rng.uniform(0, 1, size=(B, n, c))[idx].reshape(B * n, c),
+                np.sqrt(np.full((B * n, c), 1.0 / (n * c))))
     params0 = init_head_params(cfg, f, K)
     names = sorted(params0)
 
@@ -139,7 +140,7 @@ def head_gradient_error(head: str, seed: int, multi_label: bool = False, **confi
 
 def check_gradients(seeds: int = 20) -> tuple:
     worst = 0.0
-    for head in ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp"):
+    for head in HEAD_KINDS:
         for seed in range(seeds):
             worst = max(worst, head_gradient_error(head, seed))
     return worst <= 1e-6, f"gradient checks over all heads, worst rel err {worst:.3e}"
@@ -169,8 +170,8 @@ def check_flops() -> tuple:
     rank1 = bench.flops_rank_p(49, 2048, 393, 1)
     if (full, rank1) != (3_707_764_736, 2_011_136):
         return False, f"analytic counts off: {full}, {rank1}"
-    t_full = bench.bench_wallclock("full", 196, 512, 100)
-    t_rank = bench.bench_wallclock("rank_p", 196, 512, 100, P=1)
+    t_full = bench.bench_wallclock("full", *bench.TIMING_SIZE)
+    t_rank = bench.bench_wallclock("rank_p", *bench.TIMING_SIZE, P=1)
     ratio = t_full["ns_median"] / t_rank["ns_median"]
     ok = ratio >= 10.0
     return ok, (f"FLOP counters exact; full/rank-1 analytic ratio "
@@ -253,28 +254,24 @@ def check_pose_targets() -> tuple:
 
 
 def run_all() -> bool:
-    checks = [
-        ("equivalence:rank1", check_rank1_equivalence),
-        ("equivalence:symmetry+combined", check_symmetry_and_combined),
-        ("equivalence:rank_p", check_rank_p_oracle),
-        ("gradients:all_heads", check_gradients),
-        ("sketch:unbiasedness", check_sketch_unbiased),
-        ("flops:accounting", check_flops),
-        ("determinism:formats", check_determinism),
-        ("pose:targets", check_pose_targets),
+    checks = [  # (name, summary family or None, check)
+        ("equivalence:rank1", "EQUIVALENCE", check_rank1_equivalence),
+        ("equivalence:symmetry+combined", "EQUIVALENCE", check_symmetry_and_combined),
+        ("equivalence:rank_p", "EQUIVALENCE", check_rank_p_oracle),
+        ("gradients:all_heads", "GRADIENTS", check_gradients),
+        ("sketch:unbiasedness", "SKETCH", check_sketch_unbiased),
+        ("flops:accounting", "EQUIVALENCE", check_flops),
+        ("determinism:formats", "EQUIVALENCE", check_determinism),
+        ("pose:targets", None, check_pose_targets),
     ]
     all_ok = True
-    family_ok = {"EQUIVALENCE": True, "GRADIENTS": True, "SKETCH": True}
+    family_ok = {family: True for _, family, _ in checks if family}
     t0 = time.perf_counter()
-    for name, fn in checks:
+    for name, family, fn in checks:
         ok, detail = fn()
         all_ok &= ok
-        if name.startswith("equivalence") or name.startswith("flops") or name.startswith("determinism"):
-            family_ok["EQUIVALENCE"] &= ok
-        if name.startswith("gradients"):
-            family_ok["GRADIENTS"] &= ok
-        if name.startswith("sketch"):
-            family_ok["SKETCH"] &= ok
+        if family:
+            family_ok[family] &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     summary = " / ".join(
         f"{fam} {'OK' if ok else 'FAIL'}" for fam, ok in family_ok.items())

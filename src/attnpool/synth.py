@@ -88,13 +88,24 @@ class PlantedTaskConfig:
 
 @dataclass
 class Dataset:
-    """The arrays of a generated or loaded split."""
+    """The arrays of a generated or loaded split; ValueError unless labels
+    and planted have one entry per feature map and every planted cell is
+    a cell of the grid."""
 
     config: PlantedTaskConfig
     X: np.ndarray                 # (m, n, f)
     labels: np.ndarray            # (m,) int or (m, K) binary
     planted: np.ndarray           # (m,) the cell of the (lowest) true class
-    prototypes: np.ndarray | None = None  # (K, f), shared with the twin split
+
+    def __post_init__(self):
+        m, n = len(self), self.config.n
+        if (len(self.labels), len(self.planted)) != (m, m):
+            raise ValueError(f"{len(self.labels)} labels and {len(self.planted)} planted "
+                             f"cells for {m} feature maps")
+        bad = np.flatnonzero((self.planted < 0) | (self.planted >= n))
+        if len(bad):
+            raise ValueError(f"example {bad[0]}'s planted cell {self.planted[bad[0]]} "
+                             f"is out of range [0, {n})")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -180,7 +191,7 @@ def _gen_split(sub, config, protos, distractors, marker):
         labels[np.nonzero(taken)[0], classes[taken]] = 1.0
         lowest = np.argmin(np.where(taken, classes, K), axis=1)  # first slot of the lowest class
         planted = cells[np.arange(m), lowest]
-    return Dataset(config=config, X=X, labels=labels, planted=planted, prototypes=protos)
+    return Dataset(config=config, X=X, labels=labels, planted=planted)
 
 
 def gen_splits(config: PlantedTaskConfig):
@@ -188,7 +199,7 @@ def gen_splits(config: PlantedTaskConfig):
     for; the generator keeps no reference to a split it has yielded, so a
     caller that drops one holds one split at a time.
 
-    The class prototypes are drawn once and shared by both splits.
+    Both splits share one draw of the class, distractor and marker patterns.
     """
     protos, distractors, marker = class_prototypes(config)
     total = config.train_samples + config.val_samples
@@ -225,11 +236,13 @@ def gen_pose_targets(config: PlantedTaskConfig):
 
 
 def nearest_prototype_accuracy(dataset: Dataset) -> float:
-    """Oracle that reads only the planted cell: argmax_k proto_k . X[planted]."""
-    if dataset.prototypes is None or dataset.labels.ndim != 1:
-        raise ValueError("oracle needs prototypes and single-label data")
+    """Oracle that reads only the planted cell: argmax_k proto_k . X[planted],
+    with the prototypes that `class_prototypes` derives from the split's config."""
+    if dataset.labels.ndim != 1:
+        raise ValueError("oracle needs single-label data")
+    prototypes = class_prototypes(dataset.config)[0]
     planted_feats = dataset.X[np.arange(len(dataset)), dataset.planted]
-    preds = np.argmax(planted_feats @ dataset.prototypes.T, axis=1)
+    preds = np.argmax(planted_feats @ prototypes.T, axis=1)
     return float(np.mean(preds == dataset.labels))
 
 

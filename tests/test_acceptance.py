@@ -40,7 +40,7 @@ def default_data():
 
 def _subset(ds, count):
     return Dataset(config=ds.config, X=ds.X[:count], labels=ds.labels[:count],
-                   planted=ds.planted[:count], prototypes=ds.prototypes)
+                   planted=ds.planted[:count])
 
 
 def test_criterion_01_rank1_equivalence(capsys):

@@ -584,7 +584,7 @@ class TestAttendClassMaps:
 
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("examples_per_block", [1, 2, 64])
-    def test_bitwise_gather_cols_of_the_stacked_batch(self, monkeypatch, P, examples_per_block):
+    def test_bitwise_of_the_stacked_batch_reference(self, monkeypatch, P, examples_per_block):
         # 1 and 2 examples per block split the batch of 5 (2: a ragged last block)
         monkeypatch.setattr(autograd, "BLOCK_VALUES", examples_per_block * self.N * self.F)
         X = np.random.default_rng(29).standard_normal((self.M, self.N, self.F))

@@ -67,6 +67,12 @@ class TestWallclock:
         assert row["ns_iqr"] >= 0
         assert row["kind"] == "rank_p"
 
+    def test_rows_carry_the_formulas_flops(self):
+        full = bench_wallclock("full", n=3, f=4, K=2, P=5, repetitions=3)
+        rank = bench_wallclock("rank_p", n=3, f=4, K=2, P=5, repetitions=3)
+        assert (full["P"], full["flops_analytic"]) == (0, flops_full_second_order(3, 4, 2))
+        assert (rank["P"], rank["flops_analytic"]) == (5, flops_rank_p(3, 4, 2, 5))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             bench_wallclock("quadratic", n=2, f=2, K=1)

@@ -135,7 +135,7 @@ class TestGen:
         assert main(["gen", "--out", str(out)] + settings) == 0
         cfg = cfgmod.resolve(None, settings[1::2])
         for name, ds in zip(("train", "val"), gen_planted(cfgmod.build(PlantedTaskConfig, cfg))):
-            cli._write_split(str(ref / name), ds, cfg)
+            cli._write_split(str(ref / name), ds)
         for name in ("train", "val"):
             files = sorted(os.listdir(out / name))
             assert files == sorted(os.listdir(ref / name)) == SPLIT_FILES
@@ -626,9 +626,19 @@ class TestBench:
         lines = open(out).read().splitlines()
         assert lines[0].startswith("kind,n,f,K,P")
         assert len(lines) > 30
+        # the timing rows: each carries its own P (0 for full) and the formula's FLOPs
+        assert [line.rsplit(",", 3)[0] for line in lines[-3:]] == [
+            "full,196,512,100,0,155189248", "rank_p,196,512,100,1,503808",
+            "rank_p,196,512,100,5,2519040"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_attnpool_is_imported_before_numpy():
+    """conftest.py imports the package before this module imports numpy,
+    so the package's BLAS pin holds in any subset of the suite."""
+    assert not attnpool.NUMPY_LOADED_FIRST
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_thread_env(tmp_path):

@@ -1,4 +1,6 @@
-"""Each script in demos/ runs to the end and prints what it printed before.
+"""Each script in demos/ imports attnpool before numpy, so BLAS runs at the
+one thread the package pins, and runs to the end and prints what it
+printed before.
 
 A demo is copied into a temporary directory and run there in a fresh
 interpreter, so anything it writes next to itself stays out of the
@@ -30,6 +32,9 @@ LINES = {
 
 @pytest.mark.parametrize("name", sorted(LINES))
 def test_demo_runs(tmp_path, name):
+    modules = [line.split()[1].split(".")[0] for line in (DEMOS / name).read_text().splitlines()
+               if line.startswith(("import ", "from "))]
+    assert modules.index("attnpool") < modules.index("numpy")
     script = tmp_path / name
     shutil.copy(DEMOS / name, script)
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from attnpool import rng
 from attnpool.autograd import ShapeError
+from attnpool.cli import _write_split, load_split
 from attnpool.synth import (CHUNK_VALUES, KEYPOINT_OFFSETS, Dataset, PlantedTaskConfig,
                             class_prototypes, gen_planted, gen_pose_targets,
                             metric_accuracy, metric_map,
@@ -102,8 +105,7 @@ def reference_planted(config):
             Xs[i] = X
             labels[i] = label
             cells.append(tuple(cell for _, cell in slots))
-        splits.append((Dataset(config=config, X=Xs, labels=labels, planted=planted,
-                               prototypes=protos), cells))
+        splits.append((Dataset(config=config, X=Xs, labels=labels, planted=planted), cells))
     return splits
 
 
@@ -148,7 +150,6 @@ class TestMatchesPerExampleReference:
             assert got.labels.tobytes() == want.labels.tobytes()
             assert got.planted.dtype == want.planted.dtype
             assert got.planted.tobytes() == want.planted.tobytes()
-            assert got.prototypes.tobytes() == want.prototypes.tobytes()
 
 
 def test_multi_label_planted_slot_carries_the_true_class():
@@ -231,6 +232,25 @@ class TestGeneration:
         PlantedTaskConfig(n1=1, n2=3, f=8, K=4, multi_label=True)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("edit", ["negative", "n"])
+    def test_planted_cell_outside_the_grid_is_rejected(self, edit):
+        """A 3x3 pose task: cells -9..-1, or one cell 9, would index another
+        cell, or past the grid, in pose_reg's targets and in localization."""
+        tr, _ = gen_planted(PlantedTaskConfig(n1=3, n2=3, f=8, K=4, train_samples=32,
+                                              val_samples=8, pose=True, seed=5))
+        planted = (tr.planted - 9 if edit == "negative"
+                   else np.where(np.arange(len(tr)) == 3, 9, tr.planted))
+        with pytest.raises(ValueError, match="out of range"):
+            replace(tr, planted=planted)
+
+    def test_one_label_and_cell_per_feature_map(self):
+        tr, _ = gen_planted(SMALL)
+        for field in ("labels", "planted"):
+            with pytest.raises(ValueError, match="feature maps"):
+                replace(tr, **{field: getattr(tr, field)[1:]})
+
+
 class TestOracleProperty:
     @pytest.mark.parametrize("K,s", [(2, 3.0), (3, 3.0), (4, 3.5), (8, 4.0)])
     def test_planted_cell_oracle_accuracy(self, K, s):
@@ -239,11 +259,16 @@ class TestOracleProperty:
         assert nearest_prototype_accuracy(tr) >= 0.95
         assert nearest_prototype_accuracy(va) >= 0.95
 
-    def test_oracle_requires_prototypes(self):
+    def test_oracle_requires_prototypes(self, tmp_path):
+        """The oracle derives the prototypes from the split's config, so a
+        split read back from disk, which stores none, scores as generated;
+        it rejects multi-label data."""
         tr, _ = gen_planted(SMALL)
-        bare = Dataset(config=SMALL, X=tr.X, labels=tr.labels, planted=tr.planted)
+        _write_split(str(tmp_path), tr)
+        assert nearest_prototype_accuracy(load_split(str(tmp_path))) == \
+            nearest_prototype_accuracy(tr) > 0.5
         with pytest.raises(ValueError):
-            nearest_prototype_accuracy(bare)
+            nearest_prototype_accuracy(gen_planted(replace(SMALL, multi_label=True))[0])
 
 
 class TestMetrics:

@@ -317,7 +317,7 @@ class TestScores:
         ("avg_pool", {}), ("attention", {}), ("rank_p", {"rank": 3}), ("per_class", {}),
         ("pose_reg", {"hdim": 6}),
     ])
-    def test_class_maps_are_constants_bitwise_of_numpy(self, small_data, head, kw):
+    def test_class_maps_are_arrays_bitwise_of_numpy(self, small_data, head, kw):
         """Maps are values read out: with leaf parameters, each h, t and c
         that _batch_graph returns is an array, not a node; eval_forward's
         maps are bitwise the numpy products."""
