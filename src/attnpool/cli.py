@@ -18,9 +18,9 @@ import numpy as np
 
 from . import bench as benchmod
 from . import config as cfgmod
-from .atnp import AtnpError, read_atnp, write_atnp
+from .atnp import read_atnp, write_atnp
 from .autograd import ShapeError
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
 from .synth import (Dataset, PlantedTaskConfig, gen_splits, read_labels, read_text,
@@ -229,10 +229,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (cfgmod.ConfigError, CheckpointError, AtnpError, ShapeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -185,6 +185,11 @@ def _dataset_bytes(ds) -> bytes:
     return buf.getvalue()
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def check_determinism() -> tuple:
     task = PlantedTaskConfig(n1=3, n2=3, f=8, K=4, train_samples=64,
                              val_samples=32, seed=11)
@@ -202,12 +207,8 @@ def check_determinism() -> tuple:
             write_report(rpath, rep)
             cdir = os.path.join(tmp, f"ckpt{run}")
             save_checkpoint(cdir, rep.params, cfg)
-            with open(rpath, "rb") as fh:
-                rbytes = fh.read()
-            cbytes = b"".join(
-                open(os.path.join(cdir, name), "rb").read()
-                for name in sorted(os.listdir(cdir)))
-            blobs.append((rbytes, cbytes))
+            blobs.append((_read(rpath), b"".join(
+                _read(os.path.join(cdir, name)) for name in sorted(os.listdir(cdir)))))
         if blobs[0] != blobs[1]:
             return False, "train runs with identical configs differ"
 
@@ -217,7 +218,7 @@ def check_determinism() -> tuple:
         write_atnp(apath, arr)
         back = read_atnp(apath)
         write_atnp(apath + "2", back)
-        if open(apath, "rb").read() != open(apath + "2", "rb").read():
+        if _read(apath) != _read(apath + "2"):
             return False, "ATNP round-trip not byte-exact"
 
         img = normalize_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -225,7 +226,7 @@ def check_determinism() -> tuple:
         export_pgm(img, ppath)
         grid = read_pgm(ppath)
         export_pgm(normalize_map(grid.astype(np.float64) * (3 / 255) + 1), ppath + "2")
-        if open(ppath, "rb").read() != open(ppath + "2", "rb").read():
+        if _read(ppath) != _read(ppath + "2"):
             return False, "PGM round-trip not byte-exact"
 
         lpath = os.path.join(tmp, "labels.tsv")

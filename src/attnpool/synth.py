@@ -88,9 +88,9 @@ class PlantedTaskConfig:
 
 @dataclass
 class Dataset:
-    """The arrays of a generated or loaded split; ValueError unless labels
-    and planted have one entry per feature map and every planted cell is
-    a cell of the grid."""
+    """The arrays of a generated or loaded split; ValueError unless X holds
+    (n, f) feature maps of its config, labels and planted have one entry
+    per feature map, and every planted cell is a cell of the grid."""
 
     config: PlantedTaskConfig
     X: np.ndarray                 # (m, n, f)
@@ -98,7 +98,10 @@ class Dataset:
     planted: np.ndarray           # (m,) the cell of the (lowest) true class
 
     def __post_init__(self):
-        m, n = len(self), self.config.n
+        n, f = self.config.n, self.config.f
+        if self.X.shape[1:] != (n, f):
+            raise ValueError(f"feature maps of shape {self.X.shape} are not (m, {n}, {f})")
+        m = len(self)
         if (len(self.labels), len(self.planted)) != (m, m):
             raise ValueError(f"{len(self.labels)} labels and {len(self.planted)} planted "
                              f"cells for {m} feature maps")

@@ -24,9 +24,9 @@ The pose_reg head is a two-layer MLP over the spatial features, recorded
 as one tape node (`Tape.mlp`), that predicts 17 channels per location:
 channels 0..15 are keypoint heatmaps supervised with a masked L2 loss,
 channel 16 is an unconstrained nonlinear bottom-up attention map that
-replaces the linear h = X b.  Its targets are the heatmaps and
-visibility masks of each example's planted cell, read from one per-cell
-table (`synth.gen_pose_targets`) that `train` builds once per run.
+replaces the linear h = X b.  Its keypoint targets and loss weights are
+those of each example's planted cell, read from one per-cell table that
+`train` builds once per run from `synth.gen_pose_targets`.
 Runs are bit-reproducible: Fisher-Yates shuffling from SplitMix64
 (seed + epoch), gradient accumulation in ascending example order, and a
 fixed parameter draw order at init.
@@ -318,33 +318,16 @@ def _batch_graph(tape: Tape, config: TrainConfig, nodes: dict, inputs: np.ndarra
 def _batch_loss(tape: Tape, config: TrainConfig, nodes: dict, inputs, rows, yb, pose=None):
     """The loss node of examples `rows` of a split's inputs (see
     _batch_graph): cross-entropy, softmax for (B,) labels yb and sigmoid
-    for (B, K), plus for pose_reg lambda_pose times the masked L2 loss of
-    the keypoint (targets, weights) pose (`_pose_batch`)."""
+    for (B, K), plus, given a pose_reg pose, lambda_pose times the masked
+    L2 loss of its keypoint (targets, weights), each (B*n, 16)."""
     scores, maps = _batch_graph(tape, config, nodes, inputs, rows)
     xent = tape.softmax_xent if np.ndim(yb) == 1 else tape.sigmoid_xent
     loss = xent(scores, yb)
-    if config.head == "pose_reg" and config.lambda_pose > 0:
-        targets, weights = pose
+    if pose is not None:
         keypoints = tape.cols(maps["out"], 0, NUM_POSE_CHANNELS)
-        # per-example mask folded into sqrt weights so one squared error
-        # yields sum_i ||diff_i||^2_masked / (n * visible_i)
-        pose_l = tape.scalar_mul(tape.sq_error(keypoints, targets, weights), 1.0 / len(yb))
+        pose_l = tape.scalar_mul(tape.sq_error(keypoints, *pose), 1.0 / len(yb))
         loss = tape.add(loss, tape.scalar_mul(pose_l, config.lambda_pose))
     return loss
-
-
-def _pose_batch(table, cells, n):
-    """pose_reg's keypoint (targets, weights), each (B*n, 16), of examples
-    planted at cells, from the per-cell (heatmaps, masks) table of
-    `gen_pose_targets`."""
-    hm = table[0][cells]      # (B, n, 16)
-    masks = table[1][cells]   # (B, 16)
-    visible = masks.sum(axis=1)
-    w = np.zeros_like(masks)
-    nz = visible > 0
-    w[nz] = masks[nz] / (n * visible[nz, None])
-    weights = np.sqrt(np.repeat(w, n, axis=0))
-    return hm.reshape(len(cells) * n, NUM_POSE_CHANNELS), weights
 
 
 def eval_forward(params: dict, config: TrainConfig, inputs: np.ndarray, classes=None):
@@ -427,8 +410,13 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
     report = TrainReport(config=config)
     t0 = time.perf_counter()
     inputs, val_inputs = head_inputs(config, train_ds.X), head_inputs(config, val_ds.X)
-    pose_table = (gen_pose_targets(train_ds.config)
-                  if config.head == "pose_reg" and config.lambda_pose > 0 else None)
+    pose = None  # pose_reg's keypoint (targets, loss weights) per planted cell
+    if config.head == "pose_reg" and config.lambda_pose > 0:
+        heatmaps, masks = gen_pose_targets(train_ds.config)
+        # weights sqrt(mask / (n * visible)), 0 where no keypoint is visible:
+        # one squared error then yields sum_i ||diff_i||^2_masked / (n * visible_i)
+        visible = np.maximum(masks.sum(axis=1, keepdims=True), 1)
+        pose = heatmaps, np.sqrt(masks / (n * visible))
 
     try:
         for epoch in range(config.epochs):
@@ -438,9 +426,10 @@ def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainRepor
                 idx = order[start:start + config.batch_size]
                 tape = Tape()
                 nodes = {name: tape.leaf(p) for name, p in params.items()}
+                cells = train_ds.planted[idx]
                 loss = _batch_loss(tape, config, nodes, inputs, idx, train_ds.labels[idx],
-                                   _pose_batch(pose_table, train_ds.planted[idx], n)
-                                   if pose_table is not None else None)
+                                   pose and (pose[0][cells].reshape(-1, NUM_POSE_CHANNELS),
+                                             np.repeat(pose[1][cells], n, axis=0)))
                 if not np.isfinite(loss.value):
                     raise TrainDivergence("non-finite training loss")
                 tape.backward(loss)

@@ -100,8 +100,8 @@ class TestGen:
         out2 = str(tmp_path / "again")
         assert main(["gen", "--out", out2] + SMALL) == 0
         for split in ("train", "val"):
-            a = open(os.path.join(data_dir, split, "features.atnp"), "rb").read()
-            b = open(os.path.join(out2, split, "features.atnp"), "rb").read()
+            a = pathlib.Path(data_dir, split, "features.atnp").read_bytes()
+            b = pathlib.Path(out2, split, "features.atnp").read_bytes()
             assert a == b
 
     def test_multi_label_grid_below_three_cells_rejected(self, tmp_path, capsys):
@@ -116,10 +116,10 @@ class TestGen:
         monkeypatch.setenv("ATTNPOOL_SEED", "314")
         out2 = str(tmp_path / "seeded")
         assert main(["gen", "--out", out2] + SMALL) == 0
-        resolved = open(os.path.join(out2, "resolved_config.txt")).read()
+        resolved = pathlib.Path(out2, "resolved_config.txt").read_text()
         assert "task.seed = 314" in resolved
-        a = open(os.path.join(data_dir, "train", "features.atnp"), "rb").read()
-        b = open(os.path.join(out2, "train", "features.atnp"), "rb").read()
+        a = pathlib.Path(data_dir, "train", "features.atnp").read_bytes()
+        b = pathlib.Path(out2, "train", "features.atnp").read_bytes()
         assert a != b
 
     def test_bad_override_is_validation_error(self, tmp_path):
@@ -164,7 +164,7 @@ class TestTrain:
         for name in ("report.tsv", "summary.txt", "resolved_config.txt"):
             assert os.path.exists(os.path.join(run_dir, name))
         assert os.path.exists(os.path.join(run_dir, "checkpoint", "manifest.txt"))
-        lines = open(os.path.join(run_dir, "report.tsv")).read().splitlines()
+        lines = pathlib.Path(run_dir, "report.tsv").read_text().splitlines()
         assert len(lines) == 3  # one row per epoch
 
     @pytest.mark.parametrize("setting", ["train.hdim=0", "train.hdim=-1",
@@ -187,7 +187,7 @@ class TestTrain:
         assert main(["train", "--data", data, "--out", run, "--set", "train.epochs=2"]) == 0
         capsys.readouterr()
         # the run records the trained split's task keys (its meta.txt), not the defaults
-        resolved = open(os.path.join(run, "resolved_config.txt")).read().splitlines()
+        resolved = pathlib.Path(run, "resolved_config.txt").read_text().splitlines()
         assert "task.multi_label = True" in resolved and "task.f = 16" in resolved
         assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
                      "--data", os.path.join(data, "val")]) == 0
@@ -244,34 +244,36 @@ class TestTrain:
     def test_passes_pose_targets_only_to_pose_reg(self, pose_data_dir, tmp_path, monkeypatch,
                                                   head):
         """Only pose_reg's training builds keypoint targets, once per run,
-        from the train split's task; every batch gathers its rows of that
-        table by the batch's planted cells."""
-        built, gathered = [], []
+        from the train split's task; every batch's loss gets that table's
+        rows at the batch's planted cells, and every other head's no pose."""
+        built, poses = [], []
 
         def build(task):
             built.append(task)
             return gen_pose_targets(task)
 
-        def gather(table, cells, n):
-            gathered.append(cells)
-            return pose_batch(table, cells, n)
+        def batch_loss(tape, config, nodes, inputs, rows, yb, pose=None):
+            poses.append(pose)
+            return loss_of(tape, config, nodes, inputs, rows, yb, pose)
 
-        pose_batch = train_mod._pose_batch
+        loss_of = train_mod._batch_loss
         monkeypatch.setattr(train_mod, "gen_pose_targets", build)
-        monkeypatch.setattr(train_mod, "_pose_batch", gather)
+        monkeypatch.setattr(train_mod, "_batch_loss", batch_loss)
         assert main(["train", "--data", pose_data_dir, "--out", str(tmp_path / "out"),
                      "--set", f"train.head={head}", "--set", "train.epochs=2",
                      "--set", "train.hdim=8"]) == 0
         train_ds = load_split(os.path.join(pose_data_dir, "train"))
+        assert len(poses) == 4  # 2 epochs of 48 examples in batches of 32
         if head == "pose_reg":
             assert built == [train_ds.config]
-            assert len(gathered) == 4  # 2 epochs of 48 examples in batches of 32
+            heatmaps = gen_pose_targets(train_ds.config)[0]
             for epoch in (0, 1):  # train.seed 0: epoch e shuffles with seed e
-                cells = np.concatenate(gathered[2 * epoch:2 * epoch + 2])
+                targets = np.concatenate([pose[0] for pose in poses[2 * epoch:2 * epoch + 2]])
                 order = train_mod._fisher_yates(48, epoch)
-                np.testing.assert_array_equal(cells, train_ds.planted[order])
+                np.testing.assert_array_equal(targets.reshape(48, 9, -1),
+                                              heatmaps[train_ds.planted[order]])
         else:
-            assert built == [] and gathered == []
+            assert built == [] and poses == [None] * 4
 
     def test_pose_reg_on_split_without_pose_exits_3(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -330,9 +332,9 @@ class TestTrain:
             split = os.path.join(data_dir, "val")
             path, sep = os.path.join(ckpt, "manifest.txt"), "="
         lines = [f"{name}{sep}{value}" if line.startswith(name + sep) else line
-                 for line in open(path).read().splitlines()]
+                 for line in pathlib.Path(path).read_text().splitlines()]
         assert f"{name}{sep}{value}" in lines
-        open(path, "w").write("\n".join(lines) + "\n")
+        pathlib.Path(path).write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_VALIDATION
         assert path in capsys.readouterr().err
@@ -344,7 +346,7 @@ class TestEval:
         rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                    "--data", os.path.join(data_dir, "val"), "--out", out])
         assert rc == 0
-        kv = dict(line.split("=") for line in open(out).read().splitlines())
+        kv = dict(line.split("=") for line in pathlib.Path(out).read_text().splitlines())
         assert 0.0 <= float(kv["accuracy"]) <= 1.0
         assert 0.0 <= float(kv["localization"]) <= 1.0
 
@@ -358,9 +360,9 @@ class TestEval:
         ckpt = str(tmp_path / "ckpt")
         shutil.copytree(os.path.join(run_dir, "checkpoint"), ckpt)
         mpath = os.path.join(ckpt, "manifest.txt")
-        text = open(mpath).read().replace("tensor.A0.dims=16x4",
-                                          "tensor.A0.dims=16x5")
-        open(mpath, "w").write(text)
+        text = pathlib.Path(mpath).read_text().replace("tensor.A0.dims=16x4",
+                                                       "tensor.A0.dims=16x5")
+        pathlib.Path(mpath).write_text(text)
         rc = main(["eval", "--checkpoint", ckpt,
                    "--data", os.path.join(data_dir, "val")])
         assert rc == EXIT_VALIDATION
@@ -372,12 +374,12 @@ class TestEval:
         split = str(tmp_path / "val")
         shutil.copytree(os.path.join(data_dir, "val"), split)
         lpath = os.path.join(split, "labels.tsv")
-        lines = open(lpath).read().splitlines()
+        lines = pathlib.Path(lpath).read_text().splitlines()
         if edit == "planted":  # cell 9 of a 3x3 grid
             lines[5] = "\t".join(lines[5].split("\t")[:2] + ["9"])
         else:  # one row fewer than feature maps
             lines = lines[:-1]
-        open(lpath, "w").write("\n".join(lines) + "\n")
+        pathlib.Path(lpath).write_text("\n".join(lines) + "\n")
         rc = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint"),
                    "--data", split])
         assert rc == EXIT_VALIDATION
@@ -401,7 +403,7 @@ class TestEval:
         key) replaced: exit 3 with the file, and the line, on stderr."""
         split = _copy_dir(os.path.join(data_dir, "val"), tmp_path)
         path = os.path.join(split, name)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         lines[1] = new
         with open(path, "w", encoding="latin-1") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -540,8 +542,8 @@ class TestCheckpointMismatch:
         ckpt = _copy_dir(os.path.join(run_dir, "checkpoint"), tmp_path)
         mpath = os.path.join(ckpt, "manifest.txt")
         for head in ("avg_pool", "per_class"):
-            text = open(os.path.join(run_dir, "checkpoint", "manifest.txt")).read()
-            open(mpath, "w").write(text.replace("head=attention", f"head={head}"))
+            text = pathlib.Path(run_dir, "checkpoint", "manifest.txt").read_text()
+            pathlib.Path(mpath).write_text(text.replace("head=attention", f"head={head}"))
             rc = self._run(command, ckpt, os.path.join(data_dir, "val"), tmp_path)
             assert rc == EXIT_VALIDATION
             err = capsys.readouterr().err
@@ -623,7 +625,7 @@ class TestBench:
     def test_writes_csv(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = pathlib.Path(out).read_text().splitlines()
         assert lines[0].startswith("kind,n,f,K,P")
         assert len(lines) > 30
         # the timing rows: each carries its own P (0 for full) and the formula's FLOPs

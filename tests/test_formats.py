@@ -1,13 +1,16 @@
 """ATNP binary matrices, PGM heatmaps, and checkpoint directories."""
 
 import dataclasses
+import gc
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from attnpool import selftest
 from attnpool.atnp import AtnpError, read_atnp, write_atnp
 from attnpool.autograd import ShapeError
 from attnpool.checkpoint import (CheckpointError, load_checkpoint,
@@ -285,3 +288,15 @@ class TestCheckpoint:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nothing", 32, 8)
+
+
+def test_selftest_round_trips_close_their_files():
+    """selftest's determinism check reads back the reports, checkpoints,
+    ATNP and PGM files it wrote and leaves none for the garbage collector
+    to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ok, detail = selftest.check_determinism()
+        gc.collect()
+    assert ok, detail
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -2,19 +2,20 @@
 
 Scores and maps come from `graph_scores` (the evaluation pass), the
 17-channel MLP output from `train._batch_graph`; the pose loss is the
-term `train._batch_loss` adds to the class loss, with the targets that
-`train._pose_batch` gathers from a per-cell table.
+term `train._batch_loss` adds to the class loss, with the keypoint targets
+and loss weights that `train` gathers from a per-cell table.
 """
 
 import numpy as np
 import pytest
 
+import attnpool.train as train_mod
 from attnpool.autograd import ShapeError, Tape
 from attnpool.selftest import graph_scores
 from attnpool.synth import PlantedTaskConfig, gen_planted, gen_pose_targets
 from attnpool.train import (ATTENTION_CHANNEL, NUM_HEAD_CHANNELS, NUM_POSE_CHANNELS,
-                            TrainConfig, _batch_graph, _batch_loss, _pose_batch,
-                            eval_scores, init_head_params)
+                            TrainConfig, _batch_graph, _batch_loss, eval_scores,
+                            init_head_params, train)
 
 
 def _pose_params(W1, W2, A, bias1=None, bias2=None):
@@ -47,13 +48,16 @@ def _mlp_out(params, X):
 
 
 def _losses(params, X, heatmaps, masks, lambda_pose):
-    """_batch_loss of one batch (labels all 0) with the given keypoint
-    targets, example i's as row i of the (heatmaps, masks) table."""
+    """_batch_loss of one batch (labels all 0) as train() passes it, with
+    example i's keypoint heatmaps (n, 16) and mask (16,) at row i of
+    heatmaps and masks, and no pose at lambda_pose 0."""
     B, n, _ = X.shape
     cfg = TrainConfig(head="pose_reg", lambda_pose=lambda_pose, hdim=params["W1"].shape[1])
     tape = Tape()
     nodes = {name: tape.leaf(p) for name, p in params.items()}
-    pose = _pose_batch((heatmaps, masks), np.arange(B), n)
+    weights = np.sqrt(masks / (n * masks.sum(axis=1, keepdims=True)))
+    pose = ((heatmaps.reshape(B * n, NUM_POSE_CHANNELS), np.repeat(weights, n, axis=0))
+            if lambda_pose > 0 else None)
     labels = np.zeros(B, dtype=np.int64)
     return float(_batch_loss(tape, cfg, nodes, X, np.arange(B), labels, pose).value)
 
@@ -159,20 +163,33 @@ class TestPoseLoss:
                         np.zeros(1, dtype=np.int64), pose)
 
 
-    def test_batch_gathers_the_planted_cells_rows(self):
-        """A shuffled batch's targets are its examples' planted-cell rows of
-        the table, and its weights sqrt(mask / (n * visible)) per location."""
-        task = PlantedTaskConfig(n1=3, n2=4, f=8, K=4, train_samples=40, val_samples=4,
-                                 seed=9, pose=True)
-        tr, _ = gen_planted(task)
-        heatmaps, masks = table = gen_pose_targets(task)
-        idx = np.array([7, 0, 31, 12, 5])
-        targets, weights = _pose_batch(table, tr.planted[idx], task.n)
-        np.testing.assert_array_equal(targets.reshape(len(idx), task.n, NUM_POSE_CHANNELS),
-                                      heatmaps[tr.planted[idx]])
-        m = masks[tr.planted[idx]]
-        want = np.sqrt(m / (task.n * m.sum(axis=1, keepdims=True)))
-        np.testing.assert_array_equal(weights, np.repeat(want, task.n, axis=0))
+    def test_batch_gathers_the_planted_cells_rows(self, monkeypatch):
+        """train hands each shuffled batch's loss its examples' planted-cell
+        rows of the keypoint table as targets, and sqrt(mask / (n * visible))
+        per location as weights, 0 where no keypoint is visible (1x1 grid)."""
+        seen = []
+
+        def batch_loss(tape, config, nodes, inputs, rows, yb, pose=None):
+            seen.append((rows, pose))
+            return _batch_loss(tape, config, nodes, inputs, rows, yb, pose)
+
+        monkeypatch.setattr(train_mod, "_batch_loss", batch_loss)
+        for n1, n2 in ((3, 4), (1, 1)):
+            task = PlantedTaskConfig(n1=n1, n2=n2, f=8, K=4, train_samples=40, val_samples=4,
+                                     seed=9, pose=True)
+            tr, va = gen_planted(task)
+            heatmaps, masks = gen_pose_targets(task)
+            seen.clear()
+            train(TrainConfig(head="pose_reg", hdim=4, batch_size=16, epochs=1, seed=3), tr, va)
+            assert [len(rows) for rows, _ in seen] == [16, 16, 8]
+            for rows, (targets, weights) in seen:
+                cells = tr.planted[rows]
+                np.testing.assert_array_equal(
+                    targets.reshape(len(rows), task.n, NUM_POSE_CHANNELS), heatmaps[cells])
+                m = masks[cells]
+                with np.errstate(invalid="ignore"):  # 0 / 0 where no keypoint is visible
+                    want = np.nan_to_num(np.sqrt(m / (task.n * m.sum(axis=1, keepdims=True))))
+                np.testing.assert_array_equal(weights, np.repeat(want, task.n, axis=0))
 
 
 class TestValidation:

@@ -244,6 +244,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="out of range"):
             replace(tr, planted=planted)
 
+    def test_feature_maps_fit_the_grid_and_width(self):
+        """A 3x3 task's maps with 4 locations would localize against 9-cell
+        planted indices; f - 1 features, or one map alone, do not fit either.
+        An empty split of (n, f) maps is valid."""
+        tr, _ = gen_planted(SMALL)
+        for X in (tr.X[:, :4], tr.X[:, :, 1:], tr.X[0]):
+            with pytest.raises(ValueError, match=r"not \(m, 9, 16\)"):
+                replace(tr, X=X)
+        assert len(replace(tr, X=tr.X[:0], labels=tr.labels[:0], planted=tr.planted[:0])) == 0
+
     def test_one_label_and_cell_per_feature_map(self):
         tr, _ = gen_planted(SMALL)
         for field in ("labels", "planted"):
