@@ -9,15 +9,16 @@ by convention):
                        = per component: X b (2nf), X^T h (2nf), K dots (2Kf)
 
 The instrumented scorers perform the real numpy computation while
-tallying FLOPs and temporary allocations through the same primitives, so
-counter-vs-formula equality is exact and the no-f^2-temporary claim for
-the rank-P path is checkable.  Python ints keep the counts overflow-safe.
+tallying FLOPs through the same primitives, so counter-vs-formula
+equality is exact (Python ints keep the counts overflow-safe).  They
+tally no allocations: that rank-P scoring makes no f x f temporary is
+checked on the tape of the path that scores, `train._batch_graph`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -40,39 +41,26 @@ def flops_rank_p(n: int, f: int, K: int, P: int) -> int:
 
 @dataclass
 class OpCounter:
-    """Tally of FLOPs and temporary array allocations for one scoring call."""
+    """Tally of FLOPs for one scoring call."""
 
     flops: int = 0
-    allocated: int = 0          # total temporary values allocated
-    allocation_sizes: list = field(default_factory=list)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         m, k = a.shape
         k2, p = b.shape
         assert k == k2
         self.flops += 2 * m * k * p
-        out = a @ b
-        self._alloc(out.size)
-        return out
+        return a @ b
 
     def dot_all(self, a: np.ndarray, b: np.ndarray) -> float:
         # full elementwise inner product, e.g. Tr(G W^T) = sum(G o W)
         assert a.shape == b.shape
         self.flops += 2 * a.size
-        self._alloc(1)
         return float((a * b).sum())
-
-    def _alloc(self, size: int) -> None:
-        self.allocated += size
-        self.allocation_sizes.append(size)
 
 
 def rank_p_scores_counted(X, A_p, b_p, counter: OpCounter) -> np.ndarray:
-    """Rank-P multiclass scores via the cheap evaluation order, instrumented.
-
-    Allocates only h (n), pooled x (f), and scores (K) per component;
-    never an f x f intermediate.
-    """
+    """Rank-P multiclass scores via the cheap evaluation order, instrumented."""
     scores = None
     for A, b in zip(A_p, b_p):
         h = counter.matmul(X, b.reshape(-1, 1))          # (n, 1)
@@ -93,6 +81,21 @@ def full_scores_counted(X, W, K: int, counter: OpCounter) -> np.ndarray:
     return np.array([counter.dot_all(G, W) for _ in range(K)])
 
 
+def _bench_case(kind: str, n: int, f: int, K: int, P: int, rng) -> tuple:
+    """One bench row's scoring call at (n, f, K), drawn from rng (X, then
+    the rank_p factors A_p and b_p or the full classifier W): its P (0
+    for full), its analytic FLOPs, and call(counter), which scores once."""
+    X = rng.standard_normal((n, f))
+    if kind == "rank_p":
+        A_p = [rng.standard_normal((f, K)) for _ in range(P)]
+        b_p = [rng.standard_normal(f) for _ in range(P)]
+        return P, flops_rank_p(n, f, K, P), lambda c: rank_p_scores_counted(X, A_p, b_p, c)
+    if kind == "full":
+        W = rng.standard_normal((f, f))
+        return 0, flops_full_second_order(n, f, K), lambda c: full_scores_counted(X, W, K, c)
+    raise ValueError(f"unknown bench kind {kind!r}")
+
+
 def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
                     repetitions: int = 50, seed: int = 0) -> dict:
     """One `write_csv` row for a scoring call at (n, f, K): its analytic
@@ -101,30 +104,13 @@ def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
 
     P is the rank of a rank_p row; a full row's P is 0.
     """
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, f))
-    if kind == "rank_p":
-        flops = flops_rank_p(n, f, K, P)
-        A_p = [rng.standard_normal((f, K)) for _ in range(P)]
-        b_p = [rng.standard_normal((f, 1)) for _ in range(P)]
-
-        def call():
-            return rank_p_scores_counted(X, A_p, b_p, OpCounter())
-    elif kind == "full":
-        P, flops = 0, flops_full_second_order(n, f, K)
-        W = rng.standard_normal((f, f))
-
-        def call():
-            return full_scores_counted(X, W, K, OpCounter())
-    else:
-        raise ValueError(f"unknown bench kind {kind!r}")
-
+    P, flops, call = _bench_case(kind, n, f, K, P, np.random.default_rng(seed))
     for _ in range(5):
-        call()
+        call(OpCounter())
     samples = []
     for _ in range(repetitions):
         t0 = time.perf_counter_ns()
-        call()
+        call(OpCounter())
         samples.append(time.perf_counter_ns() - t0)
     samples.sort()
     q1 = samples[len(samples) // 4]
@@ -140,21 +126,12 @@ def sweep_rows(seed: int = 0) -> list:
     for n in SWEEP_N:
         for f in SWEEP_F:
             for K in SWEEP_K:
-                X = rng.standard_normal((n, f))
-                W = rng.standard_normal((f, f))
-                c = OpCounter()
-                full_scores_counted(X, W, K, c)
-                rows.append({"kind": "full", "n": n, "f": f, "K": K, "P": 0,
-                             "flops_analytic": flops_full_second_order(n, f, K),
-                             "flops_measured": c.flops})
-                for P in SWEEP_P:
-                    A_p = [rng.standard_normal((f, K)) for _ in range(P)]
-                    b_p = [rng.standard_normal(f) for _ in range(P)]
+                for kind, P in [("full", 0)] + [("rank_p", P) for P in SWEEP_P]:
+                    P, flops, call = _bench_case(kind, n, f, K, P, rng)
                     c = OpCounter()
-                    rank_p_scores_counted(X, A_p, b_p, c)
-                    rows.append({"kind": "rank_p", "n": n, "f": f, "K": K, "P": P,
-                                 "flops_analytic": flops_rank_p(n, f, K, P),
-                                 "flops_measured": c.flops})
+                    call(c)
+                    rows.append({"kind": kind, "n": n, "f": f, "K": K, "P": P,
+                                 "flops_analytic": flops, "flops_measured": c.flops})
     return rows
 
 

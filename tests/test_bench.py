@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from attnpool.autograd import Tape
 from attnpool.bench import (OpCounter, SWEEP_F, SWEEP_K, SWEEP_N, SWEEP_P,
                             bench_wallclock, flops_full_second_order,
                             flops_rank_p, full_scores_counted,
                             rank_p_scores_counted, sweep_rows, write_csv)
+from attnpool.train import TrainConfig, _batch_graph, init_head_params
 
 
 class TestAnalyticFormulas:
@@ -38,9 +40,6 @@ class TestInstrumentedScorers:
         c = OpCounter()
         s = rank_p_scores_counted(X, [A], [b], c)
         np.testing.assert_allclose(s, (X @ A).T @ (X @ b), rtol=1e-12)
-        # temporaries are exactly h (n), pooled (f), scores (K): no f^2 buffer
-        assert c.allocation_sizes == [n, f, K]
-        assert c.allocated == n + f + K
 
     def test_full_scores_allocate_f_squared(self):
         rng = np.random.default_rng(1)
@@ -51,13 +50,31 @@ class TestInstrumentedScorers:
         s = full_scores_counted(X, W, K, c)
         G = X.T @ X
         np.testing.assert_allclose(s, np.full(K, (G * W).sum()), rtol=1e-12)
-        assert f * f in c.allocation_sizes
 
     def test_rank1_cheaper_than_full_across_sweep(self):
         for n in SWEEP_N:
             for f in SWEEP_F:
                 for K in SWEEP_K:
                     assert flops_rank_p(n, f, K, 1) < flops_full_second_order(n, f, K)
+
+
+@pytest.mark.parametrize("head", ["attention", "rank_p"])
+def test_scoring_tape_holds_no_f_squared_value(head):
+    """The path that trains, evaluates and draws heatmaps scores one
+    example as a^T (X^T (X b)) per rank component: its tape holds the
+    parameters and the pooled features (f or f*K values each) and the
+    scores (K), its class maps n values each, and nothing of f^2 values,
+    such as the Gram matrix X^T X."""
+    n, f, K = 9, 8, 5
+    config = TrainConfig(head=head, rank=3)
+    X = np.random.default_rng(0).standard_normal((1, n, f))
+    tape = Tape()
+    nodes = {name: tape.leaf(p) for name, p in init_head_params(config, f, K).items()}
+    _, maps = _batch_graph(tape, config, nodes, X, slice(0, 1), classes=[K - 1])
+    sizes = {node.value.size for node in tape.nodes}
+    assert sizes == {f, f * K, K}
+    assert {key: m.size for key, m in maps.items()} == {"h": n, "t": n, "c": n}
+    assert f * f not in sizes | {m.size for m in maps.values()}
 
 
 class TestWallclock:
