@@ -23,8 +23,8 @@ from .autograd import ShapeError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .images import export_pgm, montage, normalize_map
 from .selftest import run_all
-from .synth import (Dataset, PlantedTaskConfig, gen_splits, read_labels, read_text,
-                    write_labels)
+from .synth import (Dataset, PlantedTaskConfig, check_val_split, gen_splits, read_labels,
+                    read_text, write_labels)
 from .train import (TrainConfig, eval_forward, eval_scores, evaluate, train, write_report,
                     write_summary)
 
@@ -99,15 +99,10 @@ def cmd_train(args) -> int:
     tconf = cfgmod.build(TrainConfig, cfg)
     train_ds = load_split(os.path.join(args.data, "train"))
     val_ds = load_split(os.path.join(args.data, "val"))
-    tasks = train_ds.config, val_ds.config
-    val_meta = os.path.join(args.data, "val", "meta.txt")
-    pairs = [(task.f, task.K) for task in tasks]
-    if pairs[1] != pairs[0]:  # n may differ: scores pool over locations
-        raise ValueError(f"{val_meta}: the val split has (f, K) = {pairs[1]}, "
-                         f"the train split {pairs[0]}")
-    if tasks[1].multi_label != tasks[0].multi_label:
-        raise ValueError(f"{val_meta}: the val split has multi_label = {tasks[1].multi_label}, "
-                         f"the train split {tasks[0].multi_label}")
+    try:
+        check_val_split(train_ds, val_ds)
+    except ValueError as exc:
+        raise ValueError(f"{os.path.join(args.data, 'val', 'meta.txt')}: {exc}") from None
     cfg.update(cfgmod.keys_of(train_ds.config))  # record the task trained on, not defaults
     report = train(tconf, train_ds, val_ds)
     os.makedirs(args.out, exist_ok=True)

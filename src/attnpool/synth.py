@@ -114,6 +114,20 @@ class Dataset:
         return self.X.shape[0]
 
 
+def check_val_split(train: Dataset, val: Dataset) -> None:
+    """ValueError unless val can validate a head trained on train: the same
+    f, K and multi_label, and at least one example (n may differ: scores
+    pool over locations)."""
+    a, b = train.config, val.config
+    if (b.f, b.K) != (a.f, a.K):
+        raise ValueError(f"the val split has (f, K) = {(b.f, b.K)}, the train split {(a.f, a.K)}")
+    if b.multi_label != a.multi_label:
+        raise ValueError(f"the val split has multi_label = {b.multi_label}, "
+                         f"the train split {a.multi_label}")
+    if len(val) == 0:
+        raise ValueError("the val split has no examples")
+
+
 def _unit_rows(a):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 

@@ -45,7 +45,8 @@ import numpy as np
 from .autograd import ShapeError, Tape
 from .rng import float_stream, mix64, u64_stream
 from .sketch import SketchParams, cbp_pool
-from .synth import KEYPOINT_OFFSETS, Dataset, gen_pose_targets, metric_accuracy, metric_map
+from .synth import (KEYPOINT_OFFSETS, Dataset, check_val_split, gen_pose_targets,
+                    metric_accuracy, metric_map)
 
 HEAD_KINDS = ("avg_pool", "attention", "rank_p", "per_class", "pose_reg", "cbp")
 NUM_POSE_CHANNELS = len(KEYPOINT_OFFSETS)
@@ -395,11 +396,14 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
 
 
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
-    """Train a head; deterministic given the config.  Aborts on divergence
-    with the partial report, whose diverged_at names the epoch, the batch
-    and the parameter or the loss that went non-finite."""
+    """Train a head; deterministic given the config.  ValueError, before
+    the first step, for an empty train split or a val split that does not
+    fit it (`synth.check_val_split`).  Aborts on divergence with the
+    partial report, whose diverged_at names the epoch, the batch and the
+    parameter or the loss that went non-finite."""
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
+    check_val_split(train_ds, val_ds)
     if config.head == "pose_reg" and not train_ds.config.pose:
         raise ValueError("pose_reg head needs a split generated with task.pose = true")
     m, n, f = train_ds.X.shape

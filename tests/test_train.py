@@ -491,6 +491,44 @@ class TestLocalization:
         assert np.isnan(localization_rate(None, tr))
 
 
+class TestValSplitFits:
+    """train() checks the val split against the train split before its
+    first SGD step (synth.check_val_split)."""
+
+    TASK = PlantedTaskConfig(n1=3, n2=3, f=8, K=4, train_samples=64, val_samples=32, seed=4)
+
+    def _steps(self, monkeypatch, val):
+        steps = []
+        monkeypatch.setattr("attnpool.train.sgd_step",
+                            lambda *a, **k: steps.append(1) or sgd_step(*a, **k))
+        tr, _ = gen_planted(self.TASK)
+        cfg = TrainConfig(head="attention", epochs=2, batch_size=32)
+        try:
+            train(cfg, tr, val)
+        except ValueError as exc:
+            return len(steps), exc
+        return len(steps), None
+
+    @pytest.mark.parametrize("change", [dict(K=5), dict(K=3), dict(f=6), dict(multi_label=True),
+                                        dict(val_samples=0)],
+                             ids=["K5", "K3", "f6", "multi_label", "empty"])
+    def test_a_val_split_that_does_not_fit_raises_before_the_first_step(self, monkeypatch,
+                                                                        change):
+        if change.get("val_samples") == 0:
+            _, va = gen_planted(self.TASK)
+            val = replace(va, X=va.X[:0], labels=va.labels[:0], planted=va.planted[:0])
+        else:
+            _, val = gen_planted(replace(self.TASK, **change))
+        steps, exc = self._steps(monkeypatch, val)
+        assert steps == 0 and isinstance(exc, ValueError) and not isinstance(exc, ShapeError)
+        assert "the val split" in str(exc)
+
+    def test_a_val_grid_of_another_size_trains(self, monkeypatch):
+        _, val = gen_planted(replace(self.TASK, n1=4, n2=4))
+        steps, exc = self._steps(monkeypatch, val)
+        assert (steps, exc) == (4, None)
+
+
 class TestTrainLoop:
     def test_bitwise_reproducible(self, small_data):
         tr, va = small_data
