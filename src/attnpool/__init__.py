@@ -10,19 +10,38 @@ Training lives in the `attnpool.train` module
 
 Importing the package pins BLAS to one thread (unless the environment
 already sets the thread count), so runs are byte-identical on any core
-count, provided `attnpool` is imported before numpy: BLAS reads the
-setting once, when numpy loads it.  On glibc it also fixes malloc's
-mmap and trim thresholds, so a training step's arrays are reused from
-the heap rather than unmapped and faulted back in on every step.
+count: by the thread variables, which BLAS reads when numpy loads it,
+or, when numpy was imported first, by numpy's scipy-openblas setter (a
+warning names BLAS's own count where there is none).  On glibc it also
+fixes malloc's mmap and trim thresholds, so a training step's arrays are
+reused from the heap rather than unmapped and faulted back in per step.
 """
 
 import ctypes
+import glob
 import os
 import sys
+import warnings
 
 NUMPY_LOADED_FIRST = "numpy" in sys.modules  # then BLAS has read its thread count already
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREADS_SET = any(var in os.environ for var in _THREAD_VARS)
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
+
+
+def _openblas():
+    """The scipy-openblas library of the loaded numpy, through ctypes, or None."""
+    libs = os.path.join(os.path.dirname(sys.modules["numpy"].__path__[0]), "numpy.libs")
+    return next(map(ctypes.CDLL, glob.glob(os.path.join(libs, "libscipy_openblas64_*"))), None)
+
+
+if NUMPY_LOADED_FIRST and not _THREADS_SET:
+    try:
+        _openblas().scipy_openblas_set_num_threads64_(1)
+    except AttributeError:  # no scipy-openblas, or no setter in it
+        warnings.warn("numpy was imported before attnpool and its BLAS has no known thread setter: "
+                      f"BLAS keeps its own count (by default one per core: {os.cpu_count()})")
 
 
 def _pin_malloc_thresholds() -> None:

@@ -113,8 +113,7 @@ def bench_wallclock(kind: str, n: int, f: int, K: int, P: int = 1,
         call(OpCounter())
         samples.append(time.perf_counter_ns() - t0)
     samples.sort()
-    q1 = samples[len(samples) // 4]
-    q3 = samples[(3 * len(samples)) // 4]
+    q1, q3 = samples[len(samples) // 4], samples[(3 * len(samples)) // 4]
     return {"kind": kind, "n": n, "f": f, "K": K, "P": P, "flops_analytic": flops,
             "ns_median": median(samples), "ns_iqr": q3 - q1}
 
@@ -128,8 +127,7 @@ def sweep_rows(seed: int = 0) -> list:
             for K in SWEEP_K:
                 for kind, P in [("full", 0)] + [("rank_p", P) for P in SWEEP_P]:
                     P, flops, call = _bench_case(kind, n, f, K, P, rng)
-                    c = OpCounter()
-                    call(c)
+                    call(c := OpCounter())
                     rows.append({"kind": kind, "n": n, "f": f, "K": K, "P": P,
                                  "flops_analytic": flops, "flops_measured": c.flops})
     return rows

@@ -103,8 +103,7 @@ def resolve(path=None, overrides=(), env=None) -> dict:
             seed = int(env["ATTNPOOL_SEED"])
         except ValueError as exc:
             raise ConfigError(f"ATTNPOOL_SEED is not an integer: {env['ATTNPOOL_SEED']!r}") from exc
-        cfg["task.seed"] = seed
-        cfg["train.seed"] = seed
+        cfg["task.seed"] = cfg["train.seed"] = seed
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
@@ -115,7 +114,4 @@ def resolve(path=None, overrides=(), env=None) -> dict:
 
 def serialize(cfg: dict) -> str:
     """Stable `key = value` rendering of a resolved config."""
-    lines = []
-    for key in sorted(cfg):
-        lines.append(f"{key} = {cfg[key]}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))

@@ -119,17 +119,12 @@ class TrainReport:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
-    @property
-    def final_val_metric(self) -> float:
-        return self.epochs[-1].val_metric if self.epochs else float("nan")
+    def _last(self, name: str) -> float:
+        return getattr(self.epochs[-1], name) if self.epochs else float("nan")
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.epochs[-1].train_loss if self.epochs else float("nan")
-
-    @property
-    def final_localization(self) -> float:
-        return self.epochs[-1].localization if self.epochs else float("nan")
+    final_val_metric = property(lambda self: self._last("val_metric"))
+    final_train_loss = property(lambda self: self._last("train_loss"))
+    final_localization = property(lambda self: self._last("localization"))
 
 
 def sgd_step(params: dict, grads: dict, state: dict, lr: float,
@@ -396,11 +391,10 @@ def _fisher_yates(m: int, seed: int) -> np.ndarray:
 
 
 def train(config: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainReport:
-    """Train a head; deterministic given the config.  ValueError, before
-    the first step, for an empty train split or a val split that does not
-    fit it (`synth.check_val_split`).  Aborts on divergence with the
-    partial report, whose diverged_at names the epoch, the batch and the
-    parameter or the loss that went non-finite."""
+    """Train a head; deterministic given the config.  ValueError before the
+    first step if the val split does not fit (`synth.check_val_split`).
+    Aborts on divergence with the partial report, whose diverged_at names
+    the epoch, the batch and the parameter or the loss that went non-finite."""
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
     check_val_split(train_ds, val_ds)

@@ -24,7 +24,6 @@ import attnpool  # noqa: F401  (before numpy: BLAS runs at one thread)
 
 import contextlib
 import ctypes
-import glob
 import hashlib
 import io
 import os
@@ -53,20 +52,18 @@ RUNS = ([(head, "single", [f"train.head={head}"]) for head in HEAD_KINDS] + [
 
 
 def platform() -> dict:
-    """What the outputs' bits depend on besides the code."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    found = {"numpy": np.__version__, "openblas_config": "none", "openblas_core": "none",
-             "blas_threads": "unknown"}
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
-        lib = ctypes.CDLL(path)
-        for key, name, restype in (
-                ("openblas_config", "scipy_openblas_get_config64_", ctypes.c_char_p),
-                ("openblas_core", "scipy_openblas_get_corename64_", ctypes.c_char_p),
-                ("blas_threads", "scipy_openblas_get_num_threads64_", ctypes.c_int)):
-            fn = getattr(lib, name)
+    """What the outputs' bits depend on besides the code ("none" for what
+    numpy's BLAS, if not scipy-openblas, does not tell)."""
+    found, lib = {"numpy": np.__version__}, attnpool._openblas()
+    for key, name, restype in (
+            ("openblas_config", "scipy_openblas_get_config64_", ctypes.c_char_p),
+            ("openblas_core", "scipy_openblas_get_corename64_", ctypes.c_char_p),
+            ("blas_threads", "scipy_openblas_get_num_threads64_", ctypes.c_int)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
             fn.restype = restype
-            value = fn()
-            found[key] = value.decode() if isinstance(value, bytes) else str(value)
+        value = fn() if fn is not None else "none"
+        found[key] = value.decode() if isinstance(value, bytes) else str(value)
     return found
 
 

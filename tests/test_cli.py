@@ -643,11 +643,11 @@ def test_attnpool_is_imported_before_numpy():
     assert not attnpool.NUMPY_LOADED_FIRST
 
 
-def test_checkpoint_bytes_do_not_depend_on_blas_thread_env(tmp_path):
-    """The package pins BLAS to one thread unless the environment sets a
-    count, so a run with the thread variables unset writes the bytes of
-    a run at OPENBLAS_NUM_THREADS=1.  On a 1-core machine BLAS uses one
-    thread either way, and this test shows nothing."""
+def _pose_reg_checkpoints(tmp_path, runs) -> list:
+    """Checkpoint digests of pose_reg (3 epochs, seed 101) trained on a
+    400/100-example pose task, one subprocess per (first import, extra
+    environment) in runs, with the BLAS thread variables unset unless
+    extra sets them."""
     data = str(tmp_path / "data")
     assert main(["gen", "--out", data, "--set", "task.pose=true",
                  "--set", "task.train_samples=400", "--set", "task.val_samples=100"]) == 0
@@ -655,12 +655,50 @@ def test_checkpoint_bytes_do_not_depend_on_blas_thread_env(tmp_path):
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("ATTNPOOL_SEED",)}
     base["PYTHONPATH"] = src
     checkpoints = []
-    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+    for first, extra in runs:
         out = str(tmp_path / f"run{len(checkpoints)}")
-        subprocess.run([sys.executable, "-m", "attnpool.cli", "train", "--data", data,
+        code = f"import {first}, sys; from attnpool.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, "train", "--data", data,
                         "--out", out, "--set", "train.head=pose_reg", "--set", "train.epochs=3",
                         "--set", "train.seed=101"], env={**base, **extra}, check=True,
                        stdout=subprocess.DEVNULL)
         checkpoints.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                             for p in sorted(pathlib.Path(out, "checkpoint").iterdir())})
+    return checkpoints
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_thread_env(tmp_path):
+    """The package pins BLAS to one thread unless the environment sets a
+    count, so a run with the thread variables unset writes the bytes of
+    a run at OPENBLAS_NUM_THREADS=1.  On a 1-core machine BLAS uses one
+    thread either way, and this test shows nothing."""
+    runs = [("attnpool", {}), ("attnpool", {"OPENBLAS_NUM_THREADS": "1"})]
+    checkpoints = _pose_reg_checkpoints(tmp_path, runs)
     assert checkpoints[0] == checkpoints[1]
+
+
+def test_checkpoint_bytes_do_not_depend_on_import_order(tmp_path):
+    """A program that imports numpy before attnpool, with the thread
+    variables unset, writes the bytes of one that imports attnpool first:
+    the package then sets BLAS's thread count at run time.  On a 1-core
+    machine BLAS uses one thread either way, and this test shows nothing."""
+    checkpoints = _pose_reg_checkpoints(tmp_path, [("attnpool", {}), ("numpy", {})])
+    assert checkpoints[0] == checkpoints[1]
+
+
+def test_numpy_first_without_a_blas_setter_warns_once_naming_the_count():
+    """Where numpy's BLAS is not scipy-openblas (here: no library found),
+    importing attnpool after numpy cannot set BLAS's thread count, and
+    says so once."""
+    code = ("import glob, numpy, warnings\n"
+            "glob.glob = lambda *args, **kwargs: []\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    import attnpool, attnpool.cli\n"
+            "print(*(w.message for w in caught), sep='\\n')\n")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(attnpool.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) == 1 and "no known thread setter" in out[0]
+    assert f"one per core: {os.cpu_count()}" in out[0]
