@@ -37,11 +37,13 @@ def _openblas():
 
 
 if NUMPY_LOADED_FIRST and not _THREADS_SET:
-    try:
-        _openblas().scipy_openblas_set_num_threads64_(1)
-    except AttributeError:  # no scipy-openblas, or no setter in it
+    _set = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if _set is None:  # no scipy-openblas, or no setter in it
         warnings.warn("numpy was imported before attnpool and its BLAS has no known thread setter: "
                       f"BLAS keeps its own count (by default one per core: {os.cpu_count()})")
+    else:
+        _set.argtypes, _set.restype = (ctypes.c_int,), None
+        _set(1)
 
 
 def _pin_malloc_thresholds() -> None:

@@ -61,7 +61,7 @@ def platform() -> dict:
             ("blas_threads", "scipy_openblas_get_num_threads64_", ctypes.c_int)):
         fn = getattr(lib, name, None)
         if fn is not None:
-            fn.restype = restype
+            fn.argtypes, fn.restype = (), restype
         value = fn() if fn is not None else "none"
         found[key] = value.decode() if isinstance(value, bytes) else str(value)
     return found
